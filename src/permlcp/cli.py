@@ -6,7 +6,7 @@ predicates with witnesses) and ``contains`` (pattern involvement through the
 LCP reduction).  Machine output goes to stdout, diagnostics to stderr.
 
 Exit codes: 0 ok/true, 1 predicate false, 2 input error, 3 algorithm
-precondition violated.
+precondition violated or a tree nested past the recursion limit.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import json
 import sys
 
 from .decomposition import (
+    IntervalSpan,
     NotSeparableError,
-    common_intervals,
     decomposition_tree,
     expand_tree,
     max_prime_arity,
@@ -26,8 +26,7 @@ from .decomposition import (
     tree_to_text,
 )
 from .lcp import lcp, lcp_plan
-from .oracle import oracle_is_simple
-from .perms import Pattern, find_occurrence, parse_permutation
+from .perms import Occurrence, Pattern, find_occurrence, parse_permutation
 
 # Prime arity at which the per-cell cost n^(2d-2) starts to hurt.
 ARITY_WARN_THRESHOLD = 6
@@ -92,14 +91,20 @@ def cmd_tree(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     sigma = parse_permutation(args.sigma)
+    tree = decomposition_tree(sigma)
 
     if args.separable:
-        witness = find_occurrence(sigma, Pattern((3, 1, 4, 2)))
-        pattern_name = "3 1 4 2"
-        if witness is None:
-            witness = find_occurrence(sigma, Pattern((2, 4, 1, 3)))
-            pattern_name = "2 4 1 3"
-        ok = witness is None
+        prime = next((node for node in tree.walk() if node.kind == "prime"), None)
+        ok = prime is None
+        if not ok:
+            # The label is simple, so it holds 3 1 4 2 or 2 4 1 3; one
+            # position from each matched child spells the same pattern in sigma.
+            pattern_name = "3 1 4 2"
+            hit = find_occurrence(prime.label, Pattern((3, 1, 4, 2)))
+            if hit is None:
+                pattern_name = "2 4 1 3"
+                hit = find_occurrence(prime.label, Pattern((2, 4, 1, 3)))
+            witness = Occurrence(tuple(prime.children[k - 1].span.lo for k in hit))
         if not args.quiet:
             if args.output == "json":
                 payload = {"predicate": "separable", "value": ok}
@@ -117,15 +122,20 @@ def cmd_check(args: argparse.Namespace) -> int:
                 )
         return 0 if ok else 1
 
-    # --simple
-    ok = oracle_is_simple(sigma)
+    # --simple: the whole permutation is one prime node over leaves.
+    ok = tree.root.kind == "prime" and all(child.is_leaf for child in tree.root.children)
     witness_span = None
     if not ok:
-        proper = sorted(
-            (s for s in common_intervals(sigma) if 1 < s.width < sigma.n),
-            key=lambda s: (s.lo, s.hi),
+        # The first proper common interval is the span of a non-root internal
+        # node or of two neighbouring children of a linear node.
+        spans = []
+        for node in tree.walk():
+            spans += [child.span for child in node.children if child.children]
+            if node.kind == "linear":
+                spans += [IntervalSpan(a.span.lo, b.span.hi) for a, b in zip(node.children, node.children[1:])]
+        witness_span = min(
+            (s for s in spans if s.width < sigma.n), key=lambda s: (s.lo, s.hi), default=None
         )
-        witness_span = proper[0] if proper else None
     if not args.quiet:
         if args.output == "json":
             payload = {"predicate": "simple", "value": ok}
@@ -222,6 +232,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # PermutationError, oracle size guard, ...
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError as exc:  # the DP fill or the JSON encoder on a deep tree
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 def entry() -> None:

@@ -8,9 +8,9 @@ permutation ordering the children by value).  Expanding a linear node of
 arity k into a left comb of k-1 binary nodes of the same sign yields the
 binary tree shape the dynamic programs walk.
 
-Construction here is deliberately simple: an O(n^2) sweep for common
-intervals and pairwise overlap filtering for strong ones, which is ample at
-the sizes this library targets.
+The tree is built in one left-to-right stack pass, and every walk over a
+tree keeps its own stack, so a tree of any depth stays within Python's
+recursion limit.
 """
 
 from __future__ import annotations
@@ -41,9 +41,6 @@ class IntervalSpan:
     @property
     def width(self) -> int:
         return self.hi - self.lo + 1
-
-    def contains(self, other: "IntervalSpan") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
 
     def overlaps(self, other: "IntervalSpan") -> bool:
         """Proper overlap: both differences and the intersection non-empty."""
@@ -87,9 +84,12 @@ class DecompNode:
         return self.value_range[0]
 
     def walk(self) -> Iterator["DecompNode"]:
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        """Preorder: each node before its children, children left to right."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(node.children[::-1])
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -126,11 +126,8 @@ def common_intervals(sigma: Permutation) -> frozenset[IntervalSpan]:
 
 
 def strong_intervals(sigma: Permutation) -> frozenset[IntervalSpan]:
-    """The common intervals that overlap no other common interval."""
-    spans = sorted(common_intervals(sigma), key=lambda s: (s.lo, -s.hi))
-    return frozenset(
-        s for s in spans if not any(s.overlaps(t) for t in spans)
-    )
+    """The common intervals that overlap no other common interval: the tree's node spans."""
+    return frozenset(node.span for node in decomposition_tree(sigma).walk())
 
 
 def _classify(children: tuple[DecompNode, ...], span: IntervalSpan) -> DecompNode:
@@ -156,30 +153,52 @@ def _classify(children: tuple[DecompNode, ...], span: IntervalSpan) -> DecompNod
 def decomposition_tree(sigma: Permutation) -> DecompTree:
     """The labeled (non-expanded) decomposition tree of ``sigma``.
 
-    The inclusion order of the strong intervals gives the shape; each
-    internal node is then typed and labeled from its children's value ranges.
+    One left-to-right stack pass: the node holding the newest position
+    replaces the shortest stack suffix whose values, together with its own,
+    form an interval.  The scan down the stack stops once the union's value
+    range reaches a value not yet read, which a doubly linked list of the
+    unread values tells in O(1).
     """
     vals = sigma.values
-    spans = sorted(strong_intervals(sigma), key=lambda s: (s.lo, -s.hi))
+    n = len(vals)
+    # Nearest unread value below / above v; 0 and n + 1 are sentinels.
+    below = list(range(-1, n + 1))
+    above = list(range(1, n + 3))
+    stack: list[DecompNode] = []
+    for pos, v in enumerate(vals, 1):
+        floor, ceil = below[v], above[v]
+        above[floor], below[ceil] = ceil, floor
+        node = DecompNode("leaf", IntervalSpan(pos, pos), (v, v))
+        lo = hi = v
+        k = len(stack)
+        while k:
+            k -= 1
+            top = stack[k]
+            lo = min(lo, top.value_range[0])
+            hi = max(hi, top.value_range[1])
+            if lo <= floor or hi >= ceil:
+                break
+            if hi - lo == pos - top.span.lo:
+                node = _classify((*stack[k:], node), IntervalSpan(top.span.lo, pos))
+                if node.kind == "linear" and top.kind == "linear" and top.sign == node.sign:
+                    # A same-sign linear first child is no strong interval.
+                    node = replace(node, children=top.children + node.children[1:])
+                del stack[k:]
+                lo, hi = node.value_range
+        stack.append(node)
+    return DecompTree(stack[0], n, expanded=False)
 
-    # Nest the (laminar) strong intervals with a stack sweep.
-    root_entry: tuple[IntervalSpan, list] = (spans[0], [])
-    stack = [root_entry]
-    for span in spans[1:]:
-        while not stack[-1][0].contains(span):
-            stack.pop()
-        entry: tuple[IntervalSpan, list] = (span, [])
-        stack[-1][1].append(entry)
-        stack.append(entry)
 
-    def build(entry: tuple[IntervalSpan, list]) -> DecompNode:
-        span, child_entries = entry
-        if not child_entries:
-            v = vals[span.lo - 1]
-            return DecompNode("leaf", span, (v, v))
-        return _classify(tuple(build(c) for c in child_entries), span)
+def _fold(root: DecompNode, combine):
+    """``combine(node, results for its children)``, children first, without recursion.
 
-    return DecompTree(build(root_entry), len(vals), expanded=False)
+    Reversed preorder puts each node after its subtree, first child's result on top.
+    """
+    results: list = []
+    for node in reversed(list(root.walk())):
+        parts = [results.pop() for _ in node.children]
+        results.append(combine(node, parts))
+    return results[0]
 
 
 def expand_tree(tree: DecompTree) -> DecompTree:
@@ -187,12 +206,11 @@ def expand_tree(tree: DecompTree) -> DecompTree:
     if tree.expanded:
         raise ValueError("tree is already expanded")
 
-    def expand(node: DecompNode) -> DecompNode:
+    def expand(node: DecompNode, children: list[DecompNode]) -> DecompNode:
         if node.is_leaf:
             return node
-        children = tuple(expand(c) for c in node.children)
         if node.kind == "prime":
-            return replace(node, children=children)
+            return replace(node, children=tuple(children))
         acc = children[0]
         for child in children[1:]:
             acc = DecompNode(
@@ -207,7 +225,7 @@ def expand_tree(tree: DecompTree) -> DecompTree:
             )
         return acc
 
-    return DecompTree(expand(tree.root), tree.source_size, expanded=True)
+    return DecompTree(_fold(tree.root, expand), tree.source_size, expanded=True)
 
 
 def is_separable(sigma: Permutation) -> bool:
@@ -228,11 +246,10 @@ def max_prime_arity(tree: DecompTree) -> int:
     return max((n.arity for n in tree.walk() if n.kind == "prime"), default=0)
 
 
-def _node_pattern(node: DecompNode) -> Pattern:
+def _node_pattern(node: DecompNode, parts: list[Pattern]) -> Pattern:
     if node.is_leaf:
         return Pattern((1,))
     if node.kind == "linear":
-        parts = [_node_pattern(c) for c in node.children]
         if len(parts) < 2:
             raise ValueError("malformed tree: linear node with fewer than 2 children")
         if node.sign == "+":
@@ -242,12 +259,12 @@ def _node_pattern(node: DecompNode) -> Pattern:
         raise ValueError(f"malformed tree: linear node with sign {node.sign!r}")
     if node.label is None:
         raise ValueError("malformed tree: prime node without label")
-    return concat_rho(node.label, [_node_pattern(c) for c in node.children])
+    return concat_rho(node.label, parts)
 
 
 def tree_to_permutation(tree: DecompTree) -> Permutation:
     """Rebuild the permutation from structure and labels alone (decoration ignored)."""
-    return Permutation(_node_pattern(tree.root).values)
+    return Permutation(_fold(tree.root, _node_pattern).values)
 
 
 def tree_from_nested(spec) -> DecompTree:
@@ -272,27 +289,17 @@ def tree_from_nested(spec) -> DecompTree:
             raise ValueError("internal node needs at least 2 children")
         children = tuple(build(c) for c in children_spec)
         span = IntervalSpan(children[0].span.lo, children[-1].span.hi)
-        lo = min(c.value_range[0] for c in children)
-        hi = max(c.value_range[1] for c in children)
-        if hi - lo + 1 != sum(c.value_range[1] - c.value_range[0] + 1 for c in children):
+        node = _classify(children, span)
+        if node.value_range[1] - node.value_range[0] != span.hi - span.lo:
             raise ValueError(f"children of node over {span} do not tile a value interval")
         if head in ("+", "-"):
-            want = 1 if head == "+" else -1
-            for left, right in zip(children, children[1:]):
-                gap = right.value_range[0] - left.value_range[1]
-                if (head == "+" and gap != 1) or (
-                    head == "-" and left.value_range[0] - right.value_range[1] != 1
-                ):
-                    raise ValueError(
-                        f"children value ranges are not {'increasing' if want == 1 else 'decreasing'}"
-                    )
-            return DecompNode("linear", span, (lo, hi), children, sign=head)
-        label = Pattern(tuple(head))
-        if len(label) != len(children):
-            raise ValueError("prime label arity does not match child count")
-        if normalize(tuple(c.value_range[0] for c in children)).values != label.values:
-            raise ValueError("prime label does not match the children's value order")
-        return DecompNode("prime", span, (lo, hi), children, label=label)
+            if node.sign != head:
+                raise ValueError(
+                    f"children value ranges are not {'increasing' if head == '+' else 'decreasing'}"
+                )
+        elif node.kind != "prime" or node.label.values != tuple(head):
+            raise ValueError(f"prime label {head} does not match the children's value order")
+        return node
 
     root = build(spec)
     leaves = tuple(n.leaf_value for n in root.walk() if n.is_leaf)
@@ -304,9 +311,9 @@ def tree_from_nested(spec) -> DecompTree:
 
 
 def tree_to_dict(tree: DecompTree) -> dict:
-    """JSON-ready dict: recursive {kind, sign?, label?, span, value_range, children}."""
+    """JSON-ready dict: nested {kind, sign?, label?, span, value_range, children}."""
 
-    def node_dict(node: DecompNode) -> dict:
+    def node_dict(node: DecompNode, children: list[dict]) -> dict:
         d: dict = {
             "kind": node.kind,
             "span": [node.span.lo, node.span.hi],
@@ -316,25 +323,21 @@ def tree_to_dict(tree: DecompTree) -> dict:
             d["sign"] = node.sign
         elif node.kind == "prime":
             d["label"] = list(node.label.values)
-        d["children"] = [node_dict(c) for c in node.children]
+        d["children"] = children
         return d
 
     return {
         "size": tree.source_size,
         "expanded": tree.expanded,
-        "root": node_dict(tree.root),
+        "root": _fold(tree.root, node_dict),
     }
 
 
 def tree_to_dot(tree: DecompTree) -> str:
     """Graphviz DOT rendering; node ids follow preorder for stable diffs."""
+    names = {node: f"n{k}" for k, node in enumerate(tree.walk())}
     lines = ["digraph decomposition_tree {"]
-    count = 0
-
-    def visit(node: DecompNode) -> str:
-        nonlocal count
-        name = f"n{count}"
-        count += 1
+    for node, name in names.items():
         if node.is_leaf:
             lines.append(f'  {name} [shape=none, label="{node.leaf_value}"];')
         elif node.kind == "linear":
@@ -342,11 +345,7 @@ def tree_to_dot(tree: DecompTree) -> str:
         else:
             text = " ".join(map(str, node.label.values))
             lines.append(f'  {name} [shape=box, label="{text}"];')
-        for child in node.children:
-            lines.append(f"  {name} -> {visit(child)};")
-        return name
-
-    visit(tree.root)
+        lines.extend(f"  {name} -> {names[child]};" for child in node.children)
     lines.append("}")
     return "\n".join(lines)
 
@@ -354,8 +353,9 @@ def tree_to_dot(tree: DecompTree) -> str:
 def tree_to_text(tree: DecompTree) -> str:
     """Indented outline with decorations, one node per line."""
     out: list[str] = []
-
-    def visit(node: DecompNode, depth: int) -> None:
+    stack = [(tree.root, 0)]
+    while stack:
+        node, depth = stack.pop()
         pad = "  " * depth
         if node.is_leaf:
             out.append(f"{pad}{node.leaf_value} (pos {node.span.lo})")
@@ -366,8 +366,5 @@ def tree_to_text(tree: DecompTree) -> str:
                 out.append(f"{pad}{node.sign} {deco}")
             else:
                 out.append(f"{pad}P {' '.join(map(str, node.label.values))} {deco}")
-        for child in node.children:
-            visit(child, depth + 1)
-
-    visit(tree.root, 0)
+        stack.extend([(child, depth + 1) for child in node.children[::-1]])
     return "\n".join(out)

@@ -412,29 +412,21 @@ class DpTable:
 
 
 def lcp_separable(
-    t_sigma: DecompTree,
-    tau: Permutation,
-    *,
-    canonical: bool = False,
-    prune: bool = True,
+    t_sigma: DecompTree, tau: Permutation, *, canonical: bool = False
 ) -> LcpResult:
     """Longest common pattern guided by a binary separating tree (no prime nodes)."""
     if max_prime_arity(t_sigma) > 0:
         raise NotSeparableError("guiding tree contains a prime node")
-    table = DpTable(t_sigma, tau, canonical=canonical, prune=prune)
+    table = DpTable(t_sigma, tau, canonical=canonical)
     pattern, occ_sigma, occ_tau = table.reconstruct()
     return LcpResult(pattern, occ_sigma, occ_tau, "separable")
 
 
 def lcp_general(
-    t_sigma: DecompTree,
-    tau: Permutation,
-    *,
-    canonical: bool = False,
-    prune: bool = True,
+    t_sigma: DecompTree, tau: Permutation, *, canonical: bool = False
 ) -> LcpResult:
     """Longest common pattern guided by any expanded decomposition tree."""
-    table = DpTable(t_sigma, tau, canonical=canonical, prune=prune)
+    table = DpTable(t_sigma, tau, canonical=canonical)
     pattern, occ_sigma, occ_tau = table.reconstruct()
     return LcpResult(pattern, occ_sigma, occ_tau, "general")
 
@@ -464,12 +456,7 @@ def lcp_plan(sigma: Permutation, tau: Permutation) -> LcpPlan:
 
 
 def lcp(
-    sigma: Permutation,
-    tau: Permutation,
-    algo: str = "auto",
-    *,
-    canonical: bool = False,
-    prune: bool = True,
+    sigma: Permutation, tau: Permutation, algo: str = "auto", *, canonical: bool = False
 ) -> LcpResult:
     """Dispatch on ``algo``: auto, separable, general or oracle.
 
@@ -485,17 +472,17 @@ def lcp(
         occ_tau = find_occurrence(tau, pattern)
         return LcpResult(pattern, occ_sigma, occ_tau, "oracle")
     if algo == "separable":
-        return lcp_separable(separating_tree(sigma), tau, canonical=canonical, prune=prune)
+        return lcp_separable(separating_tree(sigma), tau, canonical=canonical)
     if algo == "general":
         tree = expand_tree(decomposition_tree(sigma))
-        return lcp_general(tree, tau, canonical=canonical, prune=prune)
+        return lcp_general(tree, tau, canonical=canonical)
     if algo == "auto":
         plan = lcp_plan(sigma, tau)
         if plan.guided_by == "sigma":
-            table = DpTable(plan.tree, tau, canonical=canonical, prune=prune)
+            table = DpTable(plan.tree, tau, canonical=canonical)
             pattern, occ_sigma, occ_tau = table.reconstruct()
         else:
-            table = DpTable(plan.tree, sigma, canonical=canonical, prune=prune)
+            table = DpTable(plan.tree, sigma, canonical=canonical)
             pattern, occ_tau, occ_sigma = table.reconstruct()
         return LcpResult(pattern, occ_sigma, occ_tau, plan.algorithm)
     raise ValueError(f"unknown algo {algo!r}")

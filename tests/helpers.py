@@ -6,6 +6,7 @@ import random
 from itertools import combinations, permutations
 
 from permlcp import (
+    IntervalSpan,
     Pattern,
     Permutation,
     concat_minus,
@@ -32,6 +33,23 @@ def random_separable(rng: random.Random, n: int) -> Permutation:
     return Permutation(build(n).values)
 
 
+def alternating_chain(n: int) -> Permutation:
+    """((1 (+) 1) (-) 1) (+) 1 ...: a separable permutation whose tree is n - 1 deep.
+
+    Built from the last step back: step t appends a new maximum when t is odd
+    and a new minimum when t is even.
+    """
+    values = [0] * n
+    lo, hi = 1, n
+    for step in range(n - 1, 0, -1):
+        if step % 2:
+            values[step], hi = hi, hi - 1
+        else:
+            values[step], lo = lo, lo + 1
+    values[0] = lo
+    return Permutation(tuple(values))
+
+
 def all_permutations(n: int):
     for p in permutations(range(1, n + 1)):
         yield Permutation(p)
@@ -47,6 +65,24 @@ def contains_by_enumeration(host, pattern) -> bool:
         if normalize(tuple(hv[i] for i in idxs)).values == pv:
             return True
     return False
+
+
+def common_intervals_by_rescan(sigma: Permutation) -> list[IntervalSpan]:
+    """Every span whose values form an integer interval, in (lo, hi) order."""
+    vals = sigma.values
+    n = len(vals)
+    return [
+        IntervalSpan(lo, hi)
+        for lo in range(1, n + 1)
+        for hi in range(lo, n + 1)
+        if max(vals[lo - 1 : hi]) - min(vals[lo - 1 : hi]) == hi - lo
+    ]
+
+
+def strong_intervals_by_overlap(sigma: Permutation) -> frozenset[IntervalSpan]:
+    """Strong intervals by definition: common intervals that overlap no other one."""
+    common = common_intervals_by_rescan(sigma)
+    return frozenset(s for s in common if not any(s.overlaps(t) for t in common))
 
 
 def all_common_pattern_values(sigma, tau):

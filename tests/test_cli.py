@@ -1,11 +1,19 @@
 """Command-line surface: output formats, exit codes, warnings."""
 
 import json
+import random
 
 import pytest
 
+from helpers import (
+    all_permutations,
+    alternating_chain,
+    common_intervals_by_rescan,
+    random_separable,
+)
 from permlcp import normalize, parse_permutation
 from permlcp.cli import main
+from permlcp.oracle import oracle_is_simple, oracle_separable
 
 SIGMA11 = "5 1 10 9 6 7 8 11 2 4 3"
 
@@ -167,6 +175,47 @@ class TestCheckCommand:
         code, out, _ = run(capsys, "check", "2 4 1 3", "--separable", "--quiet")
         assert code == 1
         assert out == ""
+
+    def test_agrees_with_oracles_to_size_7(self, capsys):
+        for n in range(1, 8):
+            for sigma in all_permutations(n):
+                code, out, _ = run(capsys, "check", str(sigma), "--simple", "-o", "json")
+                payload = json.loads(out)
+                assert payload["value"] == (code == 0) == oracle_is_simple(sigma), sigma.values
+                proper = [s for s in common_intervals_by_rescan(sigma) if 1 < s.width < n]
+                first = [proper[0].lo, proper[0].hi] if proper else None
+                assert payload.get("witness_span") == first, sigma.values
+
+                code, out, _ = run(capsys, "check", str(sigma), "--separable", "-o", "json")
+                payload = json.loads(out)
+                assert payload["value"] == (code == 0) == oracle_separable(sigma), sigma.values
+                if code:
+                    picked = [sigma.values[p - 1] for p in payload["witness"]]
+                    assert str(normalize(picked)) == payload["forbidden_pattern"], sigma.values
+
+    def test_separable_of_size_400(self, capsys):
+        sigma = random_separable(random.Random(400), 400)
+        code, out, _ = run(capsys, "check", str(sigma), "--separable")
+        assert code == 0
+        assert out.strip() == "separable"
+
+
+class TestDeepInputs:
+    def test_tree_of_deep_chain(self, capsys):
+        code, out, _ = run(capsys, "tree", str(alternating_chain(2000)))
+        assert code == 0
+        assert len(out.splitlines()) == 3999
+
+    def test_lcp_against_deep_chain(self, capsys):
+        code, out, _ = run(capsys, "lcp", str(alternating_chain(500)), "2 1 3")
+        assert code == 0
+        assert "length: 3" in out
+
+    def test_json_past_recursion_limit_exits_3(self, capsys):
+        code, out, err = run(capsys, "tree", str(alternating_chain(5000)), "--format", "json")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 class TestContainsCommand:

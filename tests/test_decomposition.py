@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import all_permutations, random_permutation, separating_trees_of
+from helpers import (
+    all_permutations,
+    alternating_chain,
+    random_permutation,
+    random_separable,
+    separating_trees_of,
+    strong_intervals_by_overlap,
+)
 from permlcp import (
     IntervalSpan,
     NotSeparableError,
@@ -117,6 +124,20 @@ class TestStrongIntervals:
             for s in strong:
                 for t in strong:
                     assert not s.overlaps(t)
+
+    def test_matches_overlap_definition_exhaustive(self):
+        for n in range(1, 8):
+            for sigma in all_permutations(n):
+                assert strong_intervals(sigma) == strong_intervals_by_overlap(sigma), sigma.values
+
+    def test_matches_overlap_definition_random(self):
+        rng = random.Random(9)
+        for _ in range(300):
+            n = rng.randint(8, 30)
+            # Separable inputs are rich in nested intervals, random ones in primes.
+            make = random_separable if rng.random() < 0.5 else random_permutation
+            sigma = make(rng, n)
+            assert strong_intervals(sigma) == strong_intervals_by_overlap(sigma), sigma.values
 
 
 class TestDecompositionTree:
@@ -341,6 +362,8 @@ class TestTreeFromNested:
             tree_from_nested(("-", ("-", 3, 2), 4))  # values not an interval tiling
         with pytest.raises(ValueError):
             tree_from_nested(((2, 1, 3), 1, 2, 3))  # label does not match value order
+        with pytest.raises(ValueError):
+            tree_from_nested(((1, 2, 3), 1, 2, 3))  # monotone children make a linear node
         with pytest.raises(Exception):
             tree_from_nested(("+", 1, 1))  # duplicate leaf value
 
@@ -377,3 +400,28 @@ class TestExports:
         assert lines[0].startswith("P 3 1 4 2")
         assert "  5 (pos 1)" in lines
         assert any(line.strip().startswith("+ (pos 3-8") for line in lines)
+
+
+class TestDeepTrees:
+    """Building and walking a tree keep their own stacks, so depth is no limit."""
+
+    def test_chain_of_2000_round_trips(self):
+        sigma = alternating_chain(2000)
+        tree = decomposition_tree(sigma)
+        expanded = expand_tree(tree)
+        lines = tree_to_text(tree).splitlines()
+        assert len(lines) == 3999
+        assert max(len(line) - len(line.lstrip()) for line in lines) == 2 * 1999
+        assert tree_to_dot(expanded).count("->") == 3998
+        assert tree_to_dict(expanded)["root"]["span"] == [1, 2000]
+        assert tree_to_permutation(tree).values == sigma.values
+        assert tree_to_permutation(expanded).values == sigma.values
+
+    def test_chain_of_5000_walks(self):
+        tree = decomposition_tree(alternating_chain(5000))
+        expanded = expand_tree(tree)
+        assert sum(1 for _ in expanded.walk()) == 9999
+        assert max_prime_arity(tree) == 0
+        assert len(tree_to_text(tree).splitlines()) == 9999
+        assert tree_to_dot(tree).count("->") == 9998
+        assert tree_to_dict(tree)["size"] == 5000
