@@ -24,7 +24,7 @@ from .decomposition import (
     tree_to_permutation,
     tree_to_text,
 )
-from .lcp import DpCell, DpTable, LcpPlan, LcpResult, lcp, lcp_general, lcp_plan, lcp_separable
+from .lcp import DpCell, DpTable, LcpPlan, LcpResult, lcp, lcp_plan
 from .oracle import oracle_is_simple, oracle_lcp, oracle_separable
 from .perms import (
     Occurrence,
@@ -73,8 +73,6 @@ __all__ = [
     "LcpPlan",
     "lcp",
     "lcp_plan",
-    "lcp_separable",
-    "lcp_general",
     "oracle_lcp",
     "oracle_is_simple",
     "oracle_separable",

@@ -20,7 +20,6 @@ from .decomposition import (
     NotSeparableError,
     decomposition_tree,
     expand_tree,
-    max_prime_arity,
     tree_to_dict,
     tree_to_dot,
     tree_to_text,
@@ -39,16 +38,12 @@ def _warn(message: str) -> None:
 def cmd_lcp(args: argparse.Namespace) -> int:
     sigma = parse_permutation(args.sigma)
     tau = parse_permutation(args.tau)
-    if args.algo in ("auto", "general"):
-        if args.algo == "general":
-            arity = max_prime_arity(decomposition_tree(sigma))
-        else:
-            arity = lcp_plan(sigma, tau).prime_arity
-        if arity >= ARITY_WARN_THRESHOLD:
-            _warn(
-                f"guiding tree has a prime node of arity {arity}; the per-cell "
-                f"cost grows like n^(2*{arity}-2), this may be very slow"
-            )
+    arity = lcp_plan(sigma, tau, args.algo).prime_arity
+    if arity >= ARITY_WARN_THRESHOLD:
+        _warn(
+            f"guiding tree has a prime node of arity {arity}; the per-cell "
+            f"cost grows like n^(2*{arity}-2), this may be very slow"
+        )
     result = lcp(sigma, tau, args.algo, canonical=args.canonical)
     if args.quiet:
         return 0
@@ -188,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lcp.add_argument("tau", help="second permutation")
     p_lcp.add_argument(
         "--algo",
-        choices=("auto", "separable", "general", "oracle"),
+        choices=("auto", "separable", "general"),
         default="auto",
         help="algorithm selection (default: auto)",
     )
@@ -229,7 +224,7 @@ def main(argv: list[str] | None = None) -> int:
     except NotSeparableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:  # PermutationError, oracle size guard, ...
+    except ValueError as exc:  # PermutationError and other bad input
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError as exc:  # the DP fill or the JSON encoder on a deep tree

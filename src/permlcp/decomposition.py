@@ -16,10 +16,8 @@ recursion limit.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce
 from typing import Iterator
 
-from .algebra import concat_minus, concat_plus, concat_rho
 from .perms import Pattern, Permutation, normalize
 
 
@@ -246,25 +244,48 @@ def max_prime_arity(tree: DecompTree) -> int:
     return max((n.arity for n in tree.walk() if n.kind == "prime"), default=0)
 
 
-def _node_pattern(node: DecompNode, parts: list[Pattern]) -> Pattern:
-    if node.is_leaf:
-        return Pattern((1,))
-    if node.kind == "linear":
-        if len(parts) < 2:
-            raise ValueError("malformed tree: linear node with fewer than 2 children")
-        if node.sign == "+":
-            return reduce(concat_plus, parts)
-        if node.sign == "-":
-            return reduce(concat_minus, parts)
-        raise ValueError(f"malformed tree: linear node with sign {node.sign!r}")
-    if node.label is None:
-        raise ValueError("malformed tree: prime node without label")
-    return concat_rho(node.label, parts)
-
-
 def tree_to_permutation(tree: DecompTree) -> Permutation:
-    """Rebuild the permutation from structure and labels alone (decoration ignored)."""
-    return Permutation(_fold(tree.root, _node_pattern).values)
+    """Rebuild the permutation from structure and labels alone (decoration ignored).
+
+    Two linear passes: children before parents, count each node's leaves;
+    then top down, give each node's children consecutive blocks of values
+    in the order their sign or label ranks them.
+    """
+    order = list(tree.walk())
+    size: dict[DecompNode, int] = {}
+    for node in reversed(order):
+        if node.is_leaf:
+            size[node] = 1
+            continue
+        if node.kind == "linear":
+            if node.arity < 2:
+                raise ValueError("malformed tree: linear node with fewer than 2 children")
+            if node.sign not in ("+", "-"):
+                raise ValueError(f"malformed tree: linear node with sign {node.sign!r}")
+        elif node.label is None:
+            raise ValueError("malformed tree: prime node without label")
+        elif len(node.label) != node.arity:
+            raise ValueError(
+                f"malformed tree: prime label of arity {len(node.label)} over {node.arity} children"
+            )
+        size[node] = sum(size[child] for child in node.children)
+    low = {tree.root: 0}
+    values = []
+    for node in order:  # preorder meets the leaves left to right
+        base = low[node]
+        if node.is_leaf:
+            values.append(base + 1)
+            continue
+        children = node.children
+        if node.kind == "prime":
+            rank = node.label.values
+            children = [children[k] for k in sorted(range(node.arity), key=rank.__getitem__)]
+        elif node.sign == "-":
+            children = children[::-1]
+        for child in children:
+            low[child] = base
+            base += size[child]
+    return Permutation(tuple(values))
 
 
 def tree_from_nested(spec) -> DecompTree:

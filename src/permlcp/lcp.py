@@ -16,6 +16,10 @@ stored witness is reproducible; ``canonical=True`` instead materializes
 patterns and keeps the lexicographically smallest one of maximal length.
 Pruning by interval-width bounds never changes any cell value and can be
 switched off to check exactly that.
+
+:func:`lcp` is the single entry point.  The separable and the general
+algorithm are this one program: :func:`lcp_plan` picks the guiding tree,
+and a tree with no prime node is the separable case.
 """
 
 from __future__ import annotations
@@ -31,10 +35,8 @@ from .decomposition import (
     decomposition_tree,
     expand_tree,
     max_prime_arity,
-    separating_tree,
 )
-from .oracle import oracle_lcp
-from .perms import Occurrence, Pattern, Permutation, find_occurrence
+from .perms import Occurrence, Pattern, Permutation
 
 
 class DpCell(NamedTuple):
@@ -411,26 +413,6 @@ class DpTable:
         return cat(Pattern(lp), Pattern(rp)).values, ls + rs, lt + rt
 
 
-def lcp_separable(
-    t_sigma: DecompTree, tau: Permutation, *, canonical: bool = False
-) -> LcpResult:
-    """Longest common pattern guided by a binary separating tree (no prime nodes)."""
-    if max_prime_arity(t_sigma) > 0:
-        raise NotSeparableError("guiding tree contains a prime node")
-    table = DpTable(t_sigma, tau, canonical=canonical)
-    pattern, occ_sigma, occ_tau = table.reconstruct()
-    return LcpResult(pattern, occ_sigma, occ_tau, "separable")
-
-
-def lcp_general(
-    t_sigma: DecompTree, tau: Permutation, *, canonical: bool = False
-) -> LcpResult:
-    """Longest common pattern guided by any expanded decomposition tree."""
-    table = DpTable(t_sigma, tau, canonical=canonical)
-    pattern, occ_sigma, occ_tau = table.reconstruct()
-    return LcpResult(pattern, occ_sigma, occ_tau, "general")
-
-
 @dataclass(frozen=True, slots=True)
 class LcpPlan:
     """Which input guides the dynamic program, and what that costs."""
@@ -441,48 +423,46 @@ class LcpPlan:
     algorithm: str  # "separable" | "general"
 
 
-def lcp_plan(sigma: Permutation, tau: Permutation) -> LcpPlan:
-    """Pick the guide for ``auto`` mode: smaller max prime arity, ties to the shorter input."""
-    t_sigma = decomposition_tree(sigma)
-    t_tau = decomposition_tree(tau)
-    d_sigma = max_prime_arity(t_sigma)
-    d_tau = max_prime_arity(t_tau)
-    if (d_sigma, sigma.n) <= (d_tau, tau.n):
-        guided_by, chosen, arity = "sigma", t_sigma, d_sigma
-    else:
-        guided_by, chosen, arity = "tau", t_tau, d_tau
-    algorithm = "separable" if arity == 0 else "general"
+def lcp_plan(sigma: Permutation, tau: Permutation, algo: str = "auto") -> LcpPlan:
+    """Pick the guiding tree for ``algo``: auto, separable or general.
+
+    ``separable`` and ``general`` guide with sigma, and ``separable`` rejects
+    a sigma with prime structure.  ``auto`` guides with the input of smaller
+    max prime arity, ties to the shorter input, which is sound because the
+    common-pattern relation is symmetric.
+    """
+    if algo not in ("auto", "separable", "general"):
+        raise ValueError(f"unknown algo {algo!r}")
+    guided_by, chosen = "sigma", decomposition_tree(sigma)
+    arity = max_prime_arity(chosen)
+    if algo == "separable" and arity:
+        raise NotSeparableError(f"{sigma} is not separable")
+    if algo == "auto":
+        t_tau = decomposition_tree(tau)
+        d_tau = max_prime_arity(t_tau)
+        if (d_tau, tau.n) < (arity, sigma.n):
+            guided_by, chosen, arity = "tau", t_tau, d_tau
+    algorithm = "general" if algo == "general" or arity else "separable"
     return LcpPlan(guided_by, expand_tree(chosen), arity, algorithm)
 
 
 def lcp(
     sigma: Permutation, tau: Permutation, algo: str = "auto", *, canonical: bool = False
 ) -> LcpResult:
-    """Dispatch on ``algo``: auto, separable, general or oracle.
+    """A longest common pattern of ``sigma`` and ``tau``, with one occurrence in each.
 
-    ``separable`` requires a separable ``sigma`` and guides with its
-    separating tree; ``general`` guides with sigma's expanded decomposition
-    tree; ``auto`` guides with whichever input promises the cheaper run,
-    which is sound because the common-pattern relation is symmetric;
-    ``oracle`` delegates to the brute-force reference.
+    :func:`lcp_plan` picks the guiding tree for ``algo``; one table over the
+    other input then yields the pattern and both occurrences.
+
+    >>> from permlcp import parse_permutation
+    >>> lcp(parse_permutation("2 4 1 3"), parse_permutation("1 3 2 4")).length
+    3
     """
-    if algo == "oracle":
-        pattern = oracle_lcp(sigma, tau)
-        occ_sigma = find_occurrence(sigma, pattern)
-        occ_tau = find_occurrence(tau, pattern)
-        return LcpResult(pattern, occ_sigma, occ_tau, "oracle")
-    if algo == "separable":
-        return lcp_separable(separating_tree(sigma), tau, canonical=canonical)
-    if algo == "general":
-        tree = expand_tree(decomposition_tree(sigma))
-        return lcp_general(tree, tau, canonical=canonical)
-    if algo == "auto":
-        plan = lcp_plan(sigma, tau)
-        if plan.guided_by == "sigma":
-            table = DpTable(plan.tree, tau, canonical=canonical)
-            pattern, occ_sigma, occ_tau = table.reconstruct()
-        else:
-            table = DpTable(plan.tree, sigma, canonical=canonical)
-            pattern, occ_tau, occ_sigma = table.reconstruct()
-        return LcpResult(pattern, occ_sigma, occ_tau, plan.algorithm)
-    raise ValueError(f"unknown algo {algo!r}")
+    plan = lcp_plan(sigma, tau, algo)
+    if plan.guided_by == "sigma":
+        table = DpTable(plan.tree, tau, canonical=canonical)
+        pattern, occ_sigma, occ_tau = table.reconstruct()
+    else:
+        table = DpTable(plan.tree, sigma, canonical=canonical)
+        pattern, occ_tau, occ_sigma = table.reconstruct()
+    return LcpResult(pattern, occ_sigma, occ_tau, plan.algorithm)

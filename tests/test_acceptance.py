@@ -28,12 +28,9 @@ from permlcp import (
     find_occurrence,
     is_separable,
     lcp,
-    lcp_general,
     lcp_plan,
-    lcp_separable,
     normalize,
     parse_permutation,
-    separating_tree,
     tree_from_nested,
     tree_to_permutation,
 )
@@ -55,14 +52,10 @@ def _all_perms(n: int):
 def test_criterion_1_oracle_equivalence_exhaustive():
     """All pairs up to size 5: DP length equals oracle length, witness valid."""
     failures = []
-    guides = []
-    for n in range(1, 6):
-        for sigma in _all_perms(n):
-            guides.append((sigma, expand_tree(decomposition_tree(sigma))))
-    targets = [tau for n in range(1, 6) for tau in _all_perms(n)]
-    for sigma, tree in guides:
-        for tau in targets:
-            got = lcp_general(tree, tau)
+    perms = [sigma for n in range(1, 6) for sigma in _all_perms(n)]
+    for sigma in perms:
+        for tau in perms:
+            got = lcp(sigma, tau, "general")
             want = oracle_lcp(sigma, tau)
             if got.length != len(want):
                 failures.append((sigma.values, tau.values, got.length, len(want)))
@@ -101,10 +94,9 @@ def test_criterion_3_separable_path_agreement():
         for sigma in _all_perms(n):
             if not oracle_separable(sigma):
                 continue
-            tree = separating_tree(sigma)
             for tau in taus:
-                a = lcp_separable(tree, tau).length
-                b = lcp_general(tree, tau).length
+                a = lcp(sigma, tau, "separable").length
+                b = lcp(sigma, tau, "general").length
                 c = len(oracle_lcp(sigma, tau))
                 if not a == b == c:
                     failures.append((sigma.values, tau.values, a, b, c))
@@ -256,9 +248,8 @@ def test_criterion_8_complexity_smoke(capsys):
     rng = random.Random(20240504)
     sigma = random_separable(rng, 20)
     tau = random_permutation(rng, 20)
-    tree = separating_tree(sigma)
     start = time.time()
-    result = lcp_separable(tree, tau)
+    result = lcp(sigma, tau, "separable")
     elapsed = time.time() - start
     if elapsed >= 60.0:
         failures.append(f"separable k=20 n=20 took {elapsed:.1f}s")

@@ -13,7 +13,7 @@ from helpers import (
 )
 from permlcp import normalize, parse_permutation
 from permlcp.cli import main
-from permlcp.oracle import oracle_is_simple, oracle_separable
+from permlcp.oracle import oracle_is_simple, oracle_lcp, oracle_separable
 
 SIGMA11 = "5 1 10 9 6 7 8 11 2 4 3"
 
@@ -54,8 +54,8 @@ class TestLcpCommand:
         pairs = [("2 4 1 3", "4 2 3 1"), ("1 3 2", "3 1 2"), ("2 1 4 3 5", "5 4 3 2 1")]
         for sigma, tau in pairs:
             _, out_g, _ = run(capsys, "lcp", sigma, tau, "--algo", "general", "-o", "json")
-            _, out_o, _ = run(capsys, "lcp", sigma, tau, "--algo", "oracle", "-o", "json")
-            assert json.loads(out_g)["length"] == json.loads(out_o)["length"]
+            want = oracle_lcp(parse_permutation(sigma), parse_permutation(tau))
+            assert json.loads(out_g)["length"] == len(want)
 
     def test_separable_on_prime_input_exits_3(self, capsys):
         code, _, err = run(capsys, "lcp", "3 1 4 2", "1 2", "--algo", "separable")
@@ -66,12 +66,6 @@ class TestLcpCommand:
         code, _, err = run(capsys, "lcp", "1 2 x", "1 2")
         assert code == 2
         assert "error" in err
-
-    def test_oracle_size_guard_exits_2(self, capsys):
-        big = " ".join(str(i) for i in range(1, 15))
-        code, _, err = run(capsys, "lcp", big, big, "--algo", "oracle")
-        assert code == 2
-        assert "guard" in err
 
     def test_canonical_flag(self, capsys):
         code, out, _ = run(capsys, "lcp", "2 4 1 3", "1 3 2 4", "--canonical", "-o", "json")
@@ -252,6 +246,7 @@ class TestParserBehaviour:
         assert exc.value.code == 2
 
     def test_bad_choice_is_systemexit_2(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["lcp", "1", "1", "--algo", "magic"])
-        assert exc.value.code == 2
+        for algo in ("magic", "oracle"):
+            with pytest.raises(SystemExit) as exc:
+                main(["lcp", "1", "1", "--algo", algo])
+            assert exc.value.code == 2

@@ -15,6 +15,8 @@ from helpers import (
     strong_intervals_by_overlap,
 )
 from permlcp import (
+    DecompNode,
+    DecompTree,
     IntervalSpan,
     NotSeparableError,
     Pattern,
@@ -343,6 +345,25 @@ class TestTreeToPermutation:
         assert tree_to_permutation(decomposition_tree(sigma)).values == sigma.values
 
 
+    def test_rejects_malformed_trees(self):
+        def leaf(v):
+            return DecompNode("leaf", IntervalSpan(v, v), (v, v))
+
+        def node(kind, children, **deco):
+            span = IntervalSpan(1, len(children))
+            return DecompNode(kind, span, (1, len(children)), tuple(children), **deco)
+
+        malformed = [
+            node("linear", [leaf(1)], sign="+"),
+            node("linear", [leaf(1), leaf(2)], sign="*"),
+            node("prime", [leaf(v) for v in (2, 4, 1, 3)]),
+            node("prime", [leaf(v) for v in (2, 3, 1)], label=Pattern((2, 4, 1, 3))),
+        ]
+        for root in malformed:
+            with pytest.raises(ValueError, match="malformed tree"):
+                tree_to_permutation(DecompTree(root, root.arity, expanded=False))
+
+
 class TestTreeFromNested:
     def test_builds_alternative_separating_trees(self):
         sigma = parse_permutation("4 2 3 1 6 5 8 9 7")
@@ -418,10 +439,13 @@ class TestDeepTrees:
         assert tree_to_permutation(expanded).values == sigma.values
 
     def test_chain_of_5000_walks(self):
-        tree = decomposition_tree(alternating_chain(5000))
+        sigma = alternating_chain(5000)
+        tree = decomposition_tree(sigma)
         expanded = expand_tree(tree)
         assert sum(1 for _ in expanded.walk()) == 9999
         assert max_prime_arity(tree) == 0
         assert len(tree_to_text(tree).splitlines()) == 9999
         assert tree_to_dot(tree).count("->") == 9998
         assert tree_to_dict(tree)["size"] == 5000
+        assert tree_to_permutation(tree).values == sigma.values
+        assert tree_to_permutation(expanded).values == sigma.values

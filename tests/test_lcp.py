@@ -21,12 +21,9 @@ from permlcp import (
     expand_tree,
     find_occurrence,
     lcp,
-    lcp_general,
     lcp_plan,
-    lcp_separable,
     normalize,
     parse_permutation,
-    separating_tree,
     tree_from_nested,
 )
 from permlcp.oracle import oracle_lcp
@@ -93,7 +90,7 @@ class TestSelfCases:
         rng = random.Random(10)
         for _ in range(15):
             sigma = random_separable(rng, rng.randint(1, 9))
-            result = lcp_separable(separating_tree(sigma), sigma)
+            result = lcp(sigma, sigma, "separable")
             assert result.pattern.values == normalize(sigma.values).values
             assert result.occ_sigma.positions == tuple(range(1, sigma.n + 1))
             assert result.occ_tau.positions == tuple(range(1, sigma.n + 1))
@@ -118,10 +115,9 @@ class TestOracleAgreement:
     def test_exhaustive_tiny(self):
         for ns in range(1, 4):
             for sigma in all_permutations(ns):
-                tree = expand_tree(decomposition_tree(sigma))
                 for nt in range(1, 4):
                     for tau in all_permutations(nt):
-                        got = lcp_general(tree, tau)
+                        got = lcp(sigma, tau, "general")
                         assert got.length == len(oracle_lcp(sigma, tau))
                         assert_valid_result(sigma, tau, got)
 
@@ -141,9 +137,8 @@ class TestOracleAgreement:
         for _ in range(60):
             sigma = random_separable(rng, rng.randint(1, 8))
             tau = random_permutation(rng, rng.randint(1, 8))
-            tree = separating_tree(sigma)
-            a = lcp_separable(tree, tau)
-            b = lcp_general(tree, tau)
+            a = lcp(sigma, tau, "separable")
+            b = lcp(sigma, tau, "general")
             want = len(oracle_lcp(sigma, tau))
             assert a.length == b.length == want
 
@@ -154,8 +149,23 @@ class TestDispatch:
             lcp(parse_permutation("3 1 4 2"), parse_permutation("1 2"), "separable")
 
     def test_unknown_algo(self):
-        with pytest.raises(ValueError):
-            lcp(parse_permutation("1"), parse_permutation("1"), "turbo")
+        for algo in ("turbo", "oracle"):
+            with pytest.raises(ValueError):
+                lcp(parse_permutation("1"), parse_permutation("1"), algo)
+            with pytest.raises(ValueError):
+                lcp_plan(parse_permutation("1"), parse_permutation("1"), algo)
+
+    def test_plan_per_algo(self):
+        prime = parse_permutation("2 4 1 3")
+        separable = parse_permutation("1 3 2")
+        general = lcp_plan(prime, separable, "general")
+        assert (general.guided_by, general.prime_arity, general.algorithm) == ("sigma", 4, "general")
+        assert general.tree.expanded
+        assert lcp_plan(separable, prime, "general").algorithm == "general"
+        plan = lcp_plan(separable, prime, "separable")
+        assert (plan.guided_by, plan.prime_arity, plan.algorithm) == ("sigma", 0, "separable")
+        with pytest.raises(NotSeparableError, match="^2 4 1 3 is not separable$"):
+            lcp_plan(prime, separable, "separable")
 
     def test_auto_picks_smaller_arity_guide(self):
         separable = parse_permutation("1 3 2")
@@ -186,14 +196,6 @@ class TestDispatch:
         plan = lcp_plan(sigma, tau)
         assert plan.guided_by == "tau"
         result = lcp(sigma, tau)
-        assert_valid_result(sigma, tau, result)
-
-    def test_oracle_algo_returns_occurrences(self):
-        sigma = parse_permutation("1 4 2 5 6 3")
-        tau = parse_permutation("1 3 4 2")
-        result = lcp(sigma, tau, "oracle")
-        assert result.algorithm == "oracle"
-        assert result.length == 4
         assert_valid_result(sigma, tau, result)
 
     def test_involvement_reduction(self):
@@ -335,7 +337,7 @@ class TestTreeChoiceIndependence:
             tau = random_permutation(rng, rng.randint(1, 6))
             lengths = set()
             for tree in separating_trees_of(sigma):
-                lengths.add(lcp_separable(tree, tau).length)
+                lengths.add(DpTable(tree, tau).root_cell().length)
             assert len(lengths) == 1
 
     def test_larger_random_separables(self):
@@ -345,6 +347,74 @@ class TestTreeChoiceIndependence:
             tau = random_permutation(rng, 6)
             want = None
             for tree in separating_trees_of(sigma):
-                got = lcp_separable(tree, tau).length
+                got = DpTable(tree, tau).root_cell().length
                 want = got if want is None else want
                 assert got == want
+
+
+def _reverse(p: Permutation) -> Permutation:
+    return Permutation(p.values[::-1])
+
+
+def _complement(p: Permutation) -> Permutation:
+    return Permutation(tuple(p.n + 1 - v for v in p.values))
+
+
+def _inverse(p: Permutation) -> Permutation:
+    inv = [0] * p.n
+    for pos, v in enumerate(p.values, 1):
+        inv[v - 1] = pos
+    return Permutation(tuple(inv))
+
+
+def _pairs_past_oracle(seed: int, count: int):
+    """Fixed (small, big) pairs: small of size 5-6 with a prime node, big separable of size 13-30.
+
+    The small input holds 2 4 1 3 or 3 1 4 2 and the big one holds neither, so
+    the longest common pattern is shorter than both.  Every algorithm then
+    guides with the separable big input, which keeps the targets small.
+    """
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        small = random_permutation(rng, rng.randint(5, 6))
+        if lcp_plan(small, small).prime_arity:
+            pairs.append((small, random_separable(rng, rng.randint(13, 30))))
+    return pairs
+
+
+class TestMetamorphic:
+    """Checks that need no oracle, on pairs too large for it."""
+
+    def test_length_is_symmetric(self):
+        for small, big in _pairs_past_oracle(30, 20):
+            forward = lcp(small, big)
+            backward = lcp(big, small)
+            assert forward.length == backward.length
+            assert_valid_result(small, big, forward)
+            assert_valid_result(big, small, backward)
+
+    def test_length_invariant_under_symmetries(self):
+        for small, big in _pairs_past_oracle(31, 12):
+            want = lcp(small, big).length
+            for f in (_reverse, _complement, _inverse):
+                got = lcp(f(small), f(big))
+                assert got.length == want
+                assert_valid_result(f(small), f(big), got)
+
+    def test_algos_agree_on_separable_guide(self):
+        for small, big in _pairs_past_oracle(32, 15):
+            results = [lcp(big, small, algo) for algo in ("auto", "separable", "general")]
+            assert len({r.length for r in results}) == 1
+            for result in results:
+                assert_valid_result(big, small, result)
+
+    def test_pattern_of_target_scores_no_higher(self):
+        rng = random.Random(33)
+        for small, big in _pairs_past_oracle(34, 15):
+            want = lcp(small, big).length
+            keep = sorted(rng.sample(range(big.n), rng.randint(3, big.n - 1)))
+            pi = Permutation(normalize(tuple(big.values[p] for p in keep)).values)
+            got = lcp(small, pi)
+            assert got.length <= want
+            assert_valid_result(small, pi, got)
