@@ -24,7 +24,7 @@ from .decomposition import (
     tree_to_permutation,
     tree_to_text,
 )
-from .lcp import DpCell, DpTable, LcpPlan, LcpResult, lcp, lcp_plan
+from .lcp import DpTable, LcpPlan, LcpResult, lcp, lcp_plan
 from .oracle import oracle_is_simple, oracle_lcp, oracle_separable
 from .perms import (
     Occurrence,
@@ -67,7 +67,6 @@ __all__ = [
     "tree_to_dict",
     "tree_to_dot",
     "tree_to_text",
-    "DpCell",
     "DpTable",
     "LcpResult",
     "LcpPlan",

@@ -3,17 +3,20 @@
 The table M(V, i, j, a, b) holds, for a node V of the guiding tree and a
 window of the target permutation (positions i..j, values a..b), the length
 of a longest common pattern between the sub-permutation under V and that
-window, together with back-references sufficient to rebuild one witness.
-Linear nodes combine the two child tables over a split position h and a
-split value c; prime nodes of arity d slice both windows into d weakly
-increasing pieces, matching position slices to value slices through the
-node's simple-permutation label.
+window; it stores lengths only.  Linear nodes combine the two child tables
+over a split position h and a split value c; prime nodes of arity d slice
+both windows into d weakly increasing pieces, matching position slices to
+value slices through the node's simple-permutation label.  A binary linear
+node is the d = 2 case, with ranks (1, 2) for + and (2, 1) for -.
 
 Cells are evaluated top-down and memoized, so only states reachable from the
-root query are ever touched.  Candidate scans run in a fixed order (h
-ascending then c ascending; cut sequences in lexicographic order) so the
-stored witness is reproducible; ``canonical=True`` instead materializes
-patterns and keeps the lexicographically smallest one of maximal length.
+root query are ever touched.  The witness is re-scanned from the lengths,
+only along its own path, in one fixed order: position cuts in lexicographic
+order, then value cuts in lexicographic order (for a linear node, h
+ascending then c ascending).  The first split that reaches a cell's length
+is taken, which makes the witness reproducible.  With ``canonical=True``
+the lexicographically smallest pattern of maximal length is kept instead;
+patterns are built only for the cells reached through tied splits.
 Pruning by interval-width bounds never changes any cell value and can be
 switched off to check exactly that.
 
@@ -25,9 +28,9 @@ and a tree with no prime node is the separable case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from itertools import combinations_with_replacement
 
-from .algebra import concat_minus, concat_plus, concat_rho
+from .algebra import concat_rho
 from .decomposition import (
     DecompNode,
     DecompTree,
@@ -36,29 +39,18 @@ from .decomposition import (
     expand_tree,
     max_prime_arity,
 )
-from .perms import Occurrence, Pattern, Permutation
-
-
-class DpCell(NamedTuple):
-    """One table entry: a length plus provenance for reconstruction.
-
-    provenance is None (empty), ("leaf", h), ("+", left_key, right_key),
-    ("-", left_key, right_key) or ("rho", child_keys); keys are
-    (node, i, j, a, b) tuples and None marks an empty slice.  ``pattern``
-    is populated in canonical mode only.
-    """
-
-    length: int
-    provenance: tuple | None
-    pattern: tuple[int, ...] | None = None
-
-
-_EMPTY = DpCell(0, None)
-_EMPTY_CANONICAL = DpCell(0, None, ())
+from .perms import Occurrence, Pattern, Permutation, normalize
 
 
 class _CapReached(Exception):
     """Internal: a candidate met the cell's upper bound, stop scanning."""
+
+
+def _ranks(node: DecompNode) -> tuple[int, ...]:
+    """The value slice each child of an internal node takes, in child order."""
+    if node.kind == "prime":
+        return node.label.values
+    return (1, 2) if node.sign == "+" else (2, 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,34 +68,26 @@ class LcpResult:
 
 
 class DpTable:
-    """Memoized table M(V, i, j, a, b) for one guiding tree and one target.
+    """Memoized table of lengths M(V, i, j, a, b) for one guiding tree and one target.
 
     The guiding tree must be in expanded form (all linear nodes binary);
     prime nodes keep their arity.  Cells are computed on demand through
-    :meth:`cell` and cached for the lifetime of the table.  Leaf cells do
-    not depend on which leaf is asked, so all leaves share one sub-table.
+    :meth:`cell` and cached for the lifetime of the table, and
+    :meth:`reconstruct` rebuilds a witness for any cell.  Leaf cells do not
+    depend on which leaf is asked, so all leaves share one sub-table.
     """
 
-    def __init__(
-        self,
-        tree: DecompTree,
-        tau: Permutation,
-        *,
-        canonical: bool = False,
-        prune: bool = True,
-    ) -> None:
+    def __init__(self, tree: DecompTree, tau: Permutation, *, prune: bool = True) -> None:
         self.tree = tree
         self.tau = tau
         self.n = len(tau)
-        self.canonical = canonical
         self.prune = prune
         self._tauv = tau.values
-        self._empty = _EMPTY_CANONICAL if canonical else _EMPTY
-        # Cells live in one dict per node, keyed by (i, j, a, b) packed into
+        # Lengths live in one dict per node, keyed by (i, j, a, b) packed into
         # a single int: cheap to hash in the candidate loops.
         self._S = self.n + 2
-        self._tables: dict[DecompNode, dict[int, DpCell]] = {}
-        leaf_table: dict[int, DpCell] = {}
+        self._tables: dict[DecompNode, dict[int, int]] = {}
+        leaf_table: dict[int, int] = {}
         for node in tree.walk():
             if node.kind == "linear" and node.arity != 2:
                 raise ValueError(
@@ -112,18 +96,18 @@ class DpTable:
                 )
             self._tables[node] = leaf_table if node.is_leaf else {}
 
-    def cell(self, node: DecompNode, i: int, j: int, a: int, b: int) -> DpCell:
-        """The entry M(node, i, j, a, b); ranges must satisfy 1 <= i <= j <= n, 1 <= a <= b <= n."""
+    def cell(self, node: DecompNode, i: int, j: int, a: int, b: int) -> int:
+        """The length M(node, i, j, a, b); ranges must satisfy 1 <= i <= j <= n, 1 <= a <= b <= n."""
         if not (1 <= i <= j <= self.n and 1 <= a <= b <= self.n):
             raise ValueError(f"cell ranges out of bounds: i={i} j={j} a={a} b={b}")
         if node not in self._tables:
             raise ValueError("node does not belong to this table's guiding tree")
         return self._cell(node, i, j, a, b)
 
-    def root_cell(self) -> DpCell:
+    def root_cell(self) -> int:
         return self._cell(self.tree.root, 1, self.n, 1, self.n)
 
-    def _cell(self, node: DecompNode, i: int, j: int, a: int, b: int) -> DpCell:
+    def _cell(self, node: DecompNode, i: int, j: int, a: int, b: int) -> int:
         S = self._S
         idx = ((i * S + j) * S + a) * S + b
         table = self._tables[node]
@@ -132,22 +116,23 @@ class DpTable:
             return got
         kind = node.kind
         if kind == "leaf":
-            cell = self._leaf_cell(i, j, a, b)
+            length = 1 if self._leaf_hit(i, j, a, b) else 0
         elif kind == "linear":
-            cell = self._linear_cell(node, i, j, a, b)
+            length = self._linear_cell(node, i, j, a, b)
         else:
-            cell = self._prime_cell(node, i, j, a, b)
-        table[idx] = cell
-        return cell
+            length = self._prime_cell(node, i, j, a, b)
+        table[idx] = length
+        return length
 
-    def _leaf_cell(self, i: int, j: int, a: int, b: int) -> DpCell:
+    def _leaf_hit(self, i: int, j: int, a: int, b: int) -> int:
+        """The first position in i..j whose value lies in a..b, or 0."""
         tauv = self._tauv
         for h in range(i, j + 1):
             if a <= tauv[h - 1] <= b:
-                return DpCell(1, ("leaf", h), (1,) if self.canonical else None)
-        return self._empty
+                return h
+        return 0
 
-    def _linear_cell(self, node: DecompNode, i: int, j: int, a: int, b: int) -> DpCell:
+    def _linear_cell(self, node: DecompNode, i: int, j: int, a: int, b: int) -> int:
         left, right = node.children
         k_left = left.span.hi - left.span.lo + 1
         k_right = right.span.hi - right.span.lo + 1
@@ -158,7 +143,6 @@ class DpTable:
         if span_v < cap:
             cap = span_v
         positive = node.sign == "+"
-        canonical = self.canonical
         prune = self.prune
         cellf = self._cell
         ltab = self._tables[left]
@@ -166,9 +150,6 @@ class DpTable:
         S = self._S
 
         best = 0
-        best_prov: tuple | None = None
-        best_pat: tuple[int, ...] = ()
-        hit_cap = False
         for h in range(i, j + 2):
             w_left = h - i
             w_right = j - h + 1
@@ -178,7 +159,7 @@ class DpTable:
                 h_bound = mkl + mkr
                 if h_bound > span_v:
                     h_bound = span_v
-                if h_bound < best or (not canonical and h_bound == best):
+                if h_bound <= best:
                     continue
             h1 = h - 1
             if positive:
@@ -197,172 +178,133 @@ class DpTable:
                 if prune:
                     ml = mkl if mkl < v_left else v_left
                     mr = mkr if mkr < v_right else v_right
-                    bound = ml + mr
-                    if bound < best or (not canonical and bound == best):
+                    if ml + mr <= best:
                         continue
                 if w_left and v_left:
-                    lc = ltab.get(lbase + c - 1 if positive else lbase + c * S)
-                    if lc is None:
-                        lc = (
+                    llen = ltab.get(lbase + c - 1 if positive else lbase + c * S)
+                    if llen is None:
+                        llen = (
                             cellf(left, i, h1, a, c - 1)
                             if positive
                             else cellf(left, i, h1, c, b)
                         )
-                    llen = lc[0]
                 else:
-                    lc = None
                     llen = 0
                 if w_right and v_right:
-                    rc = rtab.get(rbase + c * S if positive else rbase + c - 1)
-                    if rc is None:
-                        rc = (
+                    rlen = rtab.get(rbase + c * S if positive else rbase + c - 1)
+                    if rlen is None:
+                        rlen = (
                             cellf(right, h, j, c, b)
                             if positive
                             else cellf(right, h, j, a, c - 1)
                         )
-                    rlen = rc[0]
                 else:
-                    rc = None
                     rlen = 0
-                total = llen + rlen
-                if total == 0:
-                    continue
-                if canonical:
-                    if total < best:
-                        continue
-                    lpat = lc[2] if lc is not None else ()
-                    rpat = rc[2] if rc is not None else ()
-                    if positive:
-                        shift = len(lpat)
-                        pat = lpat + tuple(v + shift for v in rpat)
-                    else:
-                        shift = len(rpat)
-                        pat = tuple(v + shift for v in lpat) + rpat
-                    if total == best and not pat < best_pat:
-                        continue
-                    best_pat = pat
-                elif total <= best:
-                    continue
-                if positive:
-                    lkey = (left, i, h1, a, c - 1) if llen else None
-                    rkey = (right, h, j, c, b) if rlen else None
-                    best_prov = ("+", lkey, rkey)
-                else:
-                    lkey = (left, i, h1, c, b) if llen else None
-                    rkey = (right, h, j, a, c - 1) if rlen else None
-                    best_prov = ("-", lkey, rkey)
-                best = total
-                if prune and not canonical and best == cap:
-                    hit_cap = True
-                    break
-            if hit_cap:
-                break
-        return DpCell(best, best_prov, best_pat if canonical else None)
+                if llen + rlen > best:
+                    best = llen + rlen
+                    if prune and best == cap:
+                        return best
+        return best
 
-    def _prime_cell(self, node: DecompNode, i: int, j: int, a: int, b: int) -> DpCell:
-        children = node.children
-        d = len(children)
-        rho = node.label.values
-        sizes = tuple(c.span.width for c in children)
-        inv = [0] * d  # value slice t (1-based) -> child index
-        for k, r in enumerate(rho):
-            inv[r - 1] = k
+    def _prime_cell(self, node: DecompNode, i: int, j: int, a: int, b: int) -> int:
+        sizes = [c.span.width for c in node.children]
+        d = len(sizes)
         span_v = b - a + 1
         cap = min(sum(sizes), j - i + 1, span_v)
-        canonical = self.canonical
+        order = sorted(range(d), key=node.label.values.__getitem__)
         prune = self.prune
-        cellf = self._cell
-        top = j + 1
-
-        suffix_sizes = [0] * (d + 1)
-        for k in range(d - 1, -1, -1):
-            suffix_sizes[k] = suffix_sizes[k + 1] + sizes[k]
-
         best = 0
-        best_prov: tuple | None = None
-        best_pat: tuple[int, ...] = ()
-        cuts = [0] * (d + 1)
-        cuts[0] = i
-        cuts[d] = top
-        keys: list[tuple | None] = [None] * d
-        pats: list[tuple[int, ...]] = [()] * d
-
-        def rho_cat(blocks: list[tuple[int, ...]]) -> tuple[int, ...]:
-            lens = [len(p) for p in blocks]
-            out: list[int] = []
-            for k in range(d):
-                shift = sum(lens[m] for m in range(d) if rho[m] < rho[k])
-                out.extend(v + shift for v in blocks[k])
-            return tuple(out)
-
-        def rec_values(t: int, c_prev: int, partial: int, suffix_caps: list[int]) -> None:
-            nonlocal best, best_prov, best_pat
-            k = inv[t - 1]
-            p_lo = cuts[k]
-            p_hi = cuts[k + 1] - 1
-            choices = (b + 1,) if t == d else range(c_prev, b + 2)
-            for ct in choices:
-                if p_hi < p_lo or ct == c_prev:
-                    clen = 0
-                    keys[k] = None
-                    if canonical:
-                        pats[k] = ()
-                else:
-                    cc = cellf(children[k], p_lo, p_hi, c_prev, ct - 1)
-                    clen = cc[0]
-                    keys[k] = (children[k], p_lo, p_hi, c_prev, ct - 1) if clen else None
-                    if canonical:
-                        pats[k] = cc[2]
-                new_partial = partial + clen
-                if t == d:
-                    if new_partial == 0:
-                        continue
-                    if canonical:
-                        pat = rho_cat(pats)
-                        if new_partial > best or (new_partial == best and pat < best_pat):
-                            best = new_partial
-                            best_pat = pat
-                            best_prov = ("rho", tuple(keys))
-                    elif new_partial > best:
-                        best = new_partial
-                        best_prov = ("rho", tuple(keys))
-                        if prune and best == cap:
-                            raise _CapReached
-                else:
-                    if prune:
-                        bound = new_partial + min(suffix_caps[t], b + 1 - ct)
-                        if bound < best or (not canonical and bound == best):
-                            continue
-                    rec_values(t + 1, ct, new_partial, suffix_caps)
-
-        def rec_positions(k: int, partial_cap: int) -> None:
-            if k == d:
-                pos_caps = [min(sizes[m], cuts[m + 1] - cuts[m]) for m in range(d)]
-                if prune:
-                    h_bound = min(sum(pos_caps), span_v)
-                    if h_bound < best or (not canonical and h_bound == best):
-                        return
-                # Per-value-slice suffix bounds for pruning the value cuts.
-                suffix_caps = [0] * (d + 1)
-                for t in range(d, 0, -1):
-                    suffix_caps[t - 1] = suffix_caps[t] + pos_caps[inv[t - 1]]
-                rec_values(1, a, 0, suffix_caps)
-                return
-            prev = cuts[k - 1]
-            for hk in range(prev, top + 1):
-                cuts[k] = hk
-                new_cap = partial_cap + min(sizes[k - 1], hk - prev)
-                if prune:
-                    bound = min(new_cap + min(suffix_sizes[k], top - hk), span_v)
-                    if bound < best or (not canonical and bound == best):
-                        continue
-                rec_positions(k + 1, new_cap)
-
         try:
-            rec_positions(1, 0)
+            for hs in combinations_with_replacement(range(i, j + 2), d - 1):
+                cuts = (i, *hs, j + 1)
+                pos_caps = [min(sizes[k], cuts[k + 1] - cuts[k]) for k in range(d)]
+                if prune and min(sum(pos_caps), span_v) <= best:
+                    continue
+                # suffix_caps[t]: the position caps of value slices t + 1..d.
+                suffix_caps = [0] * (d + 1)
+                for t in range(d - 1, -1, -1):
+                    suffix_caps[t] = suffix_caps[t + 1] + pos_caps[order[t]]
+                best = self._prime_values(node, order, cuts, suffix_caps, 1, a, 0, b, cap, best)
         except _CapReached:
-            pass
-        return DpCell(best, best_prov, best_pat if canonical else None)
+            return cap
+        return best
+
+    def _prime_values(
+        self, node, order, cuts, suffix_caps, t, c_prev, partial, b, cap, best
+    ) -> int:
+        """Scan the value cuts of a prime cell from slice t (1-based) on, in lexicographic order.
+
+        ``order[t - 1]`` is the child taking value slice t, which starts at
+        ``c_prev``; ``partial`` is the length of slices 1..t-1 and ``best``
+        the longest candidate so far.  Returns the new best; raises
+        _CapReached when a candidate meets ``cap``.
+        """
+        d = len(order)
+        k = order[t - 1]
+        child = node.children[k]
+        p_lo = cuts[k]
+        p_hi = cuts[k + 1] - 1
+        prune = self.prune
+        for ct in (b + 1,) if t == d else range(c_prev, b + 2):
+            if p_hi < p_lo or ct == c_prev:
+                total = partial
+            else:
+                total = partial + self._cell(child, p_lo, p_hi, c_prev, ct - 1)
+            if t == d:
+                if total > best:
+                    best = total
+                    if prune and best == cap:
+                        raise _CapReached
+            elif not prune or total + min(suffix_caps[t], b + 1 - ct) > best:
+                best = self._prime_values(
+                    node, order, cuts, suffix_caps, t + 1, ct, total, b, cap, best
+                )
+        return best
+
+    def _splits(self, node: DecompNode, i: int, j: int, a: int, b: int, length: int):
+        """Yield the splits of an internal box whose child lengths add up to ``length``.
+
+        A split is a list of child boxes (child, i, j, a, b) in child order,
+        None where a child adds nothing.  Child k takes position slice k and the value slice of
+        its rank.  Position cuts run in lexicographic order, then value cuts,
+        as in the fills, and a split is dropped only when its width bounds,
+        or the lengths read so far, cannot reach ``length``.  So the first
+        split yielded is the first one the fill found at the box's length,
+        and reading up to it touches only cells the fill has read.
+        """
+        children = node.children
+        d = len(children)
+        ranks = _ranks(node)
+        order = sorted(range(d), key=ranks.__getitem__)
+        sizes = [c.span.width for c in children]
+        cellf = self._cell
+        for hs in combinations_with_replacement(range(i, j + 2), d - 1):
+            pos = (i, *hs, j + 1)
+            pos_caps = [min(sizes[k], pos[k + 1] - pos[k]) for k in range(d)]
+            if min(sum(pos_caps), b - a + 1) < length:
+                continue
+            for cs in combinations_with_replacement(range(a, b + 2), d - 1):
+                val = (a, *cs, b + 1)
+                caps = [min(pos_caps[k], val[ranks[k]] - val[ranks[k] - 1]) for k in range(d)]
+                rest = sum(caps)
+                if rest < length:
+                    continue
+                boxes: list[tuple | None] = [None] * d
+                total = 0
+                for k in order:  # value-slice order, as the prime fill reads
+                    rest -= caps[k]
+                    if caps[k]:
+                        r = ranks[k]
+                        box = (children[k], pos[k], pos[k + 1] - 1, val[r - 1], val[r] - 1)
+                        got = cellf(*box)
+                        if got:
+                            boxes[k] = box
+                            total += got
+                    if total + rest < length:
+                        break
+                else:
+                    if total == length:
+                        yield boxes
 
     def reconstruct(
         self,
@@ -371,46 +313,91 @@ class DpTable:
         j: int | None = None,
         a: int | None = None,
         b: int | None = None,
+        *,
+        canonical: bool = False,
     ) -> tuple[Pattern, Occurrence, Occurrence]:
         """Rebuild (pattern, occurrence in the tree's permutation, occurrence in tau).
 
-        Defaults to the root cell.  Walks the provenance back-references:
-        leaves contribute one position on each side, combine steps splice
-        their children with the matching concatenation operator.
+        Defaults to the root cell.  Walks down from the cell: each internal
+        box takes its first split that reaches the stored length, or with
+        ``canonical`` the split of lexicographically smallest pattern (the
+        first on ties); each leaf adds its first hit in its window.  Raises
+        RuntimeError when the stored lengths do not rebuild to a pattern of
+        the cell's length common to both sides.
         """
         if node is None:
             node, i, j, a, b = self.tree.root, 1, self.n, 1, self.n
-        cell = self.cell(node, i, j, a, b)
-        pattern, spos, tpos = self._walk_provenance(node, i, j, a, b)
-        if len(pattern) != cell.length:
-            raise RuntimeError("provenance does not rebuild to the stored length")
-        return Pattern(pattern), Occurrence(spos), Occurrence(tpos)
+        length = self.cell(node, i, j, a, b)
+        memo: dict[tuple, tuple] | None = {} if canonical else None
+        hits = []  # (position in the guide, value there, position in tau)
+        stack: list[tuple] = [(node, i, j, a, b)] if length else []
+        while stack:
+            box = stack.pop()
+            if box[0].is_leaf:
+                h = self._leaf_hit(*box[1:])
+                if not h:
+                    raise RuntimeError("a leaf cell of length 1 has no hit in its window")
+                hits.append((box[0].span.lo, box[0].leaf_value, h))
+            else:
+                stack.extend(c for c in self._pick(box, memo) if c is not None)
+        hits.sort()
+        pattern = normalize(tuple(self._tauv[h - 1] for _, _, h in hits))
+        if len(pattern) != length or normalize(tuple(v for _, v, _ in hits)) != pattern:
+            raise RuntimeError("the stored lengths do not rebuild to a common pattern")
+        return (
+            pattern,
+            Occurrence(tuple(p for p, _, _ in hits)),
+            Occurrence(tuple(h for _, _, h in hits)),
+        )
 
-    def _walk_provenance(self, node, i, j, a, b):
-        prov = self._cell(node, i, j, a, b).provenance
-        if prov is None:
-            return (), (), ()
-        tag = prov[0]
-        if tag == "leaf":
-            return (1,), (node.span.lo,), (prov[1],)
-        if tag == "rho":
-            blocks = []
-            spos: tuple[int, ...] = ()
-            tpos: tuple[int, ...] = ()
-            for key in prov[1]:
-                if key is None:
-                    blocks.append(Pattern(()))
-                    continue
-                bp, bs, bt = self._walk_provenance(*key)
-                blocks.append(Pattern(bp))
-                spos += bs
-                tpos += bt
-            return concat_rho(node.label, blocks).values, spos, tpos
-        lkey, rkey = prov[1], prov[2]
-        lp, ls, lt = self._walk_provenance(*lkey) if lkey else ((), (), ())
-        rp, rs, rt = self._walk_provenance(*rkey) if rkey else ((), (), ())
-        cat = concat_plus if tag == "+" else concat_minus
-        return cat(Pattern(lp), Pattern(rp)).values, ls + rs, lt + rt
+    def _pick(self, box: tuple, memo: dict | None) -> list[tuple | None]:
+        """The split the witness takes at an internal box; ``memo`` is None unless canonical."""
+        if memo is not None and box in memo:
+            return memo[box][1]
+        splits = self._splits(*box, self._cell(*box))
+        first = next(splits, None)
+        if first is None:
+            raise RuntimeError("no split reaches the stored length")
+        if memo is None:
+            return first
+        tied = [first, *splits]
+        if len(tied) == 1:
+            return first
+        self._resolve(box, tied, memo)
+        return memo[box][1]
+
+    def _resolve(self, box: tuple, tied: list, memo: dict) -> None:
+        """Set memo[x] = (pattern, split) for ``box`` and every box under its tied splits.
+
+        A box's pattern is the smallest, over its splits that reach its
+        length, of the children's patterns concatenated by the node's ranks;
+        ties go to the first split.  Leaves have the pattern 1.
+        """
+        stack: list[tuple[tuple, list | None]] = [(box, tied)]
+        while stack:
+            top, splits = stack.pop()
+            if top in memo:
+                continue
+            node = top[0]
+            if node.is_leaf:
+                memo[top] = ((1,), None)
+                continue
+            if splits is None:
+                splits = list(self._splits(*top, self._cell(*top)))
+                if not splits:
+                    raise RuntimeError("no split reaches the stored length")
+            waiting = [c for s in splits for c in s if c is not None and c not in memo]
+            if waiting:
+                stack.append((top, splits))
+                stack.extend((c, None) for c in waiting)
+                continue
+            ranks = _ranks(node)
+            pats = [
+                concat_rho(ranks, [memo[c][0] if c else () for c in s]).values
+                for s in splits
+            ]
+            pick = min(range(len(splits)), key=pats.__getitem__)
+            memo[top] = (pats[pick], splits[pick])
 
 
 @dataclass(frozen=True, slots=True)
@@ -460,9 +447,7 @@ def lcp(
     """
     plan = lcp_plan(sigma, tau, algo)
     if plan.guided_by == "sigma":
-        table = DpTable(plan.tree, tau, canonical=canonical)
-        pattern, occ_sigma, occ_tau = table.reconstruct()
+        pattern, occ_sigma, occ_tau = DpTable(plan.tree, tau).reconstruct(canonical=canonical)
     else:
-        table = DpTable(plan.tree, sigma, canonical=canonical)
-        pattern, occ_tau, occ_sigma = table.reconstruct()
+        pattern, occ_tau, occ_sigma = DpTable(plan.tree, sigma).reconstruct(canonical=canonical)
     return LcpResult(pattern, occ_sigma, occ_tau, plan.algorithm)

@@ -110,11 +110,11 @@ def test_criterion_4_worked_fixtures_bit_exact():
     tree21 = expand_tree(decomposition_tree(parse_permutation("2 1")))
     table = DpTable(tree21, parse_permutation("6 4 2 5 3 1"))
     v = table.tree.root
-    if table.cell(v, 2, 4, 3, 5).length != 1:
+    if table.cell(v, 2, 4, 3, 5) != 1:
         failures.append("cell (V,2,4,3,5) != 1")
     if table.reconstruct(v, 2, 5, 3, 4)[0].values != (2, 1):
         failures.append("cell (V,2,5,3,4) != 2 1")
-    if table.cell(v, 4, 5, 1, 2).length != 0:
+    if table.cell(v, 4, 5, 1, 2) != 0:
         failures.append("cell (V,4,5,1,2) != empty")
 
     # (b) signed concatenation examples

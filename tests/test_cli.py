@@ -1,7 +1,11 @@
 """Command-line surface: output formats, exit codes, warnings."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -240,6 +244,17 @@ class TestContainsCommand:
 
 
 class TestParserBehaviour:
+    def test_module_runs_as_script(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "permlcp.cli", "lcp", "2 4 1 3", "1 3 2 4"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert "length: 3" in proc.stdout
+
     def test_missing_subcommand_is_systemexit_2(self):
         with pytest.raises(SystemExit) as exc:
             main([])

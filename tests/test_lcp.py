@@ -1,6 +1,8 @@
 """The dynamic programs: table cells, reconstruction, dispatch and properties."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -38,7 +40,7 @@ class TestDescendingPairCells:
         return DpTable(tree, parse_permutation("6 4 2 5 3 1"))
 
     def test_cell_2_4_3_5(self, table):
-        assert table.cell(table.tree.root, 2, 4, 3, 5).length == 1
+        assert table.cell(table.tree.root, 2, 4, 3, 5) == 1
 
     def test_cell_2_5_3_4(self, table):
         pattern, _, occ_tau = table.reconstruct(table.tree.root, 2, 5, 3, 4)
@@ -48,9 +50,9 @@ class TestDescendingPairCells:
         assert all(3 <= v <= 4 for v in picked)
 
     def test_cell_4_5_1_2_is_empty(self, table):
-        cell = table.cell(table.tree.root, 4, 5, 1, 2)
-        assert cell.length == 0
-        assert cell.provenance is None
+        assert table.cell(table.tree.root, 4, 5, 1, 2) == 0
+        pattern, occ_sigma, occ_tau = table.reconstruct(table.tree.root, 4, 5, 1, 2)
+        assert pattern.values == occ_sigma.positions == occ_tau.positions == ()
 
 
 class TestChosenTreeCells:
@@ -77,8 +79,7 @@ class TestChosenTreeCells:
 
     def test_combined_cell(self, table):
         v = table.tree.root.children[1]  # subtree for 4 2 3 6 5 7 8
-        cell = table.cell(v, 2, 7, 2, 8)
-        assert cell.length == 5
+        assert table.cell(v, 2, 7, 2, 8) == 5
 
 
 def tree_to_perm_values(tree):
@@ -249,33 +250,194 @@ class TestTableProperties:
                 for _ in range(12):
                     i = rng.randint(1, n); j = rng.randint(i, n)
                     a = rng.randint(1, n); b = rng.randint(a, n)
-                    length = table.cell(node, i, j, a, b).length
+                    length = table.cell(node, i, j, a, b)
                     assert length <= min(k, j - i + 1, b - a + 1)
                     if i > 1:
-                        assert table.cell(node, i - 1, j, a, b).length >= length
+                        assert table.cell(node, i - 1, j, a, b) >= length
                     if b < n:
-                        assert table.cell(node, i, j, a, b + 1).length >= length
+                        assert table.cell(node, i, j, a, b + 1) >= length
 
-    def test_combine_lengths_add_up(self):
+    def test_every_cell_reconstructs(self):
         rng = random.Random(18)
         sigma = random_permutation(rng, 7)
         tau = random_permutation(rng, 7)
         tree = expand_tree(decomposition_tree(sigma))
         table = DpTable(tree, tau)
         table.root_cell()
+        S = table._S
+        seen = set()
         for node in tree.walk():
-            if node.is_leaf:
+            if id(table._tables[node]) in seen:
                 continue
-            sub = table._tables[node]
-            for cell in sub.values():
-                if cell.provenance is None:
-                    continue
-                tag = cell.provenance[0]
-                keys = cell.provenance[1:] if tag in "+-" else cell.provenance[1]
-                total = sum(
-                    table.cell(*key).length for key in keys if key is not None
-                )
-                assert total == cell.length
+            seen.add(id(table._tables[node]))
+            for idx, length in list(table._tables[node].items()):
+                idx, b = divmod(idx, S)
+                idx, a = divmod(idx, S)
+                i, j = divmod(idx, S)
+                for canonical in (False, True):
+                    pattern, occ_sigma, occ_tau = table.reconstruct(
+                        node, i, j, a, b, canonical=canonical
+                    )
+                    assert len(pattern) == len(occ_sigma) == length
+                    assert all(i <= p <= j for p in occ_tau)
+                    assert all(a <= tau.values[p - 1] <= b for p in occ_tau)
+                    assert all(node.span.lo <= p <= node.span.hi for p in occ_sigma)
+
+    def test_plain_reconstruct_reads_no_new_cells(self):
+        rng = random.Random(24)
+        pairs = [(random_separable(rng, 10), random_permutation(rng, 10)) for _ in range(6)]
+        while len(pairs) < 16:
+            sigma = random_permutation(rng, rng.randint(4, 8))
+            if lcp_plan(sigma, sigma).prime_arity in (4, 5):
+                pairs.append((sigma, random_permutation(rng, rng.randint(4, 8))))
+        for sigma, tau in pairs:
+            table = DpTable(lcp_plan(sigma, tau, "general").tree, tau)
+            table.root_cell()
+            memos = {id(m): m for m in table._tables.values()}.values()
+            before = sum(map(len, memos))
+            table.reconstruct()
+            assert sum(map(len, memos)) == before
+
+    def test_table_freed_without_cycle_collector(self):
+        tau = parse_permutation("3 1 4 2 5")
+        gc.disable()
+        try:
+            for sigma, algo in (("2 1 4 3 5", "separable"), ("2 4 1 3 5", "general")):
+                for canonical in (False, True):
+                    table = DpTable(lcp_plan(parse_permutation(sigma), tau, algo).tree, tau)
+                    table.reconstruct(canonical=canonical)
+                    ref = weakref.ref(table)
+                    del table
+                    assert ref() is None, (sigma, canonical)
+        finally:
+            gc.enable()
+
+    def test_wrong_stored_length_raises(self):
+        tau = parse_permutation("3 1 4 2 5")
+        for sigma, algo in (("2 1 4 3 5", "separable"), ("2 4 1 3 5", "general")):
+            table = DpTable(lcp_plan(parse_permutation(sigma), tau, algo).tree, tau)
+            length = table.root_cell()
+            memo = table._tables[table.tree.root]
+            (root_idx,) = memo  # the root node is only asked for the whole window
+            memo[root_idx] = length + 1
+            for canonical in (False, True):
+                with pytest.raises(RuntimeError):
+                    table.reconstruct(canonical=canonical)
+
+
+# (sigma, tau, algo, plain (pattern, occ_sigma, occ_tau), canonical (...)).
+PINNED_WITNESSES = [
+    ('5 6 1 4 2 3', '3 2 4 1', 'auto',
+     ((2, 3, 1), (1, 2, 3), (2, 3, 4)),
+     ((2, 3, 1), (1, 2, 3), (2, 3, 4))),
+    ('6 2 1 7 3 4 5', '3 1 2 4', 'auto',
+     ((2, 1, 3), (1, 2, 4), (1, 3, 4)),
+     ((1, 2, 3), (2, 5, 6), (2, 3, 4))),
+    ('1 2 4 3', '6 2 8 7 3 1 5 4', 'auto',
+     ((1, 2, 4, 3), (1, 2, 3, 4), (2, 5, 7, 8)),
+     ((1, 2, 4, 3), (1, 2, 3, 4), (2, 5, 7, 8))),
+    ('2 5 6 4 3 1', '2 3 1 4', 'auto',
+     ((1, 2, 3), (1, 2, 3), (1, 2, 4)),
+     ((1, 2, 3), (1, 2, 3), (1, 2, 4))),
+    ('5 3 1 4 6 2', '1 4 3 5 2 6', 'auto',
+     ((3, 2, 1, 4), (1, 2, 3, 5), (2, 3, 5, 6)),
+     ((1, 3, 4, 2), (3, 4, 5, 6), (1, 3, 4, 5))),
+    ('5 2 1 7 4 6 3', '8 1 6 4 2 3 7 5', 'auto',
+     ((4, 2, 1, 5, 3), (1, 2, 3, 6, 7), (3, 4, 6, 7, 8)),
+     ((4, 2, 1, 5, 3), (1, 2, 3, 6, 7), (3, 4, 6, 7, 8))),
+    ('5 2 6 4 1 3', '3 2 1 4', 'auto',
+     ((2, 1, 3), (1, 2, 3), (2, 3, 4)),
+     ((2, 1, 3), (1, 2, 3), (2, 3, 4))),
+    ('2 5 1 3 4', '3 1 2', 'auto',
+     ((3, 1, 2), (2, 3, 4), (1, 2, 3)),
+     ((3, 1, 2), (2, 3, 4), (1, 2, 3))),
+    ('6 4 5 2 3 1', '3 2 1', 'auto',
+     ((3, 2, 1), (1, 2, 6), (1, 2, 3)),
+     ((3, 2, 1), (1, 2, 6), (1, 2, 3))),
+    ('2 4 1 3', '4 5 2 1 3', 'auto',
+     ((2, 1, 3), (1, 3, 4), (3, 4, 5)),
+     ((2, 1, 3), (1, 3, 4), (3, 4, 5))),
+    ('4 3 5 1 6 7 2', '3 7 1 5 6 4 2', 'auto',
+     ((3, 1, 4, 5, 2), (3, 4, 5, 6, 7), (1, 3, 4, 5, 7)),
+     ((3, 1, 4, 5, 2), (3, 4, 5, 6, 7), (1, 3, 4, 5, 7))),
+    ('2 1 3', '1 4 2 3', 'auto',
+     ((1, 2), (2, 3), (1, 2)),
+     ((1, 2), (2, 3), (1, 2))),
+    ('5 4 2 1 3', '1 4 5 3 2', 'auto',
+     ((3, 2, 1), (2, 3, 4), (2, 4, 5)),
+     ((3, 2, 1), (2, 3, 4), (2, 4, 5))),
+    ('3 4 2 5 6 1', '7 4 6 1 5 2 3', 'auto',
+     ((3, 2, 1), (2, 3, 6), (1, 2, 4)),
+     ((1, 2, 3), (3, 4, 5), (4, 6, 7))),
+    ('3 4 7 1 2 8 5 6', '3 6 5 8 1 4 2 7', 'auto',
+     ((3, 4, 6, 1, 2, 5), (1, 2, 3, 4, 5, 8), (1, 2, 4, 5, 7, 8)),
+     ((3, 4, 6, 1, 2, 5), (1, 2, 3, 4, 5, 8), (1, 2, 4, 5, 7, 8))),
+    ('7 3 1 2 6 5 4', '4 3 1 2', 'auto',
+     ((4, 3, 1, 2), (1, 2, 3, 4), (1, 2, 3, 4)),
+     ((4, 3, 1, 2), (1, 2, 3, 4), (1, 2, 3, 4))),
+    ('4 2 1 3', '2 3 1', 'auto',
+     ((2, 1), (1, 3), (2, 3)),
+     ((1, 2), (2, 4), (1, 2))),
+    ('4 2 1 3', '1 2 4 3', 'auto',
+     ((1, 2), (3, 4), (1, 2)),
+     ((1, 2), (3, 4), (1, 2))),
+    ('7 1 5 4 3 6 2', '5 6 1 2 3 4', 'auto',
+     ((4, 1, 2, 3), (1, 2, 3, 6), (2, 4, 5, 6)),
+     ((4, 1, 2, 3), (1, 2, 3, 6), (2, 4, 5, 6))),
+    ('4 1 2 3', '3 4 2 6 1 5', 'auto',
+     ((1, 2, 3), (2, 3, 4), (1, 2, 6)),
+     ((1, 2, 3), (2, 3, 4), (1, 2, 6))),
+    ('7 6 5 4 3 1 2 13 14 8 10 11 9 12', '6 12 8 3 9 1 2 10 13 14 7 5 11 4', 'separable',
+     ((3, 1, 2, 7, 8, 5, 4, 6), (5, 6, 7, 8, 9, 12, 13, 14), (4, 6, 7, 9, 10, 11, 12, 13)),
+     ((3, 1, 2, 7, 8, 5, 4, 6), (5, 6, 7, 8, 9, 12, 13, 14), (4, 6, 7, 9, 10, 11, 12, 13))),
+    ('1 2 3 4 7 8 9 10 6 5 14 12 11 13', '12 11 2 13 3 7 14 5 9 4 1 6 10 8', 'separable',
+     ((1, 2, 5, 4, 3, 7, 6), (3, 4, 8, 9, 10, 12, 13), (3, 5, 6, 8, 10, 13, 14)),
+     ((1, 2, 5, 4, 3, 7, 6), (3, 4, 8, 9, 10, 12, 13), (3, 5, 6, 8, 10, 13, 14))),
+    ('7 1 8 9 2 5 3 6 4', '9 7 2 4 5 3 1 6 8', 'general',
+     ((5, 1, 3, 4, 2), (4, 5, 6, 8, 9), (1, 3, 4, 5, 6)),
+     ((5, 1, 2, 3, 4), (1, 2, 5, 7, 9), (1, 3, 4, 5, 8))),
+    ('6 4 9 8 7 5 1 2 3', '4 5 6 8 9 7 2 1 3', 'general',
+     ((3, 5, 4, 1, 2), (2, 5, 6, 8, 9), (1, 4, 6, 7, 9)),
+     ((3, 5, 4, 1, 2), (2, 5, 6, 8, 9), (1, 4, 6, 7, 9))),
+    ('3 1 4 2', '4 5 7 6 2 3 1 8', 'auto',
+     ((2, 1, 3), (1, 2, 3), (6, 7, 8)),
+     ((1, 3, 2), (2, 3, 4), (2, 3, 4))),
+    ('4 3 6 2 5 1', '1 7 8 2 3 4 5 6', 'auto',
+     ((2, 3, 1), (1, 3, 6), (2, 3, 8)),
+     ((1, 3, 2), (1, 3, 5), (1, 3, 8))),
+]
+
+
+class TestPinnedWitnesses:
+    def test_witnesses_are_pinned(self):
+        """Full witnesses, plain and canonical, for fixed inputs.
+
+        Recorded with ``lcp(sigma, tau, algo, canonical=c)`` from helpers'
+        generators:
+
+        - rows 1-20: ``rng = random.Random(40)``, 20 times
+          ``random_permutation(rng, rng.randint(3, 8))`` for sigma, then tau;
+          algo ``auto``;
+        - rows 21-22: ``rng = random.Random(41)``, twice
+          ``random_separable(rng, 14)`` then ``random_permutation(rng, 14)``;
+          algo ``separable``;
+        - rows 23-24: ``rng = random.Random(42)``, draw
+          ``random_permutation(rng, 9)`` until its decomposition tree's max
+          prime arity is 4, then tau ``random_permutation(rng, 9)``; twice;
+          algo ``general``;
+        - rows 25-26: ``rng = random.Random(43)``, draw sigma
+          ``random_permutation(rng, rng.randint(4, 6))`` and tau
+          ``random_separable(rng, rng.randint(6, 8))`` until ``lcp_plan``
+          guides with tau; twice; algo ``auto``.
+        """
+        for sigma, tau, algo, plain, canonical in PINNED_WITNESSES:
+            s, t = parse_permutation(sigma), parse_permutation(tau)
+            for want, flag in ((plain, False), (canonical, True)):
+                got = lcp(s, t, algo, canonical=flag)
+                assert (got.pattern.values, got.occ_sigma.positions, got.occ_tau.positions) == want
+        guided = [lcp_plan(parse_permutation(s), parse_permutation(t)).guided_by
+                  for s, t, _, _, _ in PINNED_WITNESSES[24:]]
+        assert guided == ["tau", "tau"]
 
 
 class TestPruningNeutrality:
@@ -285,10 +447,10 @@ class TestPruningNeutrality:
             sigma = random_permutation(rng, rng.randint(1, 6))
             tau = random_permutation(rng, rng.randint(1, 6))
             tree = expand_tree(decomposition_tree(sigma))
-            fast = DpTable(tree, tau, prune=True).root_cell()
-            slow = DpTable(tree, tau, prune=False).root_cell()
-            assert fast.length == slow.length
-            assert fast.provenance == slow.provenance
+            fast = DpTable(tree, tau, prune=True)
+            slow = DpTable(tree, tau, prune=False)
+            assert fast.root_cell() == slow.root_cell()
+            assert fast.reconstruct() == slow.reconstruct()
 
     def test_prune_does_not_change_canonical_pattern(self):
         rng = random.Random(20)
@@ -296,10 +458,10 @@ class TestPruningNeutrality:
             sigma = random_permutation(rng, rng.randint(1, 6))
             tau = random_permutation(rng, rng.randint(1, 6))
             tree = expand_tree(decomposition_tree(sigma))
-            fast = DpTable(tree, tau, canonical=True, prune=True).root_cell()
-            slow = DpTable(tree, tau, canonical=True, prune=False).root_cell()
-            assert fast.length == slow.length
-            assert fast.pattern == slow.pattern
+            fast = DpTable(tree, tau, prune=True)
+            slow = DpTable(tree, tau, prune=False)
+            assert fast.root_cell() == slow.root_cell()
+            assert fast.reconstruct(canonical=True) == slow.reconstruct(canonical=True)
 
 
 class TestCanonicalMode:
@@ -337,7 +499,7 @@ class TestTreeChoiceIndependence:
             tau = random_permutation(rng, rng.randint(1, 6))
             lengths = set()
             for tree in separating_trees_of(sigma):
-                lengths.add(DpTable(tree, tau).root_cell().length)
+                lengths.add(DpTable(tree, tau).root_cell())
             assert len(lengths) == 1
 
     def test_larger_random_separables(self):
@@ -347,7 +509,7 @@ class TestTreeChoiceIndependence:
             tau = random_permutation(rng, 6)
             want = None
             for tree in separating_trees_of(sigma):
-                got = DpTable(tree, tau).root_cell().length
+                got = DpTable(tree, tau).root_cell()
                 want = got if want is None else want
                 assert got == want
 
