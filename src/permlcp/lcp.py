@@ -16,9 +16,14 @@ order, then value cuts in lexicographic order (for a linear node, h
 ascending then c ascending).  The first split that reaches a cell's length
 is taken, which makes the witness reproducible.  With ``canonical=True``
 the lexicographically smallest pattern of maximal length is kept instead;
-patterns are built only for the cells reached through tied splits.
-Pruning by interval-width bounds never changes any cell value and can be
-switched off to check exactly that.
+patterns are built for the boxes of the witness walk and for the boxes
+under tied splits.
+
+Each cell is the best sum of child cells over all splits.  The scan skips a
+split whose interval-width bounds cannot beat the best so far, and stops
+when the best meets the cell's own bound.  The bounds are always on and
+never change a cell value; the tests check every materialized cell against
+the brute-force oracle.
 
 :func:`lcp` is the single entry point.  The separable and the general
 algorithm are this one program: :func:`lcp_plan` picks the guiding tree,
@@ -40,10 +45,6 @@ from .decomposition import (
     max_prime_arity,
 )
 from .perms import Occurrence, Pattern, Permutation, normalize
-
-
-class _CapReached(Exception):
-    """Internal: a candidate met the cell's upper bound, stop scanning."""
 
 
 def _ranks(node: DecompNode) -> tuple[int, ...]:
@@ -74,14 +75,15 @@ class DpTable:
     prime nodes keep their arity.  Cells are computed on demand through
     :meth:`cell` and cached for the lifetime of the table, and
     :meth:`reconstruct` rebuilds a witness for any cell.  Leaf cells do not
-    depend on which leaf is asked, so all leaves share one sub-table.
+    depend on which leaf is asked, so all leaves share one sub-table.  The
+    interval-width bounds that cut each cell's scan short are always on and
+    never change a cell value; the tests check every cell against the oracle.
     """
 
-    def __init__(self, tree: DecompTree, tau: Permutation, *, prune: bool = True) -> None:
+    def __init__(self, tree: DecompTree, tau: Permutation) -> None:
         self.tree = tree
         self.tau = tau
         self.n = len(tau)
-        self.prune = prune
         self._tauv = tau.values
         # Lengths live in one dict per node, keyed by (i, j, a, b) packed into
         # a single int: cheap to hash in the candidate loops.
@@ -143,7 +145,6 @@ class DpTable:
         if span_v < cap:
             cap = span_v
         positive = node.sign == "+"
-        prune = self.prune
         cellf = self._cell
         ltab = self._tables[left]
         rtab = self._tables[right]
@@ -155,12 +156,11 @@ class DpTable:
             w_right = j - h + 1
             mkl = k_left if k_left < w_left else w_left
             mkr = k_right if k_right < w_right else w_right
-            if prune:
-                h_bound = mkl + mkr
-                if h_bound > span_v:
-                    h_bound = span_v
-                if h_bound <= best:
-                    continue
+            h_bound = mkl + mkr
+            if h_bound > span_v:
+                h_bound = span_v
+            if h_bound <= best:
+                continue
             h1 = h - 1
             if positive:
                 lbase = ((i * S + h1) * S + a) * S  # + (c - 1)
@@ -175,11 +175,10 @@ class DpTable:
                 else:
                     v_left = b - c + 1
                     v_right = c - a
-                if prune:
-                    ml = mkl if mkl < v_left else v_left
-                    mr = mkr if mkr < v_right else v_right
-                    if ml + mr <= best:
-                        continue
+                ml = mkl if mkl < v_left else v_left
+                mr = mkr if mkr < v_right else v_right
+                if ml + mr <= best:
+                    continue
                 if w_left and v_left:
                     llen = ltab.get(lbase + c - 1 if positive else lbase + c * S)
                     if llen is None:
@@ -202,7 +201,7 @@ class DpTable:
                     rlen = 0
                 if llen + rlen > best:
                     best = llen + rlen
-                    if prune and best == cap:
+                    if best == cap:
                         return best
         return best
 
@@ -212,21 +211,19 @@ class DpTable:
         span_v = b - a + 1
         cap = min(sum(sizes), j - i + 1, span_v)
         order = sorted(range(d), key=node.label.values.__getitem__)
-        prune = self.prune
         best = 0
-        try:
-            for hs in combinations_with_replacement(range(i, j + 2), d - 1):
-                cuts = (i, *hs, j + 1)
-                pos_caps = [min(sizes[k], cuts[k + 1] - cuts[k]) for k in range(d)]
-                if prune and min(sum(pos_caps), span_v) <= best:
-                    continue
-                # suffix_caps[t]: the position caps of value slices t + 1..d.
-                suffix_caps = [0] * (d + 1)
-                for t in range(d - 1, -1, -1):
-                    suffix_caps[t] = suffix_caps[t + 1] + pos_caps[order[t]]
-                best = self._prime_values(node, order, cuts, suffix_caps, 1, a, 0, b, cap, best)
-        except _CapReached:
-            return cap
+        for hs in combinations_with_replacement(range(i, j + 2), d - 1):
+            cuts = (i, *hs, j + 1)
+            pos_caps = [min(sizes[k], cuts[k + 1] - cuts[k]) for k in range(d)]
+            if min(sum(pos_caps), span_v) <= best:
+                continue
+            # suffix_caps[t]: the position caps of value slices t + 1..d.
+            suffix_caps = [0] * (d + 1)
+            for t in range(d - 1, -1, -1):
+                suffix_caps[t] = suffix_caps[t + 1] + pos_caps[order[t]]
+            best = self._prime_values(node, order, cuts, suffix_caps, 1, a, 0, b, cap, best)
+            if best == cap:
+                break
         return best
 
     def _prime_values(
@@ -236,15 +233,14 @@ class DpTable:
 
         ``order[t - 1]`` is the child taking value slice t, which starts at
         ``c_prev``; ``partial`` is the length of slices 1..t-1 and ``best``
-        the longest candidate so far.  Returns the new best; raises
-        _CapReached when a candidate meets ``cap``.
+        the longest candidate so far.  Returns the new best, as soon as it
+        meets ``cap``.
         """
         d = len(order)
         k = order[t - 1]
         child = node.children[k]
         p_lo = cuts[k]
         p_hi = cuts[k + 1] - 1
-        prune = self.prune
         for ct in (b + 1,) if t == d else range(c_prev, b + 2):
             if p_hi < p_lo or ct == c_prev:
                 total = partial
@@ -253,12 +249,12 @@ class DpTable:
             if t == d:
                 if total > best:
                     best = total
-                    if prune and best == cap:
-                        raise _CapReached
-            elif not prune or total + min(suffix_caps[t], b + 1 - ct) > best:
+            elif total + min(suffix_caps[t], b + 1 - ct) > best:
                 best = self._prime_values(
                     node, order, cuts, suffix_caps, t + 1, ct, total, b, cap, best
                 )
+                if best == cap:
+                    return best
         return best
 
     def _splits(self, node: DecompNode, i: int, j: int, a: int, b: int, length: int):
@@ -318,19 +314,23 @@ class DpTable:
     ) -> tuple[Pattern, Occurrence, Occurrence]:
         """Rebuild (pattern, occurrence in the tree's permutation, occurrence in tau).
 
-        Defaults to the root cell.  Walks down from the cell: each internal
-        box takes its first split that reaches the stored length, or with
-        ``canonical`` the split of lexicographically smallest pattern (the
-        first on ties); each leaf adds its first hit in its window.  Raises
-        RuntimeError when the stored lengths do not rebuild to a pattern of
-        the cell's length common to both sides.
+        Give all of the cell's node, i, j, a and b, or none of them for the
+        root cell; anything else raises ValueError.  Walks down from the
+        cell: each internal box takes its first split that reaches the
+        stored length, or with ``canonical`` the split of lexicographically
+        smallest pattern (the first on ties); each leaf adds its first hit
+        in its window.  Raises RuntimeError when the stored lengths do not
+        rebuild to a pattern of the cell's length common to both sides.
         """
-        if node is None:
-            node, i, j, a, b = self.tree.root, 1, self.n, 1, self.n
-        length = self.cell(node, i, j, a, b)
-        memo: dict[tuple, tuple] | None = {} if canonical else None
+        box = (node, i, j, a, b)
+        if box.count(None) == 5:
+            box = (self.tree.root, 1, self.n, 1, self.n)
+        elif None in box:
+            raise ValueError("reconstruct takes all of node, i, j, a, b, or none of them")
+        length = self.cell(*box)
+        memo = self._resolve(box) if canonical and length else {}
         hits = []  # (position in the guide, value there, position in tau)
-        stack: list[tuple] = [(node, i, j, a, b)] if length else []
+        stack: list[tuple] = [box] if length else []
         while stack:
             box = stack.pop()
             if box[0].is_leaf:
@@ -338,8 +338,14 @@ class DpTable:
                 if not h:
                     raise RuntimeError("a leaf cell of length 1 has no hit in its window")
                 hits.append((box[0].span.lo, box[0].leaf_value, h))
+                continue
+            if canonical:
+                split = memo[box][1]
             else:
-                stack.extend(c for c in self._pick(box, memo) if c is not None)
+                split = next(self._splits(*box, self._cell(*box)), None)
+                if split is None:
+                    raise RuntimeError("no split reaches the stored length")
+            stack.extend(c for c in split if c is not None)
         hits.sort()
         pattern = normalize(tuple(self._tauv[h - 1] for _, _, h in hits))
         if len(pattern) != length or normalize(tuple(v for _, v, _ in hits)) != pattern:
@@ -350,30 +356,15 @@ class DpTable:
             Occurrence(tuple(h for _, _, h in hits)),
         )
 
-    def _pick(self, box: tuple, memo: dict | None) -> list[tuple | None]:
-        """The split the witness takes at an internal box; ``memo`` is None unless canonical."""
-        if memo is not None and box in memo:
-            return memo[box][1]
-        splits = self._splits(*box, self._cell(*box))
-        first = next(splits, None)
-        if first is None:
-            raise RuntimeError("no split reaches the stored length")
-        if memo is None:
-            return first
-        tied = [first, *splits]
-        if len(tied) == 1:
-            return first
-        self._resolve(box, tied, memo)
-        return memo[box][1]
-
-    def _resolve(self, box: tuple, tied: list, memo: dict) -> None:
-        """Set memo[x] = (pattern, split) for ``box`` and every box under its tied splits.
+    def _resolve(self, box: tuple) -> dict[tuple, tuple]:
+        """Map ``box``, and every box under its splits that reach its length, to (pattern, split).
 
         A box's pattern is the smallest, over its splits that reach its
         length, of the children's patterns concatenated by the node's ranks;
         ties go to the first split.  Leaves have the pattern 1.
         """
-        stack: list[tuple[tuple, list | None]] = [(box, tied)]
+        memo: dict[tuple, tuple] = {}
+        stack: list[tuple[tuple, list | None]] = [(box, None)]
         while stack:
             top, splits = stack.pop()
             if top in memo:
@@ -398,6 +389,7 @@ class DpTable:
             ]
             pick = min(range(len(splits)), key=pats.__getitem__)
             memo[top] = (pats[pick], splits[pick])
+        return memo
 
 
 @dataclass(frozen=True, slots=True)

@@ -139,3 +139,23 @@ def assert_valid_result(sigma: Permutation, tau: Permutation, result) -> None:
         result.pattern.values,
         result.occ_tau.positions,
     )
+
+
+def materialized_cells(table):
+    """Yield (node, i, j, a, b, length) for every cell a DpTable holds.
+
+    Decodes the packed (i, j, a, b) keys.  All leaves share one sub-table,
+    so leaf cells come once, under the first leaf of the walk.
+    """
+    S = table._S
+    seen = set()
+    for node in table.tree.walk():
+        memo = table._tables[node]
+        if id(memo) in seen:
+            continue
+        seen.add(id(memo))
+        for idx, length in list(memo.items()):
+            idx, b = divmod(idx, S)
+            idx, a = divmod(idx, S)
+            i, j = divmod(idx, S)
+            yield node, i, j, a, b, length

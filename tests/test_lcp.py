@@ -10,6 +10,7 @@ from helpers import (
     all_common_pattern_values,
     all_permutations,
     assert_valid_result,
+    materialized_cells,
     random_permutation,
     random_separable,
     separating_trees_of,
@@ -19,6 +20,7 @@ from permlcp import (
     NotSeparableError,
     Pattern,
     Permutation,
+    concat_rho,
     decomposition_tree,
     expand_tree,
     find_occurrence,
@@ -264,24 +266,26 @@ class TestTableProperties:
         tree = expand_tree(decomposition_tree(sigma))
         table = DpTable(tree, tau)
         table.root_cell()
-        S = table._S
-        seen = set()
-        for node in tree.walk():
-            if id(table._tables[node]) in seen:
-                continue
-            seen.add(id(table._tables[node]))
-            for idx, length in list(table._tables[node].items()):
-                idx, b = divmod(idx, S)
-                idx, a = divmod(idx, S)
-                i, j = divmod(idx, S)
-                for canonical in (False, True):
-                    pattern, occ_sigma, occ_tau = table.reconstruct(
-                        node, i, j, a, b, canonical=canonical
-                    )
-                    assert len(pattern) == len(occ_sigma) == length
-                    assert all(i <= p <= j for p in occ_tau)
-                    assert all(a <= tau.values[p - 1] <= b for p in occ_tau)
-                    assert all(node.span.lo <= p <= node.span.hi for p in occ_sigma)
+        for node, i, j, a, b, length in list(materialized_cells(table)):
+            for canonical in (False, True):
+                pattern, occ_sigma, occ_tau = table.reconstruct(
+                    node, i, j, a, b, canonical=canonical
+                )
+                assert len(pattern) == len(occ_sigma) == length
+                assert all(i <= p <= j for p in occ_tau)
+                assert all(a <= tau.values[p - 1] <= b for p in occ_tau)
+                assert all(node.span.lo <= p <= node.span.hi for p in occ_sigma)
+
+    def test_reconstruct_takes_the_whole_box_or_none(self):
+        tau = parse_permutation("3 1 2")
+        table = DpTable(expand_tree(decomposition_tree(parse_permutation("2 1 3"))), tau)
+        root = table.tree.root
+        for partial in ((root,), (root, 1, 3), (None, 1, 1, 1, 3), (root, 1, 1, 1, None)):
+            with pytest.raises(ValueError, match="all of node, i, j, a, b"):
+                table.reconstruct(*partial)
+        assert table.reconstruct()[0].values == (1, 2)
+        pattern, _, occ_tau = table.reconstruct(root, 1, 1, 1, 3)
+        assert (pattern.values, occ_tau.positions) == ((1,), (1,))
 
     def test_plain_reconstruct_reads_no_new_cells(self):
         rng = random.Random(24)
@@ -440,28 +444,36 @@ class TestPinnedWitnesses:
         assert guided == ["tau", "tau"]
 
 
-class TestPruningNeutrality:
-    def test_prune_does_not_change_cells(self):
-        rng = random.Random(19)
-        for _ in range(40):
-            sigma = random_permutation(rng, rng.randint(1, 6))
-            tau = random_permutation(rng, rng.randint(1, 6))
-            tree = expand_tree(decomposition_tree(sigma))
-            fast = DpTable(tree, tau, prune=True)
-            slow = DpTable(tree, tau, prune=False)
-            assert fast.root_cell() == slow.root_cell()
-            assert fast.reconstruct() == slow.reconstruct()
+class TestCellsMatchOracle:
+    def test_every_materialized_cell_is_exact(self):
+        """Each cell the fill stores, whatever its bounds skipped, equals the oracle's length.
 
-    def test_prune_does_not_change_canonical_pattern(self):
-        rng = random.Random(20)
-        for _ in range(25):
-            sigma = random_permutation(rng, rng.randint(1, 6))
-            tau = random_permutation(rng, rng.randint(1, 6))
-            tree = expand_tree(decomposition_tree(sigma))
-            fast = DpTable(tree, tau, prune=True)
-            slow = DpTable(tree, tau, prune=False)
-            assert fast.root_cell() == slow.root_cell()
-            assert fast.reconstruct(canonical=True) == slow.reconstruct(canonical=True)
+        A cell M(V, i, j, a, b) is the longest common pattern of the guide's
+        block under V and the window of tau at positions i..j with values
+        a..b; an empty window has length 0.
+        """
+        rng = random.Random(19)
+        guides = [random_separable(rng, rng.randint(1, 7)) for _ in range(20)]
+        while len(guides) < 40:
+            sigma = random_permutation(rng, rng.randint(4, 7))
+            if lcp_plan(sigma, sigma).prime_arity:
+                guides.append(sigma)
+        checked = 0
+        for sigma in guides:
+            tau = random_permutation(rng, rng.randint(3, 7))
+            table = DpTable(lcp_plan(sigma, tau, "general").tree, tau)
+            table.root_cell()
+            for node, i, j, a, b, length in materialized_cells(table):
+                block = normalize(sigma.values[node.span.lo - 1 : node.span.hi])
+                window = normalize([v for v in tau.values[i - 1 : j] if a <= v <= b])
+                want = (
+                    len(oracle_lcp(Permutation(block.values), Permutation(window.values)))
+                    if window.values
+                    else 0
+                )
+                assert length == want, (str(sigma), str(tau), node.span, (i, j, a, b))
+                checked += 1
+        assert checked > 8000
 
 
 class TestCanonicalMode:
@@ -512,6 +524,32 @@ class TestTreeChoiceIndependence:
                 got = DpTable(tree, tau).root_cell()
                 want = got if want is None else want
                 assert got == want
+
+
+class TestSelfPairsPastOracle:
+    """lcp(sigma, sigma) is sigma itself, at sizes the oracle cannot check."""
+
+    def test_separable_self_pairs(self):
+        rng = random.Random(25)
+        for n in range(11, 17):
+            sigma = random_separable(rng, n)
+            result = lcp(sigma, sigma)
+            assert result.length == n
+            assert_valid_result(sigma, sigma, result)
+
+    def test_self_pairs_with_a_prime_node(self):
+        rng = random.Random(26)
+        for text in ("2 4 1 3", "3 1 4 2", "2 4 1 5 3", "3 5 1 4 2"):  # simple labels
+            label = parse_permutation(text)
+            cuts = sorted(rng.sample(range(1, 11), label.n - 1))
+            sizes = [hi - lo for lo, hi in zip((0, *cuts), (*cuts, 11))]
+            sigma = Permutation(
+                concat_rho(label, [random_separable(rng, k) for k in sizes]).values
+            )
+            assert lcp_plan(sigma, sigma).prime_arity == label.n
+            result = lcp(sigma, sigma)
+            assert result.length == 11
+            assert_valid_result(sigma, sigma, result)
 
 
 def _reverse(p: Permutation) -> Permutation:
