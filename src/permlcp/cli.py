@@ -6,7 +6,8 @@ predicates with witnesses) and ``contains`` (pattern involvement through the
 LCP reduction).  Machine output goes to stdout, diagnostics to stderr.
 
 Exit codes: 0 ok/true, 1 predicate false, 2 input error, 3 algorithm
-precondition violated or a tree nested past the recursion limit.
+precondition violated, a tree nested past the recursion limit or an
+internal fault.  Every error is reported as one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -227,8 +228,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # PermutationError and other bad input
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RecursionError as exc:  # the DP fill or the JSON encoder on a deep tree
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # RecursionError on a deep tree, or an internal fault
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -14,15 +14,28 @@ root query are ever touched.  The witness is re-scanned from the lengths,
 only along its own path, in one fixed order: position cuts in lexicographic
 order, then value cuts in lexicographic order (for a linear node, h
 ascending then c ascending).  The first split that reaches a cell's length
-is taken, which makes the witness reproducible.  With ``canonical=True``
+is taken, which makes the witness reproducible; it is found by replaying
+the cell's own fill scan, which reads no cell the fill did not.  With
+``canonical=True``
 the lexicographically smallest pattern of maximal length is kept instead;
 patterns are built for the boxes of the witness walk and for the boxes
 under tied splits.
 
 Each cell is the best sum of child cells over all splits.  The scan skips a
 split whose interval-width bounds cannot beat the best so far, and stops
-when the best meets the cell's own bound.  The bounds are always on and
-never change a cell value; the tests check every materialized cell against
+when the best meets the cell's own bound.  It also skips a split that an
+earlier split already beats.  A cell never shrinks when its window grows,
+so along a scan axis one child's length never decreases and the other's
+never increases; a split whose growing child did not grow past what an
+earlier split read is at most as long as that split.  For a linear node the
+growing child is the one taking the low values, and for a + node it also
+grows with h; for a prime node, a value cut that adds nothing to the slices
+before it leaves less to the slices after it.  So a skipped split can only
+tie, every cell value stays the one the full scan gives, and so does the
+first split in scan order that reaches it, which is the plain witness.  The
+canonical walk enumerates every split that reaches a cell's length, without
+these skips, because a tied split can carry a smaller pattern.  The skips
+and bounds are always on; the tests check every materialized cell against
 the brute-force oracle.
 
 :func:`lcp` is the single entry point.  The separable and the general
@@ -76,8 +89,11 @@ class DpTable:
     :meth:`cell` and cached for the lifetime of the table, and
     :meth:`reconstruct` rebuilds a witness for any cell.  Leaf cells do not
     depend on which leaf is asked, so all leaves share one sub-table.  The
-    interval-width bounds that cut each cell's scan short are always on and
-    never change a cell value; the tests check every cell against the oracle.
+    interval-width bounds and the dominance skips that cut each cell's scan
+    short are always on: a skipped split can at most tie a split read
+    earlier, so they change no cell value and no plain witness, and the
+    canonical walk, which needs the tied splits, enumerates them all.  The
+    tests check every cell against the oracle.
     """
 
     def __init__(self, tree: DecompTree, tau: Permutation) -> None:
@@ -134,83 +150,112 @@ class DpTable:
                 return h
         return 0
 
-    def _linear_cell(self, node: DecompNode, i: int, j: int, a: int, b: int) -> int:
+    def _linear_cell(self, node: DecompNode, i: int, j: int, a: int, b: int, want: int = 0):
+        """The length of a linear cell, or with ``want`` the cuts of the first split reaching it.
+
+        A split (h, c) gives positions i..h-1 to the left child and h..j to
+        the right one, and values a..c-1 to the low child (the left one for
+        +, the right one for -) and c..b to the high one.  So the low
+        child's length u(h, c) never decreases in c and the high child's
+        never increases; for a + node the same holds in h.  u is read first.
+        The split is skipped when u does not exceed the largest u read at a
+        split (h', c') before it whose high child is at least as long: one
+        with h' = h for a - node, h' <= h and c' <= c for a + node.  Then it
+        is no longer than that split, or than the bound that skipped it.  The
+        high child is also skipped when u plus its width bound cannot beat
+        the best.  With ``want``, the scan
+        stops at the first split whose length reaches it and returns its
+        cuts ((i, h, j + 1), (a, c, b + 1)), or None.
+        """
         left, right = node.children
-        k_left = left.span.hi - left.span.lo + 1
-        k_right = right.span.hi - right.span.lo + 1
+        positive = node.sign == "+"
+        low, high = (left, right) if positive else (right, left)
+        k_low = low.span.hi - low.span.lo + 1
+        k_high = high.span.hi - high.span.lo + 1
         span_v = b - a + 1
-        cap = k_left + k_right
+        cap = k_low + k_high
         if j - i + 1 < cap:
             cap = j - i + 1
         if span_v < cap:
             cap = span_v
-        positive = node.sign == "+"
+        if want:
+            cap = want
         cellf = self._cell
-        ltab = self._tables[left]
-        rtab = self._tables[right]
+        low_tab = self._tables[low]
+        high_tab = self._tables[high]
         S = self._S
+        # seen[c]: for a + node, the low length last read in column c.
+        seen = [-1] * (b + 2)
 
         best = 0
         for h in range(i, j + 2):
-            w_left = h - i
-            w_right = j - h + 1
-            mkl = k_left if k_left < w_left else w_left
-            mkr = k_right if k_right < w_right else w_right
-            h_bound = mkl + mkr
+            if positive:
+                lo_i, lo_j, hi_i, hi_j = i, h - 1, h, j
+            else:
+                lo_i, lo_j, hi_i, hi_j = h, j, i, h - 1
+            mk_low = lo_j - lo_i + 1
+            if k_low < mk_low:
+                mk_low = k_low
+            mk_high = hi_j - hi_i + 1
+            if k_high < mk_high:
+                mk_high = k_high
+            h_bound = mk_low + mk_high
             if h_bound > span_v:
                 h_bound = span_v
             if h_bound <= best:
                 continue
-            h1 = h - 1
-            if positive:
-                lbase = ((i * S + h1) * S + a) * S  # + (c - 1)
-                rbase = (h * S + j) * S * S + b  # + c * S
-            else:
-                lbase = (i * S + h1) * S * S + b  # + c * S
-                rbase = ((h * S + j) * S + a) * S  # + (c - 1)
+            low_base = ((lo_i * S + lo_j) * S + a) * S - 1  # + c: values a..c-1
+            high_base = (hi_i * S + hi_j) * S * S + b  # + c * S: values c..b
+            top = -1  # the largest low length read at a split this one cannot beat
             for c in range(a, b + 2):
-                if positive:
-                    v_left = c - a
-                    v_right = b - c + 1
-                else:
-                    v_left = b - c + 1
-                    v_right = c - a
-                ml = mkl if mkl < v_left else v_left
-                mr = mkr if mkr < v_right else v_right
-                if ml + mr <= best:
+                if positive and seen[c] > top:
+                    top = seen[c]
+                if top >= mk_low:
+                    break  # every later split of the row at most ties
+                m_low = c - a if c - a < mk_low else mk_low
+                m_high = b + 1 - c if b + 1 - c < mk_high else mk_high
+                if m_low + m_high <= best:
+                    if m_low == mk_low:
+                        break  # the bound only shrinks from here on
                     continue
-                if w_left and v_left:
-                    llen = ltab.get(lbase + c - 1 if positive else lbase + c * S)
-                    if llen is None:
-                        llen = (
-                            cellf(left, i, h1, a, c - 1)
-                            if positive
-                            else cellf(left, i, h1, c, b)
-                        )
+                if m_low:
+                    u = low_tab.get(low_base + c)
+                    if u is None:
+                        u = cellf(low, lo_i, lo_j, a, c - 1)
                 else:
-                    llen = 0
-                if w_right and v_right:
-                    rlen = rtab.get(rbase + c * S if positive else rbase + c - 1)
-                    if rlen is None:
-                        rlen = (
-                            cellf(right, h, j, c, b)
-                            if positive
-                            else cellf(right, h, j, a, c - 1)
-                        )
+                    u = 0
+                if u <= top:
+                    continue
+                top = u
+                if positive:
+                    seen[c] = u
+                if u + m_high <= best:
+                    continue
+                if m_high:
+                    v = high_tab.get(high_base + c * S)
+                    if v is None:
+                        v = cellf(high, hi_i, hi_j, c, b)
                 else:
-                    rlen = 0
-                if llen + rlen > best:
-                    best = llen + rlen
+                    v = 0
+                if u + v > best:
+                    best = u + v
                     if best == cap:
-                        return best
-        return best
+                        return ((i, h, j + 1), (a, c, b + 1)) if want else best
+        return None if want else best
 
-    def _prime_cell(self, node: DecompNode, i: int, j: int, a: int, b: int) -> int:
+    def _prime_cell(self, node: DecompNode, i: int, j: int, a: int, b: int, want: int = 0):
+        """The length of a prime cell, or with ``want`` the cuts of the first split reaching it.
+
+        With ``want``, the scan stops at the first split whose length reaches
+        it and returns its cuts (i, h_1, ..., h_{d-1}, j + 1) and, in value
+        slice order, (a, c_1, ..., c_{d-1}, b + 1), or None.
+        """
         sizes = [c.span.width for c in node.children]
         d = len(sizes)
         span_v = b - a + 1
-        cap = min(sum(sizes), j - i + 1, span_v)
+        cap = want or min(sum(sizes), j - i + 1, span_v)
         order = sorted(range(d), key=node.label.values.__getitem__)
+        path = [] if want else None
         best = 0
         for hs in combinations_with_replacement(range(i, j + 2), d - 1):
             cuts = (i, *hs, j + 1)
@@ -221,26 +266,32 @@ class DpTable:
             suffix_caps = [0] * (d + 1)
             for t in range(d - 1, -1, -1):
                 suffix_caps[t] = suffix_caps[t + 1] + pos_caps[order[t]]
-            best = self._prime_values(node, order, cuts, suffix_caps, 1, a, 0, b, cap, best)
+            best = self._prime_values(
+                node, order, cuts, suffix_caps, 1, a, 0, b, cap, best, path
+            )
             if best == cap:
-                break
-        return best
+                return (cuts, (a, *path[::-1], b + 1)) if want else best
+        return None if want else best
 
     def _prime_values(
-        self, node, order, cuts, suffix_caps, t, c_prev, partial, b, cap, best
+        self, node, order, cuts, suffix_caps, t, c_prev, partial, b, cap, best, path
     ) -> int:
         """Scan the value cuts of a prime cell from slice t (1-based) on, in lexicographic order.
 
         ``order[t - 1]`` is the child taking value slice t, which starts at
         ``c_prev``; ``partial`` is the length of slices 1..t-1 and ``best``
         the longest candidate so far.  Returns the new best, as soon as it
-        meets ``cap``.
+        meets ``cap``; each level then appends its cut to ``path``, unless
+        that is None.  The later slices only lose values as ct grows, so a
+        ct whose total does not exceed the previous ct's cannot win, and
+        its later slices are not scanned.
         """
         d = len(order)
         k = order[t - 1]
         child = node.children[k]
         p_lo = cuts[k]
         p_hi = cuts[k + 1] - 1
+        last = -1
         for ct in (b + 1,) if t == d else range(c_prev, b + 2):
             if p_hi < p_lo or ct == c_prev:
                 total = partial
@@ -249,24 +300,28 @@ class DpTable:
             if t == d:
                 if total > best:
                     best = total
-            elif total + min(suffix_caps[t], b + 1 - ct) > best:
-                best = self._prime_values(
-                    node, order, cuts, suffix_caps, t + 1, ct, total, b, cap, best
-                )
-                if best == cap:
-                    return best
+            elif total > last:
+                last = total
+                if total + min(suffix_caps[t], b + 1 - ct) > best:
+                    best = self._prime_values(
+                        node, order, cuts, suffix_caps, t + 1, ct, total, b, cap, best, path
+                    )
+                    if best == cap:
+                        if path is not None:
+                            path.append(ct)
+                        return best
         return best
 
     def _splits(self, node: DecompNode, i: int, j: int, a: int, b: int, length: int):
-        """Yield the splits of an internal box whose child lengths add up to ``length``.
+        """Yield every split of an internal box whose child lengths add up to ``length``.
 
         A split is a list of child boxes (child, i, j, a, b) in child order,
         None where a child adds nothing.  Child k takes position slice k and the value slice of
         its rank.  Position cuts run in lexicographic order, then value cuts,
         as in the fills, and a split is dropped only when its width bounds,
-        or the lengths read so far, cannot reach ``length``.  So the first
-        split yielded is the first one the fill found at the box's length,
-        and reading up to it touches only cells the fill has read.
+        or the lengths read so far, cannot reach ``length``.  The fills'
+        dominance skips are not applied: a split that only ties an earlier
+        one may still carry a smaller pattern, which the canonical walk needs.
         """
         children = node.children
         d = len(children)
@@ -301,6 +356,25 @@ class DpTable:
                 else:
                     if total == length:
                         yield boxes
+
+    def _first_split(self, node: DecompNode, i: int, j: int, a: int, b: int, length: int):
+        """The first split that reaches ``length``, in the form :meth:`_splits` yields.
+
+        Replays the box's own fill scan, skips included, up to the split at
+        which it first reached ``length``.  Every cell it reads was read by
+        that fill, so the plain walk materializes no new cell.
+        """
+        scan = self._linear_cell if node.kind == "linear" else self._prime_cell
+        cuts = scan(node, i, j, a, b, length)
+        if cuts is None:
+            raise RuntimeError("no split reaches the stored length")
+        pos, val = cuts
+        split: list[tuple | None] = []
+        for k, (child, r) in enumerate(zip(node.children, _ranks(node))):
+            box = (child, pos[k], pos[k + 1] - 1, val[r - 1], val[r] - 1)
+            filled = box[1] <= box[2] and box[3] <= box[4] and self._cell(*box)
+            split.append(box if filled else None)
+        return split
 
     def reconstruct(
         self,
@@ -339,12 +413,7 @@ class DpTable:
                     raise RuntimeError("a leaf cell of length 1 has no hit in its window")
                 hits.append((box[0].span.lo, box[0].leaf_value, h))
                 continue
-            if canonical:
-                split = memo[box][1]
-            else:
-                split = next(self._splits(*box, self._cell(*box)), None)
-                if split is None:
-                    raise RuntimeError("no split reaches the stored length")
+            split = memo[box][1] if canonical else self._first_split(*box, self._cell(*box))
             stack.extend(c for c in split if c is not None)
         hits.sort()
         pattern = normalize(tuple(self._tauv[h - 1] for _, _, h in hits))

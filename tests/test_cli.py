@@ -93,6 +93,16 @@ class TestLcpCommand:
         assert out == ""
         assert "warning" in err  # diagnostics stay on stderr
 
+    def test_internal_error_exits_3_without_traceback(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("the stored lengths do not rebuild to a common pattern")
+
+        monkeypatch.setattr("permlcp.cli.lcp", broken)
+        code, out, err = run(capsys, "lcp", "2 4 1 3", "1 3 2 4")
+        assert code == 3
+        assert out == ""
+        assert err == "error: RuntimeError: the stored lengths do not rebuild to a common pattern\n"
+
 
 class TestTreeCommand:
     def test_labeled_text(self, capsys):

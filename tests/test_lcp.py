@@ -453,14 +453,14 @@ class TestCellsMatchOracle:
         a..b; an empty window has length 0.
         """
         rng = random.Random(19)
-        guides = [random_separable(rng, rng.randint(1, 7)) for _ in range(20)]
+        guides = [random_separable(rng, rng.randint(1, 9)) for _ in range(20)]
         while len(guides) < 40:
-            sigma = random_permutation(rng, rng.randint(4, 7))
+            sigma = random_permutation(rng, rng.randint(4, 8))
             if lcp_plan(sigma, sigma).prime_arity:
                 guides.append(sigma)
         checked = 0
         for sigma in guides:
-            tau = random_permutation(rng, rng.randint(3, 7))
+            tau = random_permutation(rng, rng.randint(4, 9))
             table = DpTable(lcp_plan(sigma, tau, "general").tree, tau)
             table.root_cell()
             for node, i, j, a, b, length in materialized_cells(table):
@@ -474,6 +474,30 @@ class TestCellsMatchOracle:
                 assert length == want, (str(sigma), str(tau), node.span, (i, j, a, b))
                 checked += 1
         assert checked > 8000
+
+
+class TestCellCounts:
+    """The dominance skips at least halve the cells two larger fills materialize.
+
+    Cell counts do not depend on the machine.  The bounds are half of what
+    the fill materialized before it skipped dominated splits.
+    """
+
+    @staticmethod
+    def _cells(sigma, tau, algo):
+        table = DpTable(lcp_plan(sigma, tau, algo).tree, tau)
+        table.reconstruct()
+        return sum(1 for _ in materialized_cells(table))
+
+    def test_separable_twenty_pair(self):
+        rng = random.Random(20240504)  # the acceptance suite's complexity smoke pair
+        sigma = random_separable(rng, 20)
+        tau = random_permutation(rng, 20)
+        assert self._cells(sigma, tau, "separable") <= 345_926 // 2
+
+    def test_separable_self_pair(self):
+        sigma = random_separable(random.Random(4), 30)
+        assert self._cells(sigma, sigma, "auto") <= 218_439 // 2
 
 
 class TestCanonicalMode:
@@ -498,6 +522,26 @@ class TestCanonicalMode:
                 assert result.pattern.values == min(
                     p for p in commons if len(p) == longest
                 )
+
+
+    def test_exhaustive_up_to_four(self):
+        """Every pair of sizes 1-4, with each input guiding.
+
+        The fill skips splits that only tie an earlier one; a tied split can
+        carry a smaller pattern, so the canonical walk must still see it.
+        """
+        sigma, tau = parse_permutation("4 1 3 2"), parse_permutation("2 3 1")
+        assert lcp(sigma, tau, "general", canonical=True).pattern.values == (1, 2)
+        perms = [p for n in range(1, 5) for p in all_permutations(n)]
+        for sigma in perms:
+            for tau in perms:
+                commons = all_common_pattern_values(sigma, tau)
+                longest = max(len(p) for p in commons)
+                want = min(p for p in commons if len(p) == longest)
+                for algo in ("general", "auto"):
+                    result = lcp(sigma, tau, algo, canonical=True)
+                    assert result.pattern.values == want, (str(sigma), str(tau), algo)
+                    assert_valid_result(sigma, tau, result)
 
 
 class TestTreeChoiceIndependence:
