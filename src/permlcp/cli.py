@@ -1,12 +1,13 @@
 """Command-line interface.
 
 Commands: ``lcp`` (longest common pattern between two permutations),
+``plan`` (which input would guide ``lcp``, and the predicted costs),
 ``tree`` (inspect decomposition trees), ``check`` (separability/simplicity
 predicates with witnesses) and ``contains`` (pattern involvement through the
 LCP reduction).  Machine output goes to stdout, diagnostics to stderr.
 
 Exit codes: 0 ok/true, 1 predicate false, 2 input error, 3 algorithm
-precondition violated, a tree nested past the recursion limit or an
+precondition violated, a JSON tree nested past the recursion limit or an
 internal fault.  Every error is reported as one ``error:`` line on stderr.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .decomposition import (
@@ -39,13 +41,14 @@ def _warn(message: str) -> None:
 def cmd_lcp(args: argparse.Namespace) -> int:
     sigma = parse_permutation(args.sigma)
     tau = parse_permutation(args.tau)
-    arity = lcp_plan(sigma, tau, args.algo).prime_arity
+    plan = lcp_plan(sigma, tau, args.algo)
+    arity = plan.prime_arity
     if arity >= ARITY_WARN_THRESHOLD:
         _warn(
             f"guiding tree has a prime node of arity {arity}; the per-cell "
             f"cost grows like n^(2*{arity}-2), this may be very slow"
         )
-    result = lcp(sigma, tau, args.algo, canonical=args.canonical)
+    result = lcp(sigma, tau, plan, canonical=args.canonical)
     if args.quiet:
         return 0
     if args.output == "json":
@@ -66,6 +69,33 @@ def cmd_lcp(args: argparse.Namespace) -> int:
         print(f"occ_sigma: {result.occ_sigma}")
         print(f"occ_tau: {result.occ_tau}")
         print(f"algorithm: {result.algorithm}")
+    return 0
+
+
+def _cost(value: int | None) -> int | str | None:
+    """A predicted cost for output: exact, or past about 3900 digits, where
+    Python stops converting ints to text, a lower bound as a power of ten."""
+    if value is None or value.bit_length() <= 13_000:
+        return value
+    return f">=1e{int((value.bit_length() - 1) * math.log10(2))}"
+
+
+def cmd_plan(args: argparse.Namespace) -> int:
+    plan = lcp_plan(parse_permutation(args.sigma), parse_permutation(args.tau), args.algo)
+    fields = {
+        "guided_by": plan.guided_by,
+        "algorithm": plan.algorithm,
+        "prime_arity": plan.prime_arity,
+        "cost_sigma": _cost(plan.cost_sigma),
+        "cost_tau": _cost(plan.cost_tau),
+    }
+    if args.quiet:
+        return 0
+    if args.output == "json":
+        print(json.dumps(fields))
+    else:
+        for name, value in fields.items():
+            print(f"{name}: {'not built' if value is None else value}")
     return 0
 
 
@@ -179,21 +209,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_lcp = sub.add_parser("lcp", parents=[common], help="longest common pattern")
-    p_lcp.add_argument("sigma", help="first permutation, e.g. '5 1 4 3 2'")
-    p_lcp.add_argument("tau", help="second permutation")
-    p_lcp.add_argument(
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("sigma", help="first permutation, e.g. '5 1 4 3 2'")
+    pair.add_argument("tau", help="second permutation")
+    pair.add_argument(
         "--algo",
         choices=("auto", "separable", "general"),
         default="auto",
         help="algorithm selection (default: auto)",
     )
+
+    p_lcp = sub.add_parser("lcp", parents=[common, pair], help="longest common pattern")
     p_lcp.add_argument(
         "--canonical",
         action="store_true",
         help="break ties towards the lexicographically smallest pattern",
     )
     p_lcp.set_defaults(func=cmd_lcp)
+
+    p_plan = sub.add_parser(
+        "plan", parents=[common, pair], help="which input guides lcp, and the predicted costs"
+    )
+    p_plan.set_defaults(func=cmd_plan)
 
     p_tree = sub.add_parser("tree", parents=[common], help="print a decomposition tree")
     p_tree.add_argument("sigma")
@@ -228,7 +265,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # PermutationError and other bad input
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # RecursionError on a deep tree, or an internal fault
+    except Exception as exc:  # RecursionError on a deep JSON tree, or an internal fault
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -10,14 +10,18 @@ value slices through the node's simple-permutation label.  A binary linear
 node is the d = 2 case, with ranks (1, 2) for + and (2, 1) for -.
 
 Cells are evaluated top-down and memoized, so only states reachable from the
-root query are ever touched.  The witness is re-scanned from the lengths,
-only along its own path, in one fixed order: position cuts in lexicographic
-order, then value cuts in lexicographic order (for a linear node, h
-ascending then c ascending).  The first split that reaches a cell's length
-is taken, which makes the witness reproducible; it is found by replaying
-the cell's own fill scan, which reads no cell the fill did not.  With
-``canonical=True``
-the lexicographically smallest pattern of maximal length is kept instead;
+root query are ever touched.  The evaluation recurses once per tree level;
+on a guide deeper than a fixed frame budget it restarts below *frontier*
+nodes, evaluating each missing frontier cell before the cell that needs it,
+so a guide of any depth fills without raising the recursion limit.
+
+The witness is re-scanned from the lengths, only along its own path, in
+one fixed order: position cuts in lexicographic order, then value cuts in
+lexicographic order (for a linear node, h ascending then c ascending).  The
+first split that reaches a cell's length is taken, which makes the witness
+reproducible; it is found by replaying the cell's own fill scan, which
+reads no cell the fill did not.  With ``canonical=True`` the
+lexicographically smallest pattern of maximal length is kept instead;
 patterns are built for the boxes of the witness walk and for the boxes
 under tied splits.
 
@@ -40,7 +44,11 @@ the brute-force oracle.
 
 :func:`lcp` is the single entry point.  The separable and the general
 algorithm are this one program: :func:`lcp_plan` picks the guiding tree,
-and a tree with no prime node is the separable case.
+and a tree with no prime node is the separable case.  The table has O(m^4)
+cells for a target of size m, and a node of arity d scans O(m^(2d - 2))
+splits per cell, so under ``auto`` the plan predicts each input's cost as
+a guide, the sum of m^(2d + 2) over its internal nodes, and takes the
+cheaper one.
 """
 
 from __future__ import annotations
@@ -81,6 +89,16 @@ class LcpResult:
         return len(self.pattern)
 
 
+# Python frames the fill may stack between two frontier nodes; well under
+# the interpreter's default recursion limit of 1000, which also has to hold
+# the caller's frames.
+_FRAME_BUDGET = 400
+
+
+class _Missing(Exception):
+    """Carries a frontier box the fill needs and has not evaluated; nothing partial is stored."""
+
+
 class DpTable:
     """Memoized table of lengths M(V, i, j, a, b) for one guiding tree and one target.
 
@@ -94,6 +112,15 @@ class DpTable:
     earlier, so they change no cell value and no plain witness, and the
     canonical walk, which needs the tied splits, enumerates them all.  The
     tests check every cell against the oracle.
+
+    The fill recurses once per tree level, so a guide of any depth is cut
+    at *frontier* nodes: each keeps the frames stacked since the frontier
+    or root above it within a fixed budget, counting 2 per linear level
+    and 2 + d per prime level of arity d.  A scan that needs a frontier
+    cell not yet evaluated gives up, storing nothing partial; the loop
+    behind :meth:`cell`, :meth:`root_cell` and the canonical walk evaluates
+    that box first and then retries.  A guide within the budget has no
+    frontier and recurses straight through.
     """
 
     def __init__(self, tree: DecompTree, tau: Permutation) -> None:
@@ -113,6 +140,17 @@ class DpTable:
                     f"arity {node.arity}"
                 )
             self._tables[node] = leaf_table if node.is_leaf else {}
+        self._frontier: set[DecompNode] = set()
+        stack = [(tree.root, 0)]
+        while stack:
+            node, used = stack.pop()
+            frames = 2 if node.kind == "linear" else 2 + node.arity
+            if used + frames > _FRAME_BUDGET:
+                self._frontier.add(node)
+                used = 0
+            for child in node.children:
+                if not child.is_leaf:
+                    stack.append((child, used + frames))
 
     def cell(self, node: DecompNode, i: int, j: int, a: int, b: int) -> int:
         """The length M(node, i, j, a, b); ranges must satisfy 1 <= i <= j <= n, 1 <= a <= b <= n."""
@@ -120,18 +158,37 @@ class DpTable:
             raise ValueError(f"cell ranges out of bounds: i={i} j={j} a={a} b={b}")
         if node not in self._tables:
             raise ValueError("node does not belong to this table's guiding tree")
-        return self._cell(node, i, j, a, b)
+        return self._drive(self._cell, node, i, j, a, b)
 
     def root_cell(self) -> int:
-        return self._cell(self.tree.root, 1, self.n, 1, self.n)
+        return self._drive(self._cell, self.tree.root, 1, self.n, 1, self.n)
 
-    def _cell(self, node: DecompNode, i: int, j: int, a: int, b: int) -> int:
+    def _drive(self, fn, *args):
+        """``fn(*args)``, evaluating first each frontier box it finds missing.
+
+        The boxes wait on a stack: the last one found is evaluated first,
+        since the box that needed it is retried after it.
+        """
+        pending: list[tuple] = []
+        while True:
+            try:
+                if not pending:
+                    return fn(*args)
+                self._cell(*pending[-1], True)
+                pending.pop()
+            except _Missing as miss:
+                pending.append(miss.args[0])
+
+    def _cell(self, node: DecompNode, i: int, j: int, a: int, b: int, top: bool = False) -> int:
+        """The cell's length, evaluated on a miss; a missing frontier cell raises, unless ``top``."""
         S = self._S
         idx = ((i * S + j) * S + a) * S + b
         table = self._tables[node]
         got = table.get(idx)
         if got is not None:
             return got
+        if node in self._frontier and not top:
+            raise _Missing((node, i, j, a, b))
         kind = node.kind
         if kind == "leaf":
             length = 1 if self._leaf_hit(i, j, a, b) else 0
@@ -291,12 +348,18 @@ class DpTable:
         child = node.children[k]
         p_lo = cuts[k]
         p_hi = cuts[k + 1] - 1
+        table = self._tables[child]
+        S = self._S
+        base = ((p_lo * S + p_hi) * S + c_prev) * S - 1  # + ct: values c_prev..ct-1
         last = -1
         for ct in (b + 1,) if t == d else range(c_prev, b + 2):
             if p_hi < p_lo or ct == c_prev:
                 total = partial
             else:
-                total = partial + self._cell(child, p_lo, p_hi, c_prev, ct - 1)
+                got = table.get(base + ct)
+                if got is None:
+                    got = self._cell(child, p_lo, p_hi, c_prev, ct - 1)
+                total = partial + got
             if t == d:
                 if total > best:
                     best = total
@@ -313,7 +376,7 @@ class DpTable:
         return best
 
     def _splits(self, node: DecompNode, i: int, j: int, a: int, b: int, length: int):
-        """Yield every split of an internal box whose child lengths add up to ``length``.
+        """Every split of an internal box whose child lengths add up to ``length``.
 
         A split is a list of child boxes (child, i, j, a, b) in child order,
         None where a child adds nothing.  Child k takes position slice k and the value slice of
@@ -329,6 +392,7 @@ class DpTable:
         order = sorted(range(d), key=ranks.__getitem__)
         sizes = [c.span.width for c in children]
         cellf = self._cell
+        found = []
         for hs in combinations_with_replacement(range(i, j + 2), d - 1):
             pos = (i, *hs, j + 1)
             pos_caps = [min(sizes[k], pos[k + 1] - pos[k]) for k in range(d)]
@@ -355,10 +419,11 @@ class DpTable:
                         break
                 else:
                     if total == length:
-                        yield boxes
+                        found.append(boxes)
+        return found
 
     def _first_split(self, node: DecompNode, i: int, j: int, a: int, b: int, length: int):
-        """The first split that reaches ``length``, in the form :meth:`_splits` yields.
+        """The first split that reaches ``length``, in the form :meth:`_splits` lists.
 
         Replays the box's own fill scan, skips included, up to the split at
         which it first reached ``length``.  Every cell it reads was read by
@@ -443,7 +508,7 @@ class DpTable:
                 memo[top] = ((1,), None)
                 continue
             if splits is None:
-                splits = list(self._splits(*top, self._cell(*top)))
+                splits = self._drive(self._splits, *top, self._cell(*top))
                 if not splits:
                     raise RuntimeError("no split reaches the stored length")
             waiting = [c for s in splits for c in s if c is not None and c not in memo]
@@ -463,21 +528,51 @@ class DpTable:
 
 @dataclass(frozen=True, slots=True)
 class LcpPlan:
-    """Which input guides the dynamic program, and what that costs."""
+    """Which input guides the dynamic program, and what each choice is predicted to cost."""
 
     guided_by: str  # "sigma" | "tau"
     tree: DecompTree  # expanded guiding tree
     prime_arity: int
     algorithm: str  # "separable" | "general"
+    cost_sigma: int | None  # predicted split reads with sigma guiding
+    cost_tau: int | None  # with tau guiding; None when that tree is never built
+
+
+def _guide_cost(tree: DecompTree, m: int) -> int:
+    """Worst-case split reads of the fill when ``tree`` guides a target of size ``m``.
+
+    The sum over the internal nodes of the expanded tree of m^(2d + 2): a
+    node of arity d (2 for a binary linear node) has O(m^4) cells, and each
+    scans O(m^(2d - 2)) splits.  A linear node of arity k expands into k - 1
+    binary nodes, so the unexpanded tree gives the same sum.
+
+    >>> from permlcp import parse_permutation
+    >>> _guide_cost(decomposition_tree(parse_permutation("2 4 1 3 5")), 3)
+    59778
+    """
+    cost = 0
+    for node in tree.walk():
+        if node.kind == "linear":
+            cost += (node.arity - 1) * m**6
+        elif node.kind == "prime":
+            cost += m ** (2 * node.arity + 2)
+    return cost
 
 
 def lcp_plan(sigma: Permutation, tau: Permutation, algo: str = "auto") -> LcpPlan:
     """Pick the guiding tree for ``algo``: auto, separable or general.
 
     ``separable`` and ``general`` guide with sigma, and ``separable`` rejects
-    a sigma with prime structure.  ``auto`` guides with the input of smaller
-    max prime arity, ties to the shorter input, which is sound because the
-    common-pattern relation is symmetric.
+    a sigma with prime structure; they predict sigma's cost only.  ``auto``
+    guides with the input that predicts fewer split reads, which is sound
+    because the common-pattern relation is symmetric.  A guide's cost is
+    the sum, over the internal nodes of its expanded tree, of m^(2d + 2),
+    where m is the other input's size and d the node's arity (2 for a
+    binary linear node).  The model holds the arity comparison: with both
+    inputs of size n the guide of smaller max prime arity wins, and with
+    equal arities the longer input mostly guides, since the table grows
+    with the target's size.  Equal costs go to the smaller max prime
+    arity, then to the shorter input, then to sigma.
     """
     if algo not in ("auto", "separable", "general"):
         raise ValueError(f"unknown algo {algo!r}")
@@ -485,30 +580,39 @@ def lcp_plan(sigma: Permutation, tau: Permutation, algo: str = "auto") -> LcpPla
     arity = max_prime_arity(chosen)
     if algo == "separable" and arity:
         raise NotSeparableError(f"{sigma} is not separable")
+    cost_sigma, cost_tau = _guide_cost(chosen, tau.n), None
     if algo == "auto":
         t_tau = decomposition_tree(tau)
         d_tau = max_prime_arity(t_tau)
-        if (d_tau, tau.n) < (arity, sigma.n):
+        cost_tau = _guide_cost(t_tau, sigma.n)
+        if (cost_tau, d_tau, tau.n) < (cost_sigma, arity, sigma.n):
             guided_by, chosen, arity = "tau", t_tau, d_tau
     algorithm = "general" if algo == "general" or arity else "separable"
-    return LcpPlan(guided_by, expand_tree(chosen), arity, algorithm)
+    return LcpPlan(guided_by, expand_tree(chosen), arity, algorithm, cost_sigma, cost_tau)
 
 
 def lcp(
-    sigma: Permutation, tau: Permutation, algo: str = "auto", *, canonical: bool = False
+    sigma: Permutation,
+    tau: Permutation,
+    algo: str | LcpPlan = "auto",
+    *,
+    canonical: bool = False,
 ) -> LcpResult:
     """A longest common pattern of ``sigma`` and ``tau``, with one occurrence in each.
 
     :func:`lcp_plan` picks the guiding tree for ``algo``; one table over the
-    other input then yields the pattern and both occurrences.
+    other input then yields the pattern and both occurrences.  ``algo`` may
+    also be the plan :func:`lcp_plan` already made for these two inputs.
 
     >>> from permlcp import parse_permutation
     >>> lcp(parse_permutation("2 4 1 3"), parse_permutation("1 3 2 4")).length
     3
     """
-    plan = lcp_plan(sigma, tau, algo)
+    plan = algo if isinstance(algo, LcpPlan) else lcp_plan(sigma, tau, algo)
+    guide, target = (sigma, tau) if plan.guided_by == "sigma" else (tau, sigma)
+    if plan.tree.source_size != guide.n:
+        raise ValueError("the plan was made for inputs of other sizes")
+    pattern, occ_guide, occ_target = DpTable(plan.tree, target).reconstruct(canonical=canonical)
     if plan.guided_by == "sigma":
-        pattern, occ_sigma, occ_tau = DpTable(plan.tree, tau).reconstruct(canonical=canonical)
-    else:
-        pattern, occ_tau, occ_sigma = DpTable(plan.tree, sigma).reconstruct(canonical=canonical)
-    return LcpResult(pattern, occ_sigma, occ_tau, plan.algorithm)
+        return LcpResult(pattern, occ_guide, occ_target, plan.algorithm)
+    return LcpResult(pattern, occ_target, occ_guide, plan.algorithm)

@@ -15,7 +15,7 @@ from helpers import (
     common_intervals_by_rescan,
     random_separable,
 )
-from permlcp import normalize, parse_permutation
+from permlcp import lcp_plan, normalize, parse_permutation
 from permlcp.cli import main
 from permlcp.oracle import oracle_is_simple, oracle_lcp, oracle_separable
 
@@ -102,6 +102,60 @@ class TestLcpCommand:
         assert code == 3
         assert out == ""
         assert err == "error: RuntimeError: the stored lengths do not rebuild to a common pattern\n"
+
+
+    def test_plans_once(self, capsys, monkeypatch):
+        lcp_module = sys.modules[lcp_plan.__module__]
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return lcp_plan(*args)
+
+        monkeypatch.setattr(lcp_module, "lcp_plan", counted)
+        monkeypatch.setattr("permlcp.cli.lcp_plan", counted)
+        code, out, _ = run(capsys, "lcp", "2 4 1 3", "1 3 2 4 5")
+        assert code == 0 and "length: 3" in out
+        assert len(calls) == 1
+
+
+class TestPlanCommand:
+    def test_text(self, capsys):
+        code, out, err = run(capsys, "plan", "2 4 1 3 5", "1 3 2")
+        assert code == 0 and err == ""
+        assert out.splitlines() == [
+            "guided_by: tau",
+            "algorithm: separable",
+            "prime_arity: 0",
+            f"cost_sigma: {3**10 + 3**6}",
+            f"cost_tau: {2 * 5**6}",
+        ]
+
+    def test_json(self, capsys):
+        code, out, _ = run(capsys, "plan", "2 4 1 3 5", "1 3 2", "--algo", "general", "-o", "json")
+        assert code == 0
+        assert json.loads(out) == {
+            "guided_by": "sigma",
+            "algorithm": "general",
+            "prime_arity": 4,
+            "cost_sigma": 3**10 + 3**6,
+            "cost_tau": None,
+        }
+
+    def test_exit_codes(self, capsys):
+        code, out, err = run(capsys, "plan", "3 1 4 2", "1 2", "--algo", "separable")
+        assert (code, out) == (3, "") and err.startswith("error:")
+        code, out, err = run(capsys, "plan", "1 2 x", "1 2")
+        assert (code, out) == (2, "") and err.startswith("error:")
+        code, out, _ = run(capsys, "plan", "2 1", "1 2", "--quiet")
+        assert (code, out) == (0, "")
+
+    def test_cost_past_the_int_text_limit(self, capsys):
+        # 2 4 ... 1000 1 3 ... 999 is simple: one prime node of arity 1000, cost 1000^2002.
+        simple = " ".join(map(str, [*range(2, 1001, 2), *range(1, 1000, 2)]))
+        code, out, _ = run(capsys, "plan", simple, simple, "-o", "json")
+        assert code == 0
+        assert json.loads(out)["cost_sigma"] == ">=1e6005"
 
 
 class TestTreeCommand:

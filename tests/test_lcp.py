@@ -2,6 +2,7 @@
 
 import gc
 import random
+import sys
 import weakref
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from helpers import (
     all_common_pattern_values,
     all_permutations,
+    alternating_chain,
     assert_valid_result,
     materialized_cells,
     random_permutation,
@@ -193,6 +195,30 @@ class TestDispatch:
             tau = random_permutation(rng, rng.randint(1, 7))
             assert lcp(sigma, tau).length == lcp(tau, sigma).length
 
+    def test_plan_predicts_both_costs(self):
+        prime = parse_permutation("2 4 1 3 5")  # a + node over the prime 2 4 1 3 and 5
+        separable = parse_permutation("1 3 2")  # a + node over 1 and a - node
+        plan = lcp_plan(prime, separable)
+        assert (plan.cost_sigma, plan.cost_tau) == (3**10 + 3**6, 2 * 5**6)
+        assert plan.guided_by == "tau"
+        for algo in ("general", "separable"):
+            plan = lcp_plan(separable, prime, algo)
+            assert (plan.guided_by, plan.cost_sigma, plan.cost_tau) == ("sigma", 2 * 5**6, None)
+
+    def test_auto_guides_with_the_longer_separable_input(self):
+        short = parse_permutation("2 1 3")
+        longer = parse_permutation("1 3 2 5 4 6")
+        assert lcp_plan(short, longer).guided_by == "tau"
+        assert lcp_plan(longer, short).guided_by == "sigma"
+
+    def test_plan_runs_as_given(self):
+        sigma = parse_permutation("2 4 1 3")
+        tau = parse_permutation("1 3 2 4 5")
+        plan = lcp_plan(sigma, tau)
+        assert lcp(sigma, tau, plan) == lcp(sigma, tau)
+        with pytest.raises(ValueError, match="other sizes"):
+            lcp(tau, sigma, plan)
+
     def test_auto_swaps_occurrences_back(self):
         sigma = parse_permutation("2 4 1 3")  # prime, so tau below guides
         tau = parse_permutation("1 3 2 4 5")
@@ -332,8 +358,8 @@ class TestTableProperties:
 # (sigma, tau, algo, plain (pattern, occ_sigma, occ_tau), canonical (...)).
 PINNED_WITNESSES = [
     ('5 6 1 4 2 3', '3 2 4 1', 'auto',
-     ((2, 3, 1), (1, 2, 3), (2, 3, 4)),
-     ((2, 3, 1), (1, 2, 3), (2, 3, 4))),
+     ((3, 2, 1), (2, 4, 6), (1, 2, 4)),
+     ((2, 3, 1), (1, 2, 6), (1, 3, 4))),
     ('6 2 1 7 3 4 5', '3 1 2 4', 'auto',
      ((2, 1, 3), (1, 2, 4), (1, 3, 4)),
      ((1, 2, 3), (2, 5, 6), (2, 3, 4))),
@@ -341,7 +367,7 @@ PINNED_WITNESSES = [
      ((1, 2, 4, 3), (1, 2, 3, 4), (2, 5, 7, 8)),
      ((1, 2, 4, 3), (1, 2, 3, 4), (2, 5, 7, 8))),
     ('2 5 6 4 3 1', '2 3 1 4', 'auto',
-     ((1, 2, 3), (1, 2, 3), (1, 2, 4)),
+     ((2, 3, 1), (2, 3, 6), (1, 2, 3)),
      ((1, 2, 3), (1, 2, 3), (1, 2, 4))),
     ('5 3 1 4 6 2', '1 4 3 5 2 6', 'auto',
      ((3, 2, 1, 4), (1, 2, 3, 5), (2, 3, 5, 6)),
@@ -356,8 +382,8 @@ PINNED_WITNESSES = [
      ((3, 1, 2), (2, 3, 4), (1, 2, 3)),
      ((3, 1, 2), (2, 3, 4), (1, 2, 3))),
     ('6 4 5 2 3 1', '3 2 1', 'auto',
-     ((3, 2, 1), (1, 2, 6), (1, 2, 3)),
-     ((3, 2, 1), (1, 2, 6), (1, 2, 3))),
+     ((3, 2, 1), (3, 5, 6), (1, 2, 3)),
+     ((3, 2, 1), (3, 5, 6), (1, 2, 3))),
     ('2 4 1 3', '4 5 2 1 3', 'auto',
      ((2, 1, 3), (1, 3, 4), (3, 4, 5)),
      ((2, 1, 3), (1, 3, 4), (3, 4, 5))),
@@ -365,8 +391,8 @@ PINNED_WITNESSES = [
      ((3, 1, 4, 5, 2), (3, 4, 5, 6, 7), (1, 3, 4, 5, 7)),
      ((3, 1, 4, 5, 2), (3, 4, 5, 6, 7), (1, 3, 4, 5, 7))),
     ('2 1 3', '1 4 2 3', 'auto',
-     ((1, 2), (2, 3), (1, 2)),
-     ((1, 2), (2, 3), (1, 2))),
+     ((1, 2), (1, 3), (3, 4)),
+     ((1, 2), (1, 3), (3, 4))),
     ('5 4 2 1 3', '1 4 5 3 2', 'auto',
      ((3, 2, 1), (2, 3, 4), (2, 4, 5)),
      ((3, 2, 1), (2, 3, 4), (2, 4, 5))),
@@ -380,14 +406,14 @@ PINNED_WITNESSES = [
      ((4, 3, 1, 2), (1, 2, 3, 4), (1, 2, 3, 4)),
      ((4, 3, 1, 2), (1, 2, 3, 4), (1, 2, 3, 4))),
     ('4 2 1 3', '2 3 1', 'auto',
-     ((2, 1), (1, 3), (2, 3)),
-     ((1, 2), (2, 4), (1, 2))),
+     ((2, 1), (2, 3), (1, 3)),
+     ((1, 2), (3, 4), (1, 2))),
     ('4 2 1 3', '1 2 4 3', 'auto',
      ((1, 2), (3, 4), (1, 2)),
      ((1, 2), (3, 4), (1, 2))),
     ('7 1 5 4 3 6 2', '5 6 1 2 3 4', 'auto',
-     ((4, 1, 2, 3), (1, 2, 3, 6), (2, 4, 5, 6)),
-     ((4, 1, 2, 3), (1, 2, 3, 6), (2, 4, 5, 6))),
+     ((4, 1, 2, 3), (1, 2, 5, 6), (1, 3, 4, 5)),
+     ((4, 1, 2, 3), (1, 2, 5, 6), (1, 3, 4, 5))),
     ('4 1 2 3', '3 4 2 6 1 5', 'auto',
      ((1, 2, 3), (2, 3, 4), (1, 2, 6)),
      ((1, 2, 3), (2, 3, 4), (1, 2, 6))),
@@ -431,8 +457,9 @@ class TestPinnedWitnesses:
           algo ``general``;
         - rows 25-26: ``rng = random.Random(43)``, draw sigma
           ``random_permutation(rng, rng.randint(4, 6))`` and tau
-          ``random_separable(rng, rng.randint(6, 8))`` until ``lcp_plan``
-          guides with tau; twice; algo ``auto``.
+          ``random_separable(rng, rng.randint(6, 8))`` until sigma's
+          decomposition tree has a prime node, so that ``lcp_plan`` guides
+          with tau; twice; algo ``auto``.
         """
         for sigma, tau, algo, plain, canonical in PINNED_WITNESSES:
             s, t = parse_permutation(sigma), parse_permutation(tau)
@@ -498,6 +525,62 @@ class TestCellCounts:
     def test_separable_self_pair(self):
         sigma = random_separable(random.Random(4), 30)
         assert self._cells(sigma, sigma, "auto") <= 218_439 // 2
+
+
+    def test_plan_at_least_halves_cells_on_unequal_pairs(self):
+        """The planned guide materializes at most half the cells the other input would."""
+        rng = random.Random(10)
+        for _ in range(8):
+            sigma = random_separable(rng, 6)
+            tau = random_separable(rng, 26)
+            plan = lcp_plan(sigma, tau)
+            guide, target = (sigma, tau) if plan.guided_by == "sigma" else (tau, sigma)
+            planned = DpTable(plan.tree, target)
+            planned.reconstruct()
+            other = DpTable(expand_tree(decomposition_tree(target)), guide)
+            other.reconstruct()
+            assert 2 * len(list(materialized_cells(planned))) <= len(
+                list(materialized_cells(other))
+            ), (str(sigma), str(tau))
+
+
+class TestDeepGuides:
+    """Guides deeper than the recursion limit are filled through frontier nodes."""
+
+    def test_separable_chain_of_600(self):
+        chain = alternating_chain(600)
+        tau = parse_permutation("2 1 3")
+        result = lcp(chain, tau, "separable")
+        assert result.length == 3
+        assert_valid_result(chain, tau, result)
+
+    def test_chain_of_2000_plain_and_canonical(self):
+        chain = alternating_chain(2000)
+        tau = parse_permutation("2 1 3")
+        for canonical in (False, True):
+            result = lcp(chain, tau, canonical=canonical)
+            assert result.length == 3
+            assert_valid_result(chain, tau, result)
+
+    def test_frontier_fill_matches_straight_recursion(self, monkeypatch):
+        """A tiny frame budget cuts every guide into frontiers; cells and witnesses stay."""
+        rng = random.Random(27)
+        pairs = [(random_separable(rng, 12), random_permutation(rng, 8)) for _ in range(4)]
+        pairs.append((parse_permutation("2 5 3 1 4 7 6 9 8"), random_permutation(rng, 7)))
+        lcp_module = sys.modules[DpTable.__module__]
+        budgets = (lcp_module._FRAME_BUDGET, 6)
+        for sigma, tau in pairs:
+            tree = lcp_plan(sigma, tau, "general").tree
+            results = []
+            for budget in budgets:
+                monkeypatch.setattr(lcp_module, "_FRAME_BUDGET", budget)
+                table = DpTable(tree, tau)
+                witnesses = [table.reconstruct(canonical=c) for c in (False, True)]
+                cells = {(id(node), *box) for node, *box in materialized_cells(table)}
+                results.append((witnesses, cells, len(table._frontier)))
+            (straight, cells, none), (cut, cut_cells, frontiers) = results
+            assert none == 0 and frontiers > 0
+            assert cut == straight and cut_cells == cells, (str(sigma), str(tau))
 
 
 class TestCanonicalMode:
