@@ -25,22 +25,26 @@ lexicographically smallest pattern of maximal length is kept instead;
 patterns are built for the boxes of the witness walk and for the boxes
 under tied splits.
 
-Each cell is the best sum of child cells over all splits.  The scan skips a
-split whose interval-width bounds cannot beat the best so far, and stops
-when the best meets the cell's own bound.  It also skips a split that an
-earlier split already beats.  A cell never shrinks when its window grows,
-so along a scan axis one child's length never decreases and the other's
-never increases; a split whose growing child did not grow past what an
-earlier split read is at most as long as that split.  For a linear node the
-growing child is the one taking the low values, and for a + node it also
-grows with h; for a prime node, a value cut that adds nothing to the slices
-before it leaves less to the slices after it.  So a skipped split can only
-tie, every cell value stays the one the full scan gives, and so does the
-first split in scan order that reaches it, which is the plain witness.  The
-canonical walk enumerates every split that reaches a cell's length, without
-these skips, because a tied split can carry a smaller pattern.  The skips
-and bounds are always on; the tests check every materialized cell against
-the brute-force oracle.
+No cell is longer than the number of target points (p, tau(p)) in its box,
+which a 2-D prefix count over the target gives in O(1): a box with no point
+is 0 and a leaf box is 1 when it holds a point, without a scan.  Each
+internal cell is the best sum of child cells over all splits.  The scan
+skips a split whose children's point counts cannot beat the best so far,
+and stops when the best meets the cell's own count.  It also skips a split
+that an earlier split already beats.  A cell never shrinks when its window
+grows, so along a scan axis one child's length never decreases and the
+other's never increases; a split whose growing child did not grow past what
+an earlier split read is at most as long as that split.  For a linear node
+the growing child is the one taking the low values, and for a + node it
+also grows with h; for a prime node, a value cut that adds nothing to the
+slices before it leaves less to the slices after it.  So a skipped split
+can only tie, every cell value stays the one the full scan gives, and so
+does the first split in scan order that reaches it, which is the plain
+witness.  The canonical walk enumerates every split that reaches a cell's
+length, without these skips, because a tied split can carry a smaller
+pattern; it drops only the splits whose point counts cannot reach the
+length.  The skips and bounds are always on; the tests check every
+materialized cell against the brute-force oracle.
 
 :func:`lcp` is the single entry point.  The separable and the general
 algorithm are this one program: :func:`lcp_plan` picks the guiding tree,
@@ -53,8 +57,10 @@ cheaper one.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
+from operator import sub
 
 from .algebra import concat_rho
 from .decomposition import (
@@ -106,12 +112,14 @@ class DpTable:
     prime nodes keep their arity.  Cells are computed on demand through
     :meth:`cell` and cached for the lifetime of the table, and
     :meth:`reconstruct` rebuilds a witness for any cell.  Leaf cells do not
-    depend on which leaf is asked, so all leaves share one sub-table.  The
-    interval-width bounds and the dominance skips that cut each cell's scan
-    short are always on: a skipped split can at most tie a split read
-    earlier, so they change no cell value and no plain witness, and the
-    canonical walk, which needs the tied splits, enumerates them all.  The
-    tests check every cell against the oracle.
+    depend on which leaf is asked, so all leaves share one sub-table.  A
+    prefix count over tau, built once, gives the number of target points in
+    any box; no cell exceeds it, so it bounds every cell and every child of
+    a split.  These point-count bounds and the dominance skips that cut each
+    cell's scan short are always on: a skipped split can at most tie a
+    split read earlier, so they change no cell value and no plain witness,
+    and the canonical walk, which needs the tied splits, enumerates them
+    all.  The tests check every cell against the oracle.
 
     The fill recurses once per tree level, so a guide of any depth is cut
     at *frontier* nodes: each keeps the frames stacked since the frontier
@@ -131,6 +139,15 @@ class DpTable:
         # Lengths live in one dict per node, keyed by (i, j, a, b) packed into
         # a single int: cheap to hash in the candidate loops.
         self._S = self.n + 2
+        # _cnt[p * W + v] (W = n + 1): the points (q, tau(q)) with q <= p and
+        # tau(q) <= v, so a box's point count is four reads (see _points).
+        W = self._W = self.n + 1
+        placed = [0] * self.n  # placed[v - 1]: value v sits at a position read so far
+        cnt = array("i", [0]) * W
+        for t in tau.values:
+            placed[t - 1] = 1
+            cnt.extend(accumulate(placed, initial=0))
+        self._cnt = cnt
         self._tables: dict[DecompNode, dict[int, int]] = {}
         leaf_table: dict[int, int] = {}
         for node in tree.walk():
@@ -180,24 +197,45 @@ class DpTable:
                 pending.append(miss.args[0])
 
     def _cell(self, node: DecompNode, i: int, j: int, a: int, b: int, top: bool = False) -> int:
-        """The cell's length, evaluated on a miss; a missing frontier cell raises, unless ``top``."""
+        """The cell's length, evaluated on a miss.
+
+        A leaf or a box without target points needs no scan.  A missing
+        frontier cell that does raises, unless ``top``.
+        """
         S = self._S
         idx = ((i * S + j) * S + a) * S + b
         table = self._tables[node]
         got = table.get(idx)
         if got is not None:
             return got
-        if node in self._frontier and not top:
+        points = self._points(i, j, a, b)
+        if node.is_leaf or not points:
+            length = 1 if points else 0
+        elif node in self._frontier and not top:
             raise _Missing((node, i, j, a, b))
-        kind = node.kind
-        if kind == "leaf":
-            length = 1 if self._leaf_hit(i, j, a, b) else 0
-        elif kind == "linear":
+        elif node.kind == "linear":
             length = self._linear_cell(node, i, j, a, b)
         else:
             length = self._prime_cell(node, i, j, a, b)
         table[idx] = length
         return length
+
+    def _points(self, i: int, j: int, a: int, b: int) -> int:
+        """The number of target points at positions i..j with values a..b.
+
+        An empty range, j = i - 1 or b = a - 1, holds none.
+        """
+        cnt = self._cnt
+        hi = j * self._W
+        lo = (i - 1) * self._W
+        return cnt[hi + b] - cnt[lo + b] - cnt[hi + a - 1] + cnt[lo + a - 1]
+
+    def _points_upto(self, i: int, j: int, a: int, b: int) -> list[int]:
+        """At index p - i + 1, for p = i - 1..j: the points at positions i..p with values a..b."""
+        cnt = self._cnt
+        W = self._W
+        below = cnt[(i - 1) * W + b] - cnt[(i - 1) * W + a - 1]
+        return [cnt[p * W + b] - cnt[p * W + a - 1] - below for p in range(i - 1, j + 1)]
 
     def _leaf_hit(self, i: int, j: int, a: int, b: int) -> int:
         """The first position in i..j whose value lies in a..b, or 0."""
@@ -218,29 +256,27 @@ class DpTable:
         The split is skipped when u does not exceed the largest u read at a
         split (h', c') before it whose high child is at least as long: one
         with h' = h for a - node, h' <= h and c' <= c for a + node.  Then it
-        is no longer than that split, or than the bound that skipped it.  The
-        high child is also skipped when u plus its width bound cannot beat
-        the best.  With ``want``, the scan
+        is no longer than that split, or than the bound that skipped it.  Each
+        child is bounded by its span's width and by the target points in its
+        box: a row by its children's points over a..b, a split by the low
+        child's points over a..c-1 and the high child's over c..b.  A split
+        whose bounds cannot beat the best is not read, and the high child is
+        not read when u plus its bound cannot.  With ``want``, the scan
         stops at the first split whose length reaches it and returns its
         cuts ((i, h, j + 1), (a, c, b + 1)), or None.
         """
         left, right = node.children
         positive = node.sign == "+"
         low, high = (left, right) if positive else (right, left)
-        k_low = low.span.hi - low.span.lo + 1
-        k_high = high.span.hi - high.span.lo + 1
-        span_v = b - a + 1
-        cap = k_low + k_high
-        if j - i + 1 < cap:
-            cap = j - i + 1
-        if span_v < cap:
-            cap = span_v
-        if want:
-            cap = want
+        k_low = low.span.width
+        k_high = high.span.width
+        cap = want or min(k_low + k_high, self._points(i, j, a, b))
         cellf = self._cell
         low_tab = self._tables[low]
         high_tab = self._tables[high]
         S = self._S
+        cnt = self._cnt
+        W = self._W
         # seen[c]: for a + node, the low length last read in column c.
         seen = [-1] * (b + 2)
 
@@ -250,16 +286,20 @@ class DpTable:
                 lo_i, lo_j, hi_i, hi_j = i, h - 1, h, j
             else:
                 lo_i, lo_j, hi_i, hi_j = h, j, i, h - 1
-            mk_low = lo_j - lo_i + 1
+            # cnt[x_at + c] - cnt[x_under + c]: the child's points with values below c.
+            low_at = lo_j * W - 1
+            low_under = (lo_i - 1) * W - 1
+            high_at = hi_j * W - 1
+            high_under = (hi_i - 1) * W - 1
+            low_below_a = cnt[low_at + a] - cnt[low_under + a]
+            high_to_b = cnt[high_at + b + 1] - cnt[high_under + b + 1]
+            mk_low = cnt[low_at + b + 1] - cnt[low_under + b + 1] - low_below_a
             if k_low < mk_low:
                 mk_low = k_low
-            mk_high = hi_j - hi_i + 1
+            mk_high = high_to_b - cnt[high_at + a] + cnt[high_under + a]
             if k_high < mk_high:
                 mk_high = k_high
-            h_bound = mk_low + mk_high
-            if h_bound > span_v:
-                h_bound = span_v
-            if h_bound <= best:
+            if mk_low + mk_high <= best:
                 continue
             low_base = ((lo_i * S + lo_j) * S + a) * S - 1  # + c: values a..c-1
             high_base = (hi_i * S + hi_j) * S * S + b  # + c * S: values c..b
@@ -269,8 +309,12 @@ class DpTable:
                     top = seen[c]
                 if top >= mk_low:
                     break  # every later split of the row at most ties
-                m_low = c - a if c - a < mk_low else mk_low
-                m_high = b + 1 - c if b + 1 - c < mk_high else mk_high
+                m_low = cnt[low_at + c] - cnt[low_under + c] - low_below_a
+                if m_low > mk_low:
+                    m_low = mk_low
+                m_high = high_to_b - cnt[high_at + c] + cnt[high_under + c]
+                if m_high > mk_high:
+                    m_high = mk_high
                 if m_low + m_high <= best:
                     if m_low == mk_low:
                         break  # the bound only shrinks from here on
@@ -309,15 +353,15 @@ class DpTable:
         """
         sizes = [c.span.width for c in node.children]
         d = len(sizes)
-        span_v = b - a + 1
-        cap = want or min(sum(sizes), j - i + 1, span_v)
+        upto = self._points_upto(i, j, a, b)
+        cap = want or min(sum(sizes), upto[-1])
         order = sorted(range(d), key=node.label.values.__getitem__)
         path = [] if want else None
         best = 0
         for hs in combinations_with_replacement(range(i, j + 2), d - 1):
             cuts = (i, *hs, j + 1)
-            pos_caps = [min(sizes[k], cuts[k + 1] - cuts[k]) for k in range(d)]
-            if min(sum(pos_caps), span_v) <= best:
+            pos_caps = [min(sizes[k], upto[cuts[k + 1] - i] - upto[cuts[k] - i]) for k in range(d)]
+            if sum(pos_caps) <= best:
                 continue
             # suffix_caps[t]: the position caps of value slices t + 1..d.
             suffix_caps = [0] * (d + 1)
@@ -381,8 +425,8 @@ class DpTable:
         A split is a list of child boxes (child, i, j, a, b) in child order,
         None where a child adds nothing.  Child k takes position slice k and the value slice of
         its rank.  Position cuts run in lexicographic order, then value cuts,
-        as in the fills, and a split is dropped only when its width bounds,
-        or the lengths read so far, cannot reach ``length``.  The fills'
+        as in the fills, and a split is dropped only when its children's
+        point counts, or the lengths read so far, cannot reach ``length``.  The fills'
         dominance skips are not applied: a split that only ties an earlier
         one may still carry a smaller pattern, which the canonical walk needs.
         """
@@ -392,15 +436,26 @@ class DpTable:
         order = sorted(range(d), key=ranks.__getitem__)
         sizes = [c.span.width for c in children]
         cellf = self._cell
+        cnt = self._cnt
+        W = self._W
+        upto = self._points_upto(i, j, a, b)
         found = []
         for hs in combinations_with_replacement(range(i, j + 2), d - 1):
             pos = (i, *hs, j + 1)
-            pos_caps = [min(sizes[k], pos[k + 1] - pos[k]) for k in range(d)]
-            if min(sum(pos_caps), b - a + 1) < length:
+            pos_caps = [min(sizes[k], upto[pos[k + 1] - i] - upto[pos[k] - i]) for k in range(d)]
+            if sum(pos_caps) < length:
                 continue
+            # below[k][v]: the points of position slice k with values at most v.
+            below = [
+                list(map(sub, cnt[(p - 1) * W : p * W], cnt[(q - 1) * W : q * W]))
+                for q, p in zip(pos, pos[1:])
+            ]
             for cs in combinations_with_replacement(range(a, b + 2), d - 1):
                 val = (a, *cs, b + 1)
-                caps = [min(pos_caps[k], val[ranks[k]] - val[ranks[k] - 1]) for k in range(d)]
+                caps = [
+                    min(pos_caps[k], below[k][val[r] - 1] - below[k][val[r - 1] - 1])
+                    for k, r in enumerate(ranks)
+                ]
                 rest = sum(caps)
                 if rest < length:
                     continue

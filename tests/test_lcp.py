@@ -480,14 +480,14 @@ class TestCellsMatchOracle:
         a..b; an empty window has length 0.
         """
         rng = random.Random(19)
-        guides = [random_separable(rng, rng.randint(1, 9)) for _ in range(20)]
+        guides = [random_separable(rng, rng.randint(1, 10)) for _ in range(20)]
         while len(guides) < 40:
-            sigma = random_permutation(rng, rng.randint(4, 8))
+            sigma = random_permutation(rng, rng.randint(4, 9))
             if lcp_plan(sigma, sigma).prime_arity:
                 guides.append(sigma)
         checked = 0
         for sigma in guides:
-            tau = random_permutation(rng, rng.randint(4, 9))
+            tau = random_permutation(rng, rng.randint(4, 10))
             table = DpTable(lcp_plan(sigma, tau, "general").tree, tau)
             table.root_cell()
             for node, i, j, a, b, length in materialized_cells(table):
@@ -504,32 +504,47 @@ class TestCellsMatchOracle:
 
 
 class TestCellCounts:
-    """The dominance skips at least halve the cells two larger fills materialize.
+    """The skips and the point-count bounds cut the cells larger fills materialize.
 
-    Cell counts do not depend on the machine.  The bounds are half of what
-    the fill materialized before it skipped dominated splits.
+    Cell counts do not depend on the machine.  Each bound is a fraction of
+    what the fill materialized before the skip or bound it guards: the full
+    scan for the dominance skips, and the dominance-skipped fill with
+    interval-width bounds for the point-count bounds.
     """
 
     @staticmethod
-    def _cells(sigma, tau, algo):
+    def _cells(sigma, tau, algo, canonical=False):
         table = DpTable(lcp_plan(sigma, tau, algo).tree, tau)
-        table.reconstruct()
+        table.reconstruct(canonical=canonical)
         return sum(1 for _ in materialized_cells(table))
 
-    def test_separable_twenty_pair(self):
+    @staticmethod
+    def _smoke_pair():
         rng = random.Random(20240504)  # the acceptance suite's complexity smoke pair
         sigma = random_separable(rng, 20)
-        tau = random_permutation(rng, 20)
-        assert self._cells(sigma, tau, "separable") <= 345_926 // 2
+        return sigma, random_permutation(rng, 20)
+
+    def test_separable_twenty_pair(self):
+        assert self._cells(*self._smoke_pair(), "separable") <= 91_590 // 3
+
+    def test_separable_twenty_pair_canonical(self):
+        assert self._cells(*self._smoke_pair(), "separable", canonical=True) <= 260_497 // 3
 
     def test_separable_self_pair(self):
         sigma = random_separable(random.Random(4), 30)
         assert self._cells(sigma, sigma, "auto") <= 218_439 // 2
 
+    def test_chain_self_pair(self):
+        chain = alternating_chain(40)
+        assert self._cells(chain, chain, "auto") <= 324_543 // 10
 
     def test_plan_at_least_halves_cells_on_unequal_pairs(self):
-        """The planned guide materializes at most half the cells the other input would."""
+        """On each pair the planned guide materializes fewer cells than the other input would.
+
+        In sum it materializes at most half as many.
+        """
         rng = random.Random(10)
+        totals = [0, 0]
         for _ in range(8):
             sigma = random_separable(rng, 6)
             tau = random_separable(rng, 26)
@@ -539,9 +554,27 @@ class TestCellCounts:
             planned.reconstruct()
             other = DpTable(expand_tree(decomposition_tree(target)), guide)
             other.reconstruct()
-            assert 2 * len(list(materialized_cells(planned))) <= len(
-                list(materialized_cells(other))
-            ), (str(sigma), str(tau))
+            cells = [len(list(materialized_cells(t))) for t in (planned, other)]
+            assert cells[0] < cells[1], (str(sigma), str(tau), cells)
+            totals = [t + c for t, c in zip(totals, cells)]
+        assert 2 * totals[0] <= totals[1], totals
+
+
+class TestPointCounts:
+    def test_prefix_count_matches_brute_force(self):
+        """Every box's point count equals a brute-force count, empty boxes and ranges included."""
+        rng = random.Random(33)
+        targets = [parse_permutation("1"), parse_permutation("2 1")]
+        targets += [random_permutation(rng, n) for n in (3, 5, 7, 9, 9)]
+        for tau in targets:
+            table = DpTable(expand_tree(decomposition_tree(parse_permutation("1"))), tau)
+            n = tau.n
+            for i in range(1, n + 2):
+                for j in range(i - 1, n + 1):
+                    for a in range(1, n + 2):
+                        for b in range(a - 1, n + 1):
+                            want = sum(1 for p in range(i, j + 1) if a <= tau.values[p - 1] <= b)
+                            assert table._points(i, j, a, b) == want, (str(tau), (i, j, a, b))
 
 
 class TestDeepGuides:
