@@ -10,10 +10,11 @@ value slices through the node's simple-permutation label.  A binary linear
 node is the d = 2 case, with ranks (1, 2) for + and (2, 1) for -.
 
 Cells are evaluated top-down and memoized, so only states reachable from the
-root query are ever touched.  The evaluation recurses once per tree level;
-on a guide deeper than a fixed frame budget it restarts below *frontier*
-nodes, evaluating each missing frontier cell before the cell that needs it,
-so a guide of any depth fills without raising the recursion limit.
+root query are ever touched.  The evaluation does not recurse: each cell's
+scan is a generator that yields the child box it finds missing and is sent
+that box's length, and one loop keeps the scans waiting on an explicit
+stack, so a guide of any depth fills within the interpreter's recursion
+limit.
 
 The witness is re-scanned from the lengths, only along its own path, in
 one fixed order: position cuts in lexicographic order, then value cuts in
@@ -42,9 +43,10 @@ can only tie, every cell value stays the one the full scan gives, and so
 does the first split in scan order that reaches it, which is the plain
 witness.  The canonical walk enumerates every split that reaches a cell's
 length, without these skips, because a tied split can carry a smaller
-pattern; it drops only the splits whose point counts cannot reach the
-length.  The skips and bounds are always on; the tests check every
-materialized cell against the brute-force oracle.
+pattern; it drops only the splits, and the prefixes of value cuts, whose
+point counts and lengths read cannot reach the length.  The skips and
+bounds are always on; the tests check every materialized cell against the
+brute-force oracle.
 
 :func:`lcp` is the single entry point.  The separable and the general
 algorithm are this one program: :func:`lcp_plan` picks the guiding tree,
@@ -95,16 +97,6 @@ class LcpResult:
         return len(self.pattern)
 
 
-# Python frames the fill may stack between two frontier nodes; well under
-# the interpreter's default recursion limit of 1000, which also has to hold
-# the caller's frames.
-_FRAME_BUDGET = 400
-
-
-class _Missing(Exception):
-    """Carries a frontier box the fill needs and has not evaluated; nothing partial is stored."""
-
-
 class DpTable:
     """Memoized table of lengths M(V, i, j, a, b) for one guiding tree and one target.
 
@@ -121,14 +113,10 @@ class DpTable:
     and the canonical walk, which needs the tied splits, enumerates them
     all.  The tests check every cell against the oracle.
 
-    The fill recurses once per tree level, so a guide of any depth is cut
-    at *frontier* nodes: each keeps the frames stacked since the frontier
-    or root above it within a fixed budget, counting 2 per linear level
-    and 2 + d per prime level of arity d.  A scan that needs a frontier
-    cell not yet evaluated gives up, storing nothing partial; the loop
-    behind :meth:`cell`, :meth:`root_cell` and the canonical walk evaluates
-    that box first and then retries.  A guide within the budget has no
-    frontier and recurses straight through.
+    The fill keeps its own stack instead of Python's: an internal cell's
+    scan is a generator that yields each child box missing from the table
+    and resumes with its length, so the depth of the guide costs list
+    entries, not interpreter frames.
     """
 
     def __init__(self, tree: DecompTree, tau: Permutation) -> None:
@@ -157,17 +145,6 @@ class DpTable:
                     f"arity {node.arity}"
                 )
             self._tables[node] = leaf_table if node.is_leaf else {}
-        self._frontier: set[DecompNode] = set()
-        stack = [(tree.root, 0)]
-        while stack:
-            node, used = stack.pop()
-            frames = 2 if node.kind == "linear" else 2 + node.arity
-            if used + frames > _FRAME_BUDGET:
-                self._frontier.add(node)
-                used = 0
-            for child in node.children:
-                if not child.is_leaf:
-                    stack.append((child, used + frames))
 
     def cell(self, node: DecompNode, i: int, j: int, a: int, b: int) -> int:
         """The length M(node, i, j, a, b); ranges must satisfy 1 <= i <= j <= n, 1 <= a <= b <= n."""
@@ -175,50 +152,55 @@ class DpTable:
             raise ValueError(f"cell ranges out of bounds: i={i} j={j} a={a} b={b}")
         if node not in self._tables:
             raise ValueError("node does not belong to this table's guiding tree")
-        return self._drive(self._cell, node, i, j, a, b)
+        return self._cell(node, i, j, a, b)
 
     def root_cell(self) -> int:
-        return self._drive(self._cell, self.tree.root, 1, self.n, 1, self.n)
+        return self._cell(self.tree.root, 1, self.n, 1, self.n)
 
-    def _drive(self, fn, *args):
-        """``fn(*args)``, evaluating first each frontier box it finds missing.
-
-        The boxes wait on a stack: the last one found is evaluated first,
-        since the box that needed it is retried after it.
-        """
-        pending: list[tuple] = []
-        while True:
-            try:
-                if not pending:
-                    return fn(*args)
-                self._cell(*pending[-1], True)
-                pending.pop()
-            except _Missing as miss:
-                pending.append(miss.args[0])
-
-    def _cell(self, node: DecompNode, i: int, j: int, a: int, b: int, top: bool = False) -> int:
+    def _cell(self, node: DecompNode, i: int, j: int, a: int, b: int) -> int:
         """The cell's length, evaluated on a miss.
 
-        A leaf or a box without target points needs no scan.  A missing
-        frontier cell that does raises, unless ``top``.
+        A leaf or a box without target points is stored at once.  Any other
+        box starts its scan, which waits on a stack as (scan, table, idx)
+        while the boxes it yields are evaluated the same way; each scan's
+        return value is stored and sent to the scan below it.
         """
         S = self._S
         idx = ((i * S + j) * S + a) * S + b
         table = self._tables[node]
-        got = table.get(idx)
-        if got is not None:
-            return got
-        points = self._points(i, j, a, b)
-        if node.is_leaf or not points:
-            length = 1 if points else 0
-        elif node in self._frontier and not top:
-            raise _Missing((node, i, j, a, b))
-        elif node.kind == "linear":
-            length = self._linear_cell(node, i, j, a, b)
-        else:
-            length = self._prime_cell(node, i, j, a, b)
-        table[idx] = length
-        return length
+        length = table.get(idx)
+        if length is not None:
+            return length
+        stack = []
+        while True:
+            points = self._points(i, j, a, b)
+            if node.is_leaf or not points:
+                length = table[idx] = 1 if points else 0
+            else:
+                fill = self._linear_cell if node.kind == "linear" else self._prime_cell
+                stack.append((fill(node, i, j, a, b), table, idx))
+                length = None
+            while stack:
+                scan, table, idx = stack[-1]
+                try:
+                    node, i, j, a, b = scan.send(length)
+                    break
+                except StopIteration as done:
+                    length = table[idx] = done.value
+                    stack.pop()
+            else:
+                return length
+            table = self._tables[node]
+            idx = ((i * S + j) * S + a) * S + b
+
+    def _run(self, scan):
+        """Drive one scan to its return value, sending it the length of each box it yields."""
+        length = None
+        try:
+            while True:
+                length = self._cell(*scan.send(length))
+        except StopIteration as done:
+            return done.value
 
     def _points(self, i: int, j: int, a: int, b: int) -> int:
         """The number of target points at positions i..j with values a..b.
@@ -246,7 +228,11 @@ class DpTable:
         return 0
 
     def _linear_cell(self, node: DecompNode, i: int, j: int, a: int, b: int, want: int = 0):
-        """The length of a linear cell, or with ``want`` the cuts of the first split reaching it.
+        """Scan a linear cell for its length, or with ``want`` for the cuts of the first split reaching it.
+
+        Like every scan, this is a generator: it yields each child box
+        missing from the table, as (node, i, j, a, b), is sent that box's
+        length, and returns its result.
 
         A split (h, c) gives positions i..h-1 to the left child and h..j to
         the right one, and values a..c-1 to the low child (the left one for
@@ -271,7 +257,6 @@ class DpTable:
         k_low = low.span.width
         k_high = high.span.width
         cap = want or min(k_low + k_high, self._points(i, j, a, b))
-        cellf = self._cell
         low_tab = self._tables[low]
         high_tab = self._tables[high]
         S = self._S
@@ -322,7 +307,7 @@ class DpTable:
                 if m_low:
                     u = low_tab.get(low_base + c)
                     if u is None:
-                        u = cellf(low, lo_i, lo_j, a, c - 1)
+                        u = yield (low, lo_i, lo_j, a, c - 1)
                 else:
                     u = 0
                 if u <= top:
@@ -335,7 +320,7 @@ class DpTable:
                 if m_high:
                     v = high_tab.get(high_base + c * S)
                     if v is None:
-                        v = cellf(high, hi_i, hi_j, c, b)
+                        v = yield (high, hi_i, hi_j, c, b)
                 else:
                     v = 0
                 if u + v > best:
@@ -345,7 +330,7 @@ class DpTable:
         return None if want else best
 
     def _prime_cell(self, node: DecompNode, i: int, j: int, a: int, b: int, want: int = 0):
-        """The length of a prime cell, or with ``want`` the cuts of the first split reaching it.
+        """Scan a prime cell for its length, or with ``want`` for the cuts of the first split reaching it.
 
         With ``want``, the scan stops at the first split whose length reaches
         it and returns its cuts (i, h_1, ..., h_{d-1}, j + 1) and, in value
@@ -367,7 +352,7 @@ class DpTable:
             suffix_caps = [0] * (d + 1)
             for t in range(d - 1, -1, -1):
                 suffix_caps[t] = suffix_caps[t + 1] + pos_caps[order[t]]
-            best = self._prime_values(
+            best = yield from self._prime_values(
                 node, order, cuts, suffix_caps, 1, a, 0, b, cap, best, path
             )
             if best == cap:
@@ -376,16 +361,16 @@ class DpTable:
 
     def _prime_values(
         self, node, order, cuts, suffix_caps, t, c_prev, partial, b, cap, best, path
-    ) -> int:
+    ):
         """Scan the value cuts of a prime cell from slice t (1-based) on, in lexicographic order.
 
-        ``order[t - 1]`` is the child taking value slice t, which starts at
-        ``c_prev``; ``partial`` is the length of slices 1..t-1 and ``best``
-        the longest candidate so far.  Returns the new best, as soon as it
-        meets ``cap``; each level then appends its cut to ``path``, unless
-        that is None.  The later slices only lose values as ct grows, so a
-        ct whose total does not exceed the previous ct's cannot win, and
-        its later slices are not scanned.
+        A generator, as the scans are.  ``order[t - 1]`` is the child taking
+        value slice t, which starts at ``c_prev``; ``partial`` is the length
+        of slices 1..t-1 and ``best`` the longest candidate so far.  Returns
+        the new best, as soon as it meets ``cap``; each level then appends
+        its cut to ``path``, unless that is None.  The later slices only
+        lose values as ct grows, so a ct whose total does not exceed the
+        previous ct's cannot win, and its later slices are not scanned.
         """
         d = len(order)
         k = order[t - 1]
@@ -402,7 +387,7 @@ class DpTable:
             else:
                 got = table.get(base + ct)
                 if got is None:
-                    got = self._cell(child, p_lo, p_hi, c_prev, ct - 1)
+                    got = yield (child, p_lo, p_hi, c_prev, ct - 1)
                 total = partial + got
             if t == d:
                 if total > best:
@@ -410,7 +395,7 @@ class DpTable:
             elif total > last:
                 last = total
                 if total + min(suffix_caps[t], b + 1 - ct) > best:
-                    best = self._prime_values(
+                    best = yield from self._prime_values(
                         node, order, cuts, suffix_caps, t + 1, ct, total, b, cap, best, path
                     )
                     if best == cap:
@@ -423,59 +408,63 @@ class DpTable:
         """Every split of an internal box whose child lengths add up to ``length``.
 
         A split is a list of child boxes (child, i, j, a, b) in child order,
-        None where a child adds nothing.  Child k takes position slice k and the value slice of
-        its rank.  Position cuts run in lexicographic order, then value cuts,
-        as in the fills, and a split is dropped only when its children's
-        point counts, or the lengths read so far, cannot reach ``length``.  The fills'
+        None where a child adds nothing.  Child k takes position slice k and
+        the value slice of its rank.  Position cuts run in lexicographic
+        order, then value cuts, as in the fills, and a split is dropped only
+        when its children's point counts cannot reach ``length``.  The fills'
         dominance skips are not applied: a split that only ties an earlier
         one may still carry a smaller pattern, which the canonical walk needs.
         """
         children = node.children
         d = len(children)
-        ranks = _ranks(node)
-        order = sorted(range(d), key=ranks.__getitem__)
+        order = sorted(range(d), key=_ranks(node).__getitem__)
         sizes = [c.span.width for c in children]
-        cellf = self._cell
         cnt = self._cnt
         W = self._W
         upto = self._points_upto(i, j, a, b)
-        found = []
+        found: list[list] = []
         for hs in combinations_with_replacement(range(i, j + 2), d - 1):
             pos = (i, *hs, j + 1)
             pos_caps = [min(sizes[k], upto[pos[k + 1] - i] - upto[pos[k] - i]) for k in range(d)]
             if sum(pos_caps) < length:
                 continue
-            # below[k][v]: the points of position slice k with values at most v.
-            below = [
-                list(map(sub, cnt[(p - 1) * W : p * W], cnt[(q - 1) * W : q * W]))
-                for q, p in zip(pos, pos[1:])
-            ]
-            for cs in combinations_with_replacement(range(a, b + 2), d - 1):
-                val = (a, *cs, b + 1)
-                caps = [
-                    min(pos_caps[k], below[k][val[r] - 1] - below[k][val[r - 1] - 1])
-                    for k, r in enumerate(ranks)
-                ]
-                rest = sum(caps)
-                if rest < length:
-                    continue
-                boxes: list[tuple | None] = [None] * d
-                total = 0
-                for k in order:  # value-slice order, as the prime fill reads
-                    rest -= caps[k]
-                    if caps[k]:
-                        r = ranks[k]
-                        box = (children[k], pos[k], pos[k + 1] - 1, val[r - 1], val[r] - 1)
-                        got = cellf(*box)
-                        if got:
-                            boxes[k] = box
-                            total += got
-                    if total + rest < length:
-                        break
-                else:
-                    if total == length:
-                        found.append(boxes)
+            slices = []  # in value order
+            for k in order:
+                q, p = pos[k], pos[k + 1]
+                # below[v]: the points of the position slice with values at most v.
+                below = list(map(sub, cnt[(p - 1) * W : p * W], cnt[(q - 1) * W : q * W]))
+                slices.append((k, children[k], q, p - 1, pos_caps[k], below))
+            # suffix_caps[t]: the position caps of value slices t + 1..d.
+            suffix_caps = [0] * (d + 1)
+            for t in range(d - 1, -1, -1):
+                suffix_caps[t] = suffix_caps[t + 1] + pos_caps[order[t]]
+            self._split_values(slices, suffix_caps, 0, a, 0, b, length, [None] * d, found)
         return found
+
+    def _split_values(self, slices, suffix_caps, t, c_prev, total, b, length, boxes, found) -> None:
+        """Append to ``found`` each cut of value slices t + 1..d that reaches ``length``.
+
+        ``slices[t]`` is slice t + 1 in value order, which starts at
+        ``c_prev``; ``total`` is the length of the slices before it, whose
+        boxes ``boxes`` holds.  Cuts run in ascending order, and a prefix is
+        dropped when its lengths plus the later slices' caps cannot reach
+        ``length``.
+        """
+        k, child, lo, hi, pos_cap, below = slices[t]
+        last = t == len(slices) - 1
+        for ct in (b + 1,) if last else range(c_prev, b + 2):
+            cap = min(pos_cap, below[ct - 1] - below[c_prev - 1])
+            rest = min(suffix_caps[t + 1], b + 1 - ct)
+            if total + cap + rest < length:
+                continue
+            got = cap and self._cell(child, lo, hi, c_prev, ct - 1)
+            if total + got + rest < length:
+                continue
+            boxes[k] = (child, lo, hi, c_prev, ct - 1) if got else None
+            if last:
+                found.append(boxes.copy())
+            else:
+                self._split_values(slices, suffix_caps, t + 1, ct, total + got, b, length, boxes, found)
 
     def _first_split(self, node: DecompNode, i: int, j: int, a: int, b: int, length: int):
         """The first split that reaches ``length``, in the form :meth:`_splits` lists.
@@ -485,7 +474,7 @@ class DpTable:
         that fill, so the plain walk materializes no new cell.
         """
         scan = self._linear_cell if node.kind == "linear" else self._prime_cell
-        cuts = scan(node, i, j, a, b, length)
+        cuts = self._run(scan(node, i, j, a, b, length))
         if cuts is None:
             raise RuntimeError("no split reaches the stored length")
         pos, val = cuts
@@ -563,7 +552,7 @@ class DpTable:
                 memo[top] = ((1,), None)
                 continue
             if splits is None:
-                splits = self._drive(self._splits, *top, self._cell(*top))
+                splits = self._splits(*top, self._cell(*top))
                 if not splits:
                     raise RuntimeError("no split reaches the stored length")
             waiting = [c for s in splits for c in s if c is not None and c not in memo]

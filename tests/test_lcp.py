@@ -578,7 +578,7 @@ class TestPointCounts:
 
 
 class TestDeepGuides:
-    """Guides deeper than the recursion limit are filled through frontier nodes."""
+    """Guides deeper than the recursion limit fill on the table's own stack."""
 
     def test_separable_chain_of_600(self):
         chain = alternating_chain(600)
@@ -595,25 +595,22 @@ class TestDeepGuides:
             assert result.length == 3
             assert_valid_result(chain, tau, result)
 
-    def test_frontier_fill_matches_straight_recursion(self, monkeypatch):
-        """A tiny frame budget cuts every guide into frontiers; cells and witnesses stay."""
-        rng = random.Random(27)
-        pairs = [(random_separable(rng, 12), random_permutation(rng, 8)) for _ in range(4)]
-        pairs.append((parse_permutation("2 5 3 1 4 7 6 9 8"), random_permutation(rng, 7)))
-        lcp_module = sys.modules[DpTable.__module__]
-        budgets = (lcp_module._FRAME_BUDGET, 6)
-        for sigma, tau in pairs:
-            tree = lcp_plan(sigma, tau, "general").tree
-            results = []
-            for budget in budgets:
-                monkeypatch.setattr(lcp_module, "_FRAME_BUDGET", budget)
-                table = DpTable(tree, tau)
-                witnesses = [table.reconstruct(canonical=c) for c in (False, True)]
-                cells = {(id(node), *box) for node, *box in materialized_cells(table)}
-                results.append((witnesses, cells, len(table._frontier)))
-            (straight, cells, none), (cut, cut_cells, frontiers) = results
-            assert none == 0 and frontiers > 0
-            assert cut == straight and cut_cells == cells, (str(sigma), str(tau))
+    def test_chain_of_3000_under_a_low_recursion_limit(self):
+        """The fill keeps its own stack, so the guide's depth costs no interpreter frames."""
+        chain = alternating_chain(3000)
+        tau = parse_permutation("2 1 3 5 4 6")
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            results = [lcp(chain, tau, canonical=c) for c in (False, True)]
+        finally:
+            sys.setrecursionlimit(limit)
+        for result in results:
+            assert result.length == 5
+            assert_valid_result(chain, tau, result)
 
 
 class TestCanonicalMode:
@@ -639,6 +636,17 @@ class TestCanonicalMode:
                     p for p in commons if len(p) == longest
                 )
 
+
+    def test_arity_seven_guide(self):
+        """An arity-7 guide: the walk over value cuts must drop prefixes that cannot reach the length."""
+        sigma = parse_permutation("9 7 4 8 3 5 2 1 6")
+        tau = parse_permutation("5 2 4 1 8 3 6 7 9")
+        assert lcp_plan(sigma, tau).prime_arity == 7
+        commons = all_common_pattern_values(sigma, tau)
+        longest = max(len(p) for p in commons)
+        result = lcp(sigma, tau, canonical=True)
+        assert result.pattern.values == min(p for p in commons if len(p) == longest)
+        assert_valid_result(sigma, tau, result)
 
     def test_exhaustive_up_to_four(self):
         """Every pair of sizes 1-4, with each input guiding.
