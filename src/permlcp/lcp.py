@@ -31,22 +31,26 @@ which a 2-D prefix count over the target gives in O(1): a box with no point
 is 0 and a leaf box is 1 when it holds a point, without a scan.  Each
 internal cell is the best sum of child cells over all splits.  The scan
 skips a split whose children's point counts cannot beat the best so far,
-and stops when the best meets the cell's own count.  It also skips a split
-that an earlier split already beats.  A cell never shrinks when its window
-grows, so along a scan axis one child's length never decreases and the
-other's never increases; a split whose growing child did not grow past what
-an earlier split read is at most as long as that split.  For a linear node
-the growing child is the one taking the low values, and for a + node it
-also grows with h; for a prime node, a value cut that adds nothing to the
-slices before it leaves less to the slices after it.  So a skipped split
-can only tie, every cell value stays the one the full scan gives, and so
-does the first split in scan order that reaches it, which is the plain
-witness.  The canonical walk enumerates every split that reaches a cell's
-length, without these skips, because a tied split can carry a smaller
-pattern; it drops only the splits, and the prefixes of value cuts, whose
-point counts and lengths read cannot reach the length.  The skips and
-bounds are always on; the tests check every materialized cell against the
-brute-force oracle.
+and stops when the best meets the cell's own count.  A prime scan picks its
+position cuts one at a time, depth first, and drops a prefix of cuts as
+soon as its closed slices' counts plus the points left after it cannot beat
+the best; when the last slice of such a prefix is already full, later cuts
+only lower that bound, so the rest of the level goes too.  Every scan also
+skips a split that an earlier split already beats.  A cell never shrinks
+when its window grows, so along a scan axis one child's length never
+decreases and the other's never increases; a split whose growing child did
+not grow past what an earlier split read is at most as long as that split.
+For a linear node the growing child is the one taking the low values, and
+for a + node it also grows with h; for a prime node, a value cut that adds
+nothing to the slices before it leaves less to the slices after it.  So a
+skipped split can only tie, every cell value stays the one the full scan
+gives, and so does the first split in scan order that reaches it, which is
+the plain witness.  The canonical walk enumerates every split that reaches
+a cell's length, without these skips, because a tied split can carry a
+smaller pattern; it drops only the splits, and the prefixes of position and
+value cuts, whose point counts and lengths read cannot reach the length.
+The skips and bounds are always on; the tests check every materialized cell
+against the brute-force oracle.
 
 :func:`lcp` is the single entry point.  The separable and the general
 algorithm are this one program: :func:`lcp_plan` picks the guiding tree,
@@ -61,7 +65,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, combinations_with_replacement
+from itertools import accumulate
 from operator import sub
 
 from .algebra import concat_rho
@@ -81,6 +85,59 @@ def _ranks(node: DecompNode) -> tuple[int, ...]:
     if node.kind == "prime":
         return node.label.values
     return (1, 2) if node.sign == "+" else (2, 1)
+
+
+def _position_cuts(i: int, sizes: list[int], upto: list[int], floor):
+    """Yield (cuts, caps) for each position-cut tuple whose caps add up to more than ``floor()``.
+
+    The children of a node take position slices of the window i..j in
+    order: ``cuts`` is (i, h_1, ..., h_{d-1}, j + 1) with h_1 <= ... <=
+    h_{d-1}, slice k holds positions cuts[k]..cuts[k + 1] - 1, and
+    ``caps[k]`` is the smaller of ``sizes[k]`` and the slice's points, read
+    from ``upto`` as :meth:`DpTable._points_upto` gives it.  The tuples come
+    in lexicographic order, built depth first one cut at a time.  A prefix
+    h_1..h_k is dropped when the caps of the slices it closes plus the
+    smaller of the later slices' sizes and the points after h_k cannot
+    exceed the floor, since no tuple under it can; when the last slice it
+    closes is already full, a later h_k only lowers that bound, so the
+    level ends.  ``floor`` is called at every check and may only grow, so
+    this yields exactly the tuples that pass the check when their turn
+    comes.
+    """
+    d = len(sizes)
+    end = i + len(upto) - 1  # j + 1
+    total = upto[-1]
+    rest = list(accumulate(reversed(sizes), initial=0))[::-1]  # rest[k]: sizes of slices k..d-1
+    cuts = [i] * d + [end]
+    held = [0] * d  # held[k]: the caps of slices 0..k-1
+    caps = [0] * d
+    k = 1
+    cuts[1] = i - 1  # the first step moves h_1 to i
+    while k:
+        h = cuts[k] + 1
+        if h > end:
+            k -= 1
+            continue
+        cuts[k] = h
+        size = sizes[k - 1]
+        cap = upto[h - i] - upto[cuts[k - 1] - i]
+        if cap > size:
+            cap = size
+        more = total - upto[h - i]
+        if more > rest[k]:
+            more = rest[k]
+        if held[k - 1] + cap + more <= floor():
+            if cap == size:
+                k -= 1
+            continue
+        caps[k - 1] = cap
+        if k < d - 1:
+            held[k] = held[k - 1] + cap
+            k += 1
+            cuts[k] = h - 1
+        else:
+            caps[k] = more  # the last slice's cap, as rest[d - 1] is its size
+            yield tuple(cuts), caps.copy()
 
 
 @dataclass(frozen=True, slots=True)
@@ -332,9 +389,13 @@ class DpTable:
     def _prime_cell(self, node: DecompNode, i: int, j: int, a: int, b: int, want: int = 0):
         """Scan a prime cell for its length, or with ``want`` for the cuts of the first split reaching it.
 
-        With ``want``, the scan stops at the first split whose length reaches
-        it and returns its cuts (i, h_1, ..., h_{d-1}, j + 1) and, in value
-        slice order, (a, c_1, ..., c_{d-1}, b + 1), or None.
+        Position cuts come from :func:`_position_cuts` with the best so far
+        as its floor, so a prefix of cuts whose point counts cannot beat the
+        best is dropped whole.  The best only grows, so the same tuples
+        reach the value scan as if every tuple were listed and checked.
+        With ``want``, the scan stops at the first split whose length
+        reaches it and returns its cuts (i, h_1, ..., h_{d-1}, j + 1) and,
+        in value slice order, (a, c_1, ..., c_{d-1}, b + 1), or None.
         """
         sizes = [c.span.width for c in node.children]
         d = len(sizes)
@@ -343,11 +404,7 @@ class DpTable:
         order = sorted(range(d), key=node.label.values.__getitem__)
         path = [] if want else None
         best = 0
-        for hs in combinations_with_replacement(range(i, j + 2), d - 1):
-            cuts = (i, *hs, j + 1)
-            pos_caps = [min(sizes[k], upto[cuts[k + 1] - i] - upto[cuts[k] - i]) for k in range(d)]
-            if sum(pos_caps) <= best:
-                continue
+        for cuts, pos_caps in _position_cuts(i, sizes, upto, lambda: best):
             # suffix_caps[t]: the position caps of value slices t + 1..d.
             suffix_caps = [0] * (d + 1)
             for t in range(d - 1, -1, -1):
@@ -411,7 +468,9 @@ class DpTable:
         None where a child adds nothing.  Child k takes position slice k and
         the value slice of its rank.  Position cuts run in lexicographic
         order, then value cuts, as in the fills, and a split is dropped only
-        when its children's point counts cannot reach ``length``.  The fills'
+        when its children's point counts cannot reach ``length``; the
+        position cuts come from :func:`_position_cuts`, as in the prime
+        fill, with the floor ``length - 1``.  The fills'
         dominance skips are not applied: a split that only ties an earlier
         one may still carry a smaller pattern, which the canonical walk needs.
         """
@@ -423,11 +482,7 @@ class DpTable:
         W = self._W
         upto = self._points_upto(i, j, a, b)
         found: list[list] = []
-        for hs in combinations_with_replacement(range(i, j + 2), d - 1):
-            pos = (i, *hs, j + 1)
-            pos_caps = [min(sizes[k], upto[pos[k + 1] - i] - upto[pos[k] - i]) for k in range(d)]
-            if sum(pos_caps) < length:
-                continue
+        for pos, pos_caps in _position_cuts(i, sizes, upto, lambda: length - 1):
             slices = []  # in value order
             for k in order:
                 q, p = pos[k], pos[k + 1]

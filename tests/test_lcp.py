@@ -4,6 +4,7 @@ import gc
 import random
 import sys
 import weakref
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -32,6 +33,7 @@ from permlcp import (
     parse_permutation,
     tree_from_nested,
 )
+from permlcp.lcp import _position_cuts
 from permlcp.oracle import oracle_lcp
 
 
@@ -558,6 +560,78 @@ class TestCellCounts:
             assert cells[0] < cells[1], (str(sigma), str(tau), cells)
             totals = [t + c for t, c in zip(totals, cells)]
         assert 2 * totals[0] <= totals[1], totals
+
+    def test_arity_seven_pair(self):
+        """An arity-7 guide of size 9: the plain walk's cells and its witness."""
+        sigma = parse_permutation("9 7 4 8 3 5 2 1 6")
+        tau = parse_permutation("5 2 4 1 8 3 6 7 9")
+        plan = lcp_plan(sigma, tau)
+        assert (plan.guided_by, plan.prime_arity) == ("sigma", 7)
+        table = DpTable(plan.tree, tau)
+        pattern, occ_sigma, occ_tau = table.reconstruct()
+        assert sum(1 for _ in materialized_cells(table)) <= 1_068
+        assert pattern.values == (2, 5, 1, 3, 4)
+        assert occ_sigma.positions == (3, 4, 5, 6, 9)
+        assert occ_tau.positions == (1, 5, 6, 7, 8)
+
+
+class TestPositionCuts:
+    """The prime scans' depth-first walk over position cuts.
+
+    It must yield exactly the tuples, in the same order, that the full
+    lexicographic enumeration keeps under the same check.
+    """
+
+    @staticmethod
+    def _draw(rng, d):
+        """Random (i, sizes, upto): upto[p] counts the points among the first p positions."""
+        i = rng.randint(1, 5)
+        upto = [0]
+        for _ in range(rng.randint(0, 9 if d <= 5 else 6)):
+            upto.append(upto[-1] + (rng.random() < 0.6))
+        return i, [rng.randint(1, 4) for _ in range(d)], upto
+
+    @staticmethod
+    def _enumerate(i, sizes, upto):
+        """Every position-cut tuple with its caps, in lexicographic order."""
+        d = len(sizes)
+        for hs in combinations_with_replacement(range(i, i + len(upto)), d - 1):
+            cuts = (i, *hs, i + len(upto) - 1)
+            caps = [min(sizes[k], upto[cuts[k + 1] - i] - upto[cuts[k] - i]) for k in range(d)]
+            yield cuts, caps
+
+    def test_fixed_floor_matches_full_enumeration(self):
+        rng = random.Random(16)
+        kept = 0
+        for d in range(3, 8):
+            for _ in range(60):
+                i, sizes, upto = self._draw(rng, d)
+                floor = rng.randint(-1, sum(sizes))
+                want = [t for t in self._enumerate(i, sizes, upto) if sum(t[1]) > floor]
+                assert list(_position_cuts(i, sizes, upto, lambda: floor)) == want, (sizes, upto, floor)
+                kept += len(want)
+        assert kept > 1000
+
+    def test_growing_floor_matches_full_enumeration(self):
+        """A floor raised after each tuple, as the fill's best is, is read at every check."""
+
+        def raise_floor(floor, cuts, caps):
+            return max(floor, sum(caps) - 1 - sum(cuts) % 2)
+
+        rng = random.Random(17)
+        for d in range(3, 8):
+            for _ in range(60):
+                i, sizes, upto = self._draw(rng, d)
+                want, floor = [], 0
+                for cuts, caps in self._enumerate(i, sizes, upto):
+                    if sum(caps) > floor:
+                        want.append((cuts, caps))
+                        floor = raise_floor(floor, cuts, caps)
+                got, floor = [], 0
+                for cuts, caps in _position_cuts(i, sizes, upto, lambda: floor):
+                    got.append((cuts, caps))
+                    floor = raise_floor(floor, cuts, caps)
+                assert got == want, (sizes, upto)
 
 
 class TestPointCounts:
