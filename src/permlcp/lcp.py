@@ -20,11 +20,10 @@ The witness is re-scanned from the lengths, only along its own path, in
 one fixed order: position cuts in lexicographic order, then value cuts in
 lexicographic order (for a linear node, h ascending then c ascending).  The
 first split that reaches a cell's length is taken, which makes the witness
-reproducible; it is found by replaying the cell's own fill scan, which
-reads no cell the fill did not.  With ``canonical=True`` the
-lexicographically smallest pattern of maximal length is kept instead;
-patterns are built for the boxes of the witness walk and for the boxes
-under tied splits.
+reproducible; replaying the cell's own fill scan finds it and reads no cell
+the fill did not.  With ``canonical=True`` the lexicographically smallest
+pattern of maximal length is kept instead, over every split that reaches
+each length, which the same scan lists in its tie mode.
 
 No cell is longer than the number of target points (p, tau(p)) in its box,
 which a 2-D prefix count over the target gives in O(1): a box with no point
@@ -45,12 +44,10 @@ for a + node it also grows with h; for a prime node, a value cut that adds
 nothing to the slices before it leaves less to the slices after it.  So a
 skipped split can only tie, every cell value stays the one the full scan
 gives, and so does the first split in scan order that reaches it, which is
-the plain witness.  The canonical walk enumerates every split that reaches
-a cell's length, without these skips, because a tied split can carry a
-smaller pattern; it drops only the splits, and the prefixes of position and
-value cuts, whose point counts and lengths read cannot reach the length.
-The skips and bounds are always on; the tests check every materialized cell
-against the brute-force oracle.
+the plain witness.  A tied split can carry a smaller pattern, so the tie
+mode keeps the bounds, with the best fixed one below the length, but skips
+only a split that an earlier one strictly beats, which cannot tie.  The
+tests check every materialized cell against the brute-force oracle.
 
 :func:`lcp` is the single entry point.  The separable and the general
 algorithm are this one program: :func:`lcp_plan` picks the guiding tree,
@@ -66,7 +63,6 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import sub
 
 from .algebra import concat_rho
 from .decomposition import (
@@ -76,6 +72,7 @@ from .decomposition import (
     decomposition_tree,
     expand_tree,
     max_prime_arity,
+    tree_to_permutation,
 )
 from .perms import Occurrence, Pattern, Permutation, normalize
 
@@ -164,11 +161,10 @@ class DpTable:
     depend on which leaf is asked, so all leaves share one sub-table.  A
     prefix count over tau, built once, gives the number of target points in
     any box; no cell exceeds it, so it bounds every cell and every child of
-    a split.  These point-count bounds and the dominance skips that cut each
-    cell's scan short are always on: a skipped split can at most tie a
-    split read earlier, so they change no cell value and no plain witness,
-    and the canonical walk, which needs the tied splits, enumerates them
-    all.  The tests check every cell against the oracle.
+    a split.  The dominance skips that cut each cell's scan short drop only
+    splits that can at most tie one read earlier, so they change no cell
+    value and no plain witness; the canonical walk runs the scans in tie
+    mode, which skips only strictly beaten splits and lists every tied one.
 
     The fill keeps its own stack instead of Python's: an internal cell's
     scan is a generator that yields each child box missing from the table
@@ -284,8 +280,10 @@ class DpTable:
                 return h
         return 0
 
-    def _linear_cell(self, node: DecompNode, i: int, j: int, a: int, b: int, want: int = 0):
-        """Scan a linear cell for its length, or with ``want`` for the cuts of the first split reaching it.
+    def _linear_cell(
+        self, node: DecompNode, i: int, j: int, a: int, b: int, want: int = 0, ties=None
+    ):
+        """Scan a linear cell for its length, or with ``want`` for the cuts of the splits reaching it.
 
         Like every scan, this is a generator: it yields each child box
         missing from the table, as (node, i, j, a, b), is sent that box's
@@ -305,8 +303,12 @@ class DpTable:
         child's points over a..c-1 and the high child's over c..b.  A split
         whose bounds cannot beat the best is not read, and the high child is
         not read when u plus its bound cannot.  With ``want``, the scan
-        stops at the first split whose length reaches it and returns its
-        cuts ((i, h, j + 1), (a, c, b + 1)), or None.
+        replays the fill up to the first split whose length reaches it and
+        returns its cuts ((i, h, j + 1), (a, c, b + 1)), or None.  With a
+        ``ties`` list too (tie mode), it appends the cuts of every such split
+        and returns None: the best stays ``want - 1``, and ``top`` holds the
+        u read less one, so only a split that u strictly beats is skipped, and
+        the row break on ``top`` never fires.
         """
         left, right = node.children
         positive = node.sign == "+"
@@ -314,6 +316,7 @@ class DpTable:
         k_low = low.span.width
         k_high = high.span.width
         cap = want or min(k_low + k_high, self._points(i, j, a, b))
+        tie = 0 if ties is None else 1
         low_tab = self._tables[low]
         high_tab = self._tables[high]
         S = self._S
@@ -322,7 +325,7 @@ class DpTable:
         # seen[c]: for a + node, the low length last read in column c.
         seen = [-1] * (b + 2)
 
-        best = 0
+        best = want - 1 if tie else 0
         for h in range(i, j + 2):
             if positive:
                 lo_i, lo_j, hi_i, hi_j = i, h - 1, h, j
@@ -345,7 +348,7 @@ class DpTable:
                 continue
             low_base = ((lo_i * S + lo_j) * S + a) * S - 1  # + c: values a..c-1
             high_base = (hi_i * S + hi_j) * S * S + b  # + c * S: values c..b
-            top = -1  # the largest low length read at a split this one cannot beat
+            top = -1  # the largest low length (less tie) read at a split this one cannot beat
             for c in range(a, b + 2):
                 if positive and seen[c] > top:
                     top = seen[c]
@@ -369,9 +372,9 @@ class DpTable:
                     u = 0
                 if u <= top:
                     continue
-                top = u
+                top = u - tie
                 if positive:
-                    seen[c] = u
+                    seen[c] = top
                 if u + m_high <= best:
                     continue
                 if m_high:
@@ -381,55 +384,61 @@ class DpTable:
                 else:
                     v = 0
                 if u + v > best:
+                    if tie:
+                        ties.append(((i, h, j + 1), (a, c, b + 1)))
+                        continue
                     best = u + v
                     if best == cap:
                         return ((i, h, j + 1), (a, c, b + 1)) if want else best
         return None if want else best
 
-    def _prime_cell(self, node: DecompNode, i: int, j: int, a: int, b: int, want: int = 0):
-        """Scan a prime cell for its length, or with ``want`` for the cuts of the first split reaching it.
+    def _prime_cell(
+        self, node: DecompNode, i: int, j: int, a: int, b: int, want: int = 0, ties=None
+    ):
+        """Scan a prime cell for its length, or with ``want`` for the cuts of the splits reaching it.
 
         Position cuts come from :func:`_position_cuts` with the best so far
         as its floor, so a prefix of cuts whose point counts cannot beat the
         best is dropped whole.  The best only grows, so the same tuples
         reach the value scan as if every tuple were listed and checked.
-        With ``want``, the scan stops at the first split whose length
-        reaches it and returns its cuts (i, h_1, ..., h_{d-1}, j + 1) and,
-        in value slice order, (a, c_1, ..., c_{d-1}, b + 1), or None.
+        ``want`` and ``ties`` work as in :meth:`_linear_cell`; the cuts are
+        (i, h_1, ..., h_{d-1}, j + 1) and, in value slice order, (a, c_1,
+        ..., c_{d-1}, b + 1).
         """
         sizes = [c.span.width for c in node.children]
         d = len(sizes)
         upto = self._points_upto(i, j, a, b)
         cap = want or min(sum(sizes), upto[-1])
         order = sorted(range(d), key=node.label.values.__getitem__)
-        path = [] if want else None
-        best = 0
+        path = [a] * d  # a, then the value cuts c_1..c_{d-1} as they are made
+        best = 0 if ties is None else want - 1
         for cuts, pos_caps in _position_cuts(i, sizes, upto, lambda: best):
             # suffix_caps[t]: the position caps of value slices t + 1..d.
             suffix_caps = [0] * (d + 1)
             for t in range(d - 1, -1, -1):
                 suffix_caps[t] = suffix_caps[t + 1] + pos_caps[order[t]]
             best = yield from self._prime_values(
-                node, order, cuts, suffix_caps, 1, a, 0, b, cap, best, path
+                node, order, cuts, suffix_caps, 1, path, 0, b, cap, best, ties
             )
             if best == cap:
-                return (cuts, (a, *path[::-1], b + 1)) if want else best
+                return (cuts, (*path, b + 1)) if want else best
         return None if want else best
 
-    def _prime_values(
-        self, node, order, cuts, suffix_caps, t, c_prev, partial, b, cap, best, path
-    ):
+    def _prime_values(self, node, order, cuts, suffix_caps, t, path, partial, b, cap, best, ties):
         """Scan the value cuts of a prime cell from slice t (1-based) on, in lexicographic order.
 
-        A generator, as the scans are.  ``order[t - 1]`` is the child taking
-        value slice t, which starts at ``c_prev``; ``partial`` is the length
-        of slices 1..t-1 and ``best`` the longest candidate so far.  Returns
-        the new best, as soon as it meets ``cap``; each level then appends
-        its cut to ``path``, unless that is None.  The later slices only
-        lose values as ct grows, so a ct whose total does not exceed the
-        previous ct's cannot win, and its later slices are not scanned.
+        A generator, as the scans are.  ``path[:t]`` holds a and the cuts
+        made so far, so value slice t starts at ``path[t - 1]``, and
+        ``order[t - 1]`` is the child taking it; ``partial`` is the length of
+        slices 1..t-1.  Returns the new best as soon as it meets ``cap``,
+        with ``path`` holding that split's cuts.  The later slices only lose
+        values as ct grows, so a ct whose total does not exceed the previous
+        ct's cannot win, and its later slices are not scanned; in tie mode
+        only a total below the previous one is, and a split beating ``best``
+        goes to ``ties``.
         """
         d = len(order)
+        c_prev = path[t - 1]
         k = order[t - 1]
         child = node.children[k]
         p_lo = cuts[k]
@@ -437,6 +446,7 @@ class DpTable:
         table = self._tables[child]
         S = self._S
         base = ((p_lo * S + p_hi) * S + c_prev) * S - 1  # + ct: values c_prev..ct-1
+        tie = 0 if ties is None else 1
         last = -1
         for ct in (b + 1,) if t == d else range(c_prev, b + 2):
             if p_hi < p_lo or ct == c_prev:
@@ -448,96 +458,44 @@ class DpTable:
                 total = partial + got
             if t == d:
                 if total > best:
-                    best = total
+                    if tie:
+                        ties.append((cuts, (*path, b + 1)))
+                    else:
+                        best = total
             elif total > last:
-                last = total
+                last = total - tie
                 if total + min(suffix_caps[t], b + 1 - ct) > best:
+                    path[t] = ct
                     best = yield from self._prime_values(
-                        node, order, cuts, suffix_caps, t + 1, ct, total, b, cap, best, path
+                        node, order, cuts, suffix_caps, t + 1, path, total, b, cap, best, ties
                     )
                     if best == cap:
-                        if path is not None:
-                            path.append(ct)
                         return best
         return best
 
-    def _splits(self, node: DecompNode, i: int, j: int, a: int, b: int, length: int):
-        """Every split of an internal box whose child lengths add up to ``length``.
-
-        A split is a list of child boxes (child, i, j, a, b) in child order,
-        None where a child adds nothing.  Child k takes position slice k and
-        the value slice of its rank.  Position cuts run in lexicographic
-        order, then value cuts, as in the fills, and a split is dropped only
-        when its children's point counts cannot reach ``length``; the
-        position cuts come from :func:`_position_cuts`, as in the prime
-        fill, with the floor ``length - 1``.  The fills'
-        dominance skips are not applied: a split that only ties an earlier
-        one may still carry a smaller pattern, which the canonical walk needs.
-        """
-        children = node.children
-        d = len(children)
-        order = sorted(range(d), key=_ranks(node).__getitem__)
-        sizes = [c.span.width for c in children]
-        cnt = self._cnt
-        W = self._W
-        upto = self._points_upto(i, j, a, b)
-        found: list[list] = []
-        for pos, pos_caps in _position_cuts(i, sizes, upto, lambda: length - 1):
-            slices = []  # in value order
-            for k in order:
-                q, p = pos[k], pos[k + 1]
-                # below[v]: the points of the position slice with values at most v.
-                below = list(map(sub, cnt[(p - 1) * W : p * W], cnt[(q - 1) * W : q * W]))
-                slices.append((k, children[k], q, p - 1, pos_caps[k], below))
-            # suffix_caps[t]: the position caps of value slices t + 1..d.
-            suffix_caps = [0] * (d + 1)
-            for t in range(d - 1, -1, -1):
-                suffix_caps[t] = suffix_caps[t + 1] + pos_caps[order[t]]
-            self._split_values(slices, suffix_caps, 0, a, 0, b, length, [None] * d, found)
-        return found
-
-    def _split_values(self, slices, suffix_caps, t, c_prev, total, b, length, boxes, found) -> None:
-        """Append to ``found`` each cut of value slices t + 1..d that reaches ``length``.
-
-        ``slices[t]`` is slice t + 1 in value order, which starts at
-        ``c_prev``; ``total`` is the length of the slices before it, whose
-        boxes ``boxes`` holds.  Cuts run in ascending order, and a prefix is
-        dropped when its lengths plus the later slices' caps cannot reach
-        ``length``.
-        """
-        k, child, lo, hi, pos_cap, below = slices[t]
-        last = t == len(slices) - 1
-        for ct in (b + 1,) if last else range(c_prev, b + 2):
-            cap = min(pos_cap, below[ct - 1] - below[c_prev - 1])
-            rest = min(suffix_caps[t + 1], b + 1 - ct)
-            if total + cap + rest < length:
-                continue
-            got = cap and self._cell(child, lo, hi, c_prev, ct - 1)
-            if total + got + rest < length:
-                continue
-            boxes[k] = (child, lo, hi, c_prev, ct - 1) if got else None
-            if last:
-                found.append(boxes.copy())
-            else:
-                self._split_values(slices, suffix_caps, t + 1, ct, total + got, b, length, boxes, found)
-
     def _first_split(self, node: DecompNode, i: int, j: int, a: int, b: int, length: int):
-        """The first split that reaches ``length``, in the form :meth:`_splits` lists.
+        """The first split that reaches ``length``, as :meth:`_boxes` gives it.
 
-        Replays the box's own fill scan, skips included, up to the split at
-        which it first reached ``length``.  Every cell it reads was read by
-        that fill, so the plain walk materializes no new cell.
+        Replays the box's own fill scan, skips included, so the plain walk
+        materializes no new cell.
         """
         scan = self._linear_cell if node.kind == "linear" else self._prime_cell
         cuts = self._run(scan(node, i, j, a, b, length))
         if cuts is None:
             raise RuntimeError("no split reaches the stored length")
+        return self._boxes(node, cuts)
+
+    def _boxes(self, node: DecompNode, cuts: tuple) -> list[tuple | None]:
+        """The child boxes (child, i, j, a, b) of the split a scan gave as ``cuts``.
+
+        Child k takes position slice k and the value slice of its rank.  A
+        box with no target point, the only kind of length 0, is None.
+        """
         pos, val = cuts
         split: list[tuple | None] = []
         for k, (child, r) in enumerate(zip(node.children, _ranks(node))):
             box = (child, pos[k], pos[k + 1] - 1, val[r - 1], val[r] - 1)
-            filled = box[1] <= box[2] and box[3] <= box[4] and self._cell(*box)
-            split.append(box if filled else None)
+            split.append(box if self._points(*box[1:]) else None)
         return split
 
     def reconstruct(
@@ -607,9 +565,12 @@ class DpTable:
                 memo[top] = ((1,), None)
                 continue
             if splits is None:
-                splits = self._splits(*top, self._cell(*top))
-                if not splits:
+                ties: list[tuple] = []
+                scan = self._linear_cell if node.kind == "linear" else self._prime_cell
+                self._run(scan(*top, self._cell(*top), ties))
+                if not ties:
                     raise RuntimeError("no split reaches the stored length")
+                splits = [self._boxes(node, cuts) for cuts in ties]
             waiting = [c for s in splits for c in s if c is not None and c not in memo]
             if waiting:
                 stack.append((top, splits))
@@ -701,7 +662,8 @@ def lcp(
 
     :func:`lcp_plan` picks the guiding tree for ``algo``; one table over the
     other input then yields the pattern and both occurrences.  ``algo`` may
-    also be the plan :func:`lcp_plan` already made for these two inputs.
+    also be the plan :func:`lcp_plan` already made for these two inputs;
+    a plan whose guiding tree is not of the guide it names raises ValueError.
 
     >>> from permlcp import parse_permutation
     >>> lcp(parse_permutation("2 4 1 3"), parse_permutation("1 3 2 4")).length
@@ -711,6 +673,8 @@ def lcp(
     guide, target = (sigma, tau) if plan.guided_by == "sigma" else (tau, sigma)
     if plan.tree.source_size != guide.n:
         raise ValueError("the plan was made for inputs of other sizes")
+    if plan is algo and tree_to_permutation(plan.tree) != guide:
+        raise ValueError("the plan was made for other inputs")
     pattern, occ_guide, occ_target = DpTable(plan.tree, target).reconstruct(canonical=canonical)
     if plan.guided_by == "sigma":
         return LcpResult(pattern, occ_guide, occ_target, plan.algorithm)

@@ -23,6 +23,8 @@ from permlcp import (
     NotSeparableError,
     Pattern,
     Permutation,
+    concat_minus,
+    concat_plus,
     concat_rho,
     decomposition_tree,
     expand_tree,
@@ -33,7 +35,7 @@ from permlcp import (
     parse_permutation,
     tree_from_nested,
 )
-from permlcp.lcp import _position_cuts
+from permlcp.lcp import _position_cuts, _ranks
 from permlcp.oracle import oracle_lcp
 
 
@@ -220,6 +222,13 @@ class TestDispatch:
         assert lcp(sigma, tau, plan) == lcp(sigma, tau)
         with pytest.raises(ValueError, match="other sizes"):
             lcp(tau, sigma, plan)
+
+    def test_plan_for_other_inputs_of_the_same_sizes_raises(self):
+        sigma = parse_permutation("2 4 1 3")
+        plan = lcp_plan(parse_permutation("1 2 3 4"), sigma, "separable")
+        with pytest.raises(ValueError, match="other inputs"):
+            lcp(sigma, sigma, plan)
+        assert lcp(sigma, sigma).length == 4
 
     def test_auto_swaps_occurrences_back(self):
         sigma = parse_permutation("2 4 1 3")  # prime, so tau below guides
@@ -491,7 +500,7 @@ class TestCellsMatchOracle:
         for sigma in guides:
             tau = random_permutation(rng, rng.randint(4, 10))
             table = DpTable(lcp_plan(sigma, tau, "general").tree, tau)
-            table.root_cell()
+            table.reconstruct(canonical=True)
             for node, i, j, a, b, length in materialized_cells(table):
                 block = normalize(sigma.values[node.span.lo - 1 : node.span.hi])
                 window = normalize([v for v in tau.values[i - 1 : j] if a <= v <= b])
@@ -632,6 +641,75 @@ class TestPositionCuts:
                     got.append((cuts, caps))
                     floor = raise_floor(floor, cuts, caps)
                 assert got == want, (sizes, upto)
+
+
+class TestTieMode:
+    """A scan called with ``want`` and a ``ties`` list lists every split that reaches ``want``."""
+
+    @staticmethod
+    def _brute_ties(table, node, i, j, a, b, want):
+        """Every (position cuts, value cuts) whose child lengths add up to ``want``, in scan order.
+
+        Position cuts in lexicographic order, then value cuts in value
+        slice order; a child with an empty range adds 0.
+        """
+        d = len(node.children)
+        ranks = _ranks(node)
+        lengths = {}
+
+        def length(child, lo, hi, v_lo, v_hi):
+            if lo > hi or v_lo > v_hi:
+                return 0
+            key = (child, lo, hi, v_lo, v_hi)
+            if key not in lengths:
+                lengths[key] = table.cell(*key)
+            return lengths[key]
+
+        found = []
+        for hs in combinations_with_replacement(range(i, j + 2), d - 1):
+            pos = (i, *hs, j + 1)
+            for cs in combinations_with_replacement(range(a, b + 2), d - 1):
+                val = (a, *cs, b + 1)
+                total = sum(
+                    length(child, pos[k], pos[k + 1] - 1, val[r - 1], val[r] - 1)
+                    for k, (child, r) in enumerate(zip(node.children, ranks))
+                )
+                if total == want:
+                    found.append((pos, val))
+        return found
+
+    def test_ties_match_brute_force(self):
+        """Separable guides, and simple guides of arity 4-5 joined to a small block by + or -.
+
+        The join puts the prime node under the root, so it has a cell for
+        many boxes, not only for the whole target.
+        """
+        rng = random.Random(17)
+        guides = [random_separable(rng, rng.randint(3, 7)) for _ in range(12)]
+        while len(guides) < 32:
+            simple = random_permutation(rng, rng.randint(4, 5))
+            if lcp_plan(simple, simple).prime_arity in (4, 5):
+                blocks = [simple, random_separable(rng, rng.randint(1, 2))]
+                rng.shuffle(blocks)
+                join = rng.choice((concat_plus, concat_minus))
+                guides.append(Permutation(join(*blocks).values))
+        signs, arities, checked = set(), set(), 0
+        for sigma in guides:
+            tau = random_permutation(rng, rng.randint(3, 7))
+            table = DpTable(lcp_plan(sigma, tau, "general").tree, tau)
+            table.reconstruct()
+            cells = [c for c in materialized_cells(table) if not c[0].is_leaf and c[5]]
+            for node, i, j, a, b, length in cells:
+                scan = table._linear_cell if node.kind == "linear" else table._prime_cell
+                ties = []
+                assert table._run(scan(node, i, j, a, b, length, ties)) is None
+                want = self._brute_ties(table, node, i, j, a, b, length)
+                assert ties == want, (str(sigma), str(tau), node.span, (i, j, a, b))
+                signs.add(node.sign)
+                arities.add(node.arity)
+                checked += 1
+        assert signs >= {"+", "-"} and arities >= {2, 4, 5}
+        assert checked > 500
 
 
 class TestPointCounts:
