@@ -28,26 +28,26 @@ each length, which the same scan lists in its tie mode.
 No cell is longer than the number of target points (p, tau(p)) in its box,
 which a 2-D prefix count over the target gives in O(1): a box with no point
 is 0 and a leaf box is 1 when it holds a point, without a scan.  Each
-internal cell is the best sum of child cells over all splits.  The scan
-skips a split whose children's point counts cannot beat the best so far,
-and stops when the best meets the cell's own count.  A prime scan picks its
-position cuts one at a time, depth first, and drops a prefix of cuts as
-soon as its closed slices' counts plus the points left after it cannot beat
-the best; when the last slice of such a prefix is already full, later cuts
-only lower that bound, so the rest of the level goes too.  Every scan also
-skips a split that an earlier split already beats.  A cell never shrinks
-when its window grows, so along a scan axis one child's length never
-decreases and the other's never increases; a split whose growing child did
-not grow past what an earlier split read is at most as long as that split.
-For a linear node the growing child is the one taking the low values, and
-for a + node it also grows with h; for a prime node, a value cut that adds
-nothing to the slices before it leaves less to the slices after it.  So a
-skipped split can only tie, every cell value stays the one the full scan
-gives, and so does the first split in scan order that reaches it, which is
-the plain witness.  A tied split can carry a smaller pattern, so the tie
-mode keeps the bounds, with the best fixed one below the length, but skips
-only a split that an earlier one strictly beats, which cannot tie.  The
-tests check every materialized cell against the brute-force oracle.
+internal cell is the best sum of child cells over all splits, and depends
+only on the points in its box.  So a scan cuts only at i or a, or just
+after a window point: a cut moved past a position or a value holding none
+repeats the split one step before it (Ibarra, IPL 1997).  The scan skips a
+split whose children's point counts cannot beat the best so far, and stops
+when the best meets the cell's own count; a prime scan drops a whole prefix
+of position cuts that cannot (see :func:`_position_cuts`).  Every scan also
+skips a split that an earlier split already beats.  A cell never shrinks when its
+window grows, so along a scan axis one child's length never decreases and
+the other's never increases; a split whose growing child did not grow past
+what an earlier split read is at most as long as that split.  For a linear
+node the growing child is the one taking the low values, and for a + node
+it also grows with h; for a prime node, a value cut that adds nothing to
+the slices before it leaves less to the slices after it.  So a skipped
+split can only tie, every cell value stays the one the full scan gives, and
+so does the first split in scan order that reaches it, which is the plain
+witness.  A tied split can carry a smaller pattern, so the tie mode keeps
+the bounds, with the best fixed one below the length, but skips only a
+split that an earlier one strictly beats, or that repeats one before it.
+The tests check every materialized cell against the brute-force oracle.
 
 :func:`lcp` is the single entry point.  The separable and the general
 algorithm are this one program: :func:`lcp_plan` picks the guiding tree,
@@ -92,14 +92,15 @@ def _position_cuts(i: int, sizes: list[int], upto: list[int], floor):
     h_{d-1}, slice k holds positions cuts[k]..cuts[k + 1] - 1, and
     ``caps[k]`` is the smaller of ``sizes[k]`` and the slice's points, read
     from ``upto`` as :meth:`DpTable._points_upto` gives it.  The tuples come
-    in lexicographic order, built depth first one cut at a time.  A prefix
-    h_1..h_k is dropped when the caps of the slices it closes plus the
-    smaller of the later slices' sizes and the points after h_k cannot
-    exceed the floor, since no tuple under it can; when the last slice it
-    closes is already full, a later h_k only lowers that bound, so the
-    level ends.  ``floor`` is called at every check and may only grow, so
-    this yields exactly the tuples that pass the check when their turn
-    comes.
+    in lexicographic order, built depth first one cut at a time.  A cut
+    h_k > h_{k-1} just after a position without a point repeats the cut one
+    lower, so it goes with every tuple under it.  A prefix h_1..h_k is
+    dropped when the caps of the slices it closes plus the smaller of the
+    later slices' sizes and the points after h_k cannot exceed the floor,
+    since no tuple under it can; when the last slice it closes is already
+    full, a later h_k only lowers that bound, so the level ends.  ``floor``
+    is called at every check and may only grow, so this yields exactly the
+    tuples that pass the check when their turn comes.
     """
     d = len(sizes)
     end = i + len(upto) - 1  # j + 1
@@ -116,6 +117,8 @@ def _position_cuts(i: int, sizes: list[int], upto: list[int], floor):
             k -= 1
             continue
         cuts[k] = h
+        if h > cuts[k - 1] and upto[h - i] == upto[h - 1 - i]:
+            continue  # position h - 1 holds no point: every tuple under h repeats one under h - 1
         size = sizes[k - 1]
         cap = upto[h - i] - upto[cuts[k - 1] - i]
         if cap > size:
@@ -184,9 +187,11 @@ class DpTable:
         # tau(q) <= v, so a box's point count is four reads (see _points).
         W = self._W = self.n + 1
         placed = [0] * self.n  # placed[v - 1]: value v sits at a position read so far
+        pos = self._pos = [0] * self.n  # pos[v - 1]: the position of value v
         cnt = array("i", [0]) * W
-        for t in tau.values:
+        for p, t in enumerate(tau.values, 1):
             placed[t - 1] = 1
+            pos[t - 1] = p
             cnt.extend(accumulate(placed, initial=0))
         self._cnt = cnt
         self._tables: dict[DecompNode, dict[int, int]] = {}
@@ -287,7 +292,9 @@ class DpTable:
 
         Like every scan, this is a generator: it yields each child box
         missing from the table, as (node, i, j, a, b), is sent that box's
-        length, and returns its result.
+        length, and returns its result.  Row h > i is not scanned when
+        position h - 1 holds no window point, nor column c > a when value
+        c - 1 does not: it repeats the row or column before it.
 
         A split (h, c) gives positions i..h-1 to the left child and h..j to
         the right one, and values a..c-1 to the low child (the left one for
@@ -299,15 +306,14 @@ class DpTable:
         with h' = h for a - node, h' <= h and c' <= c for a + node.  Then it
         is no longer than that split, or than the bound that skipped it.  Each
         child is bounded by its span's width and by the target points in its
-        box: a row by its children's points over a..b, a split by the low
-        child's points over a..c-1 and the high child's over c..b.  A split
-        whose bounds cannot beat the best is not read, and the high child is
-        not read when u plus its bound cannot.  With ``want``, the scan
-        replays the fill up to the first split whose length reaches it and
-        returns its cuts ((i, h, j + 1), (a, c, b + 1)), or None.  With a
-        ``ties`` list too (tie mode), it appends the cuts of every such split
-        and returns None: the best stays ``want - 1``, and ``top`` holds the
-        u read less one, so only a split that u strictly beats is skipped, and
+        box, and a row by its children's points over a..b.  A split whose
+        bounds cannot beat the best is not read, and the high child is not
+        read when u plus its bound cannot.  With ``want``, the scan replays
+        the fill up to the first split whose length reaches it and returns
+        its cuts ((i, h, j + 1), (a, c, b + 1)), or None.  With a ``ties``
+        list too (tie mode), it appends the cuts of every such split and
+        returns None: the best stays ``want - 1``, and ``top`` holds the u
+        read less one, so only a split that u strictly beats is skipped, and
         the row break on ``top`` never fires.
         """
         left, right = node.children
@@ -324,9 +330,12 @@ class DpTable:
         W = self._W
         # seen[c]: for a + node, the low length last read in column c.
         seen = [-1] * (b + 2)
+        tauv, pos = self._tauv, self._pos
 
         best = want - 1 if tie else 0
         for h in range(i, j + 2):
+            if h > i and not a <= tauv[h - 2] <= b:
+                continue  # position h - 1 holds no window point: the row repeats row h - 1
             if positive:
                 lo_i, lo_j, hi_i, hi_j = i, h - 1, h, j
             else:
@@ -350,6 +359,8 @@ class DpTable:
             high_base = (hi_i * S + hi_j) * S * S + b  # + c * S: values c..b
             top = -1  # the largest low length (less tie) read at a split this one cannot beat
             for c in range(a, b + 2):
+                if c > a and not i <= pos[c - 2] <= j:
+                    continue  # no window point has value c - 1: the split repeats (h, c - 1)
                 if positive and seen[c] > top:
                     top = seen[c]
                 if top >= mk_low:
@@ -431,11 +442,12 @@ class DpTable:
         made so far, so value slice t starts at ``path[t - 1]``, and
         ``order[t - 1]`` is the child taking it; ``partial`` is the length of
         slices 1..t-1.  Returns the new best as soon as it meets ``cap``,
-        with ``path`` holding that split's cuts.  The later slices only lose
-        values as ct grows, so a ct whose total does not exceed the previous
-        ct's cannot win, and its later slices are not scanned; in tie mode
-        only a total below the previous one is, and a split beating ``best``
-        goes to ``ties``.
+        with ``path`` holding that split's cuts.  A ct > c_prev for t < d
+        whose value ct - 1 sits outside the window repeats ct - 1, and is
+        skipped.  The later slices only lose values as ct grows, so a ct
+        whose total does not exceed the previous ct's cannot win, and its
+        later slices are not scanned; in tie mode only a total below the
+        previous one is, and a split beating ``best`` goes to ``ties``.
         """
         d = len(order)
         c_prev = path[t - 1]
@@ -448,7 +460,10 @@ class DpTable:
         base = ((p_lo * S + p_hi) * S + c_prev) * S - 1  # + ct: values c_prev..ct-1
         tie = 0 if ties is None else 1
         last = -1
+        pos, lo, end = self._pos, cuts[0], cuts[-1]
         for ct in (b + 1,) if t == d else range(c_prev, b + 2):
+            if t < d and ct > c_prev and not lo <= pos[ct - 2] < end:
+                continue  # value ct - 1 is outside the window: the split repeats ct - 1
             if p_hi < p_lo or ct == c_prev:
                 total = partial
             else:

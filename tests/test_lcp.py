@@ -519,8 +519,9 @@ class TestCellCounts:
 
     Cell counts do not depend on the machine.  Each bound is a fraction of
     what the fill materialized before the skip or bound it guards: the full
-    scan for the dominance skips, and the dominance-skipped fill with
-    interval-width bounds for the point-count bounds.
+    scan for the dominance skips, the dominance-skipped fill with
+    interval-width bounds for the point-count bounds, and the fill that
+    read every cut for the skips of cuts that repeat the cut before them.
     """
 
     @staticmethod
@@ -536,10 +537,10 @@ class TestCellCounts:
         return sigma, random_permutation(rng, 20)
 
     def test_separable_twenty_pair(self):
-        assert self._cells(*self._smoke_pair(), "separable") <= 91_590 // 3
+        assert self._cells(*self._smoke_pair(), "separable") <= 26_973 * 2 // 3
 
     def test_separable_twenty_pair_canonical(self):
-        assert self._cells(*self._smoke_pair(), "separable", canonical=True) <= 260_497 // 3
+        assert self._cells(*self._smoke_pair(), "separable", canonical=True) <= 76_780 * 2 // 3
 
     def test_separable_self_pair(self):
         sigma = random_separable(random.Random(4), 30)
@@ -578,7 +579,7 @@ class TestCellCounts:
         assert (plan.guided_by, plan.prime_arity) == ("sigma", 7)
         table = DpTable(plan.tree, tau)
         pattern, occ_sigma, occ_tau = table.reconstruct()
-        assert sum(1 for _ in materialized_cells(table)) <= 1_068
+        assert sum(1 for _ in materialized_cells(table)) <= 1_004
         assert pattern.values == (2, 5, 1, 3, 4)
         assert occ_sigma.positions == (3, 4, 5, 6, 9)
         assert occ_tau.positions == (1, 5, 6, 7, 8)
@@ -588,7 +589,9 @@ class TestPositionCuts:
     """The prime scans' depth-first walk over position cuts.
 
     It must yield exactly the tuples, in the same order, that the full
-    lexicographic enumeration keeps under the same check.
+    lexicographic enumeration keeps under the same check, once the
+    enumeration drops each tuple that repeats the one before it: a tuple
+    with a cut h_k > h_{k-1} at which ``upto`` did not rise.
     """
 
     @staticmethod
@@ -602,10 +605,20 @@ class TestPositionCuts:
 
     @staticmethod
     def _enumerate(i, sizes, upto):
-        """Every position-cut tuple with its caps, in lexicographic order."""
+        """Every position-cut tuple with its caps, in lexicographic order.
+
+        A cut that moves past a position without a point repeats the tuple
+        with that cut one lower, so only cuts equal to the cut before them,
+        or just after a point, are kept.
+        """
         d = len(sizes)
         for hs in combinations_with_replacement(range(i, i + len(upto)), d - 1):
             cuts = (i, *hs, i + len(upto) - 1)
+            if any(
+                cuts[k] > cuts[k - 1] and upto[cuts[k] - i] == upto[cuts[k] - 1 - i]
+                for k in range(1, d)
+            ):
+                continue
             caps = [min(sizes[k], upto[cuts[k + 1] - i] - upto[cuts[k] - i]) for k in range(d)]
             yield cuts, caps
 
@@ -644,18 +657,42 @@ class TestPositionCuts:
 
 
 class TestTieMode:
-    """A scan called with ``want`` and a ``ties`` list lists every split that reaches ``want``."""
+    """A scan called with ``want`` and a ``ties`` list lists the splits that reach ``want``.
+
+    A split that moves a cut past a position or a value holding no window
+    point has the child point sets, and so the lengths, of the split with
+    that cut one lower; the scans list only the first of such a run, and
+    every other reaching split.
+    """
 
     @staticmethod
     def _brute_ties(table, node, i, j, a, b, want):
-        """Every (position cuts, value cuts) whose child lengths add up to ``want``, in scan order.
+        """Every split whose child lengths add up to ``want``, in scan order.
 
-        Position cuts in lexicographic order, then value cuts in value
-        slice order; a child with an empty range adds 0.
+        Each comes as ((position cuts, value cuts), child point sets,
+        listed), where ``listed`` says whether the scans list it: whether
+        each of its cuts equals the cut before it or sits just after a
+        window point.  Position cuts come in lexicographic order, then value
+        cuts in value slice order; a child with an empty range adds 0.
         """
         d = len(node.children)
         ranks = _ranks(node)
+        tauv = table.tau.values
         lengths = {}
+
+        def steps(cuts, holds):
+            return all(
+                cuts[k] == cuts[k - 1] or holds(cuts[k] - 1) for k in range(1, len(cuts) - 1)
+            )
+
+        def in_values(p):
+            return a <= tauv[p - 1] <= b
+
+        def in_positions(v):
+            return i <= tauv.index(v) + 1 <= j
+
+        def points(lo, hi, v_lo, v_hi):
+            return frozenset(p for p in range(lo, hi + 1) if v_lo <= tauv[p - 1] <= v_hi)
 
         def length(child, lo, hi, v_lo, v_hi):
             if lo > hi or v_lo > v_hi:
@@ -670,12 +707,14 @@ class TestTieMode:
             pos = (i, *hs, j + 1)
             for cs in combinations_with_replacement(range(a, b + 2), d - 1):
                 val = (a, *cs, b + 1)
-                total = sum(
-                    length(child, pos[k], pos[k + 1] - 1, val[r - 1], val[r] - 1)
+                boxes = [
+                    (child, pos[k], pos[k + 1] - 1, val[r - 1], val[r] - 1)
                     for k, (child, r) in enumerate(zip(node.children, ranks))
-                )
-                if total == want:
-                    found.append((pos, val))
+                ]
+                if sum(length(*box) for box in boxes) != want:
+                    continue
+                listed = steps(pos, in_values) and steps(val, in_positions)
+                found.append(((pos, val), tuple(points(*box[1:]) for box in boxes), listed))
         return found
 
     def test_ties_match_brute_force(self):
@@ -703,8 +742,12 @@ class TestTieMode:
                 scan = table._linear_cell if node.kind == "linear" else table._prime_cell
                 ties = []
                 assert table._run(scan(node, i, j, a, b, length, ties)) is None
-                want = self._brute_ties(table, node, i, j, a, b, length)
+                found = self._brute_ties(table, node, i, j, a, b, length)
+                want = [cuts for cuts, _, listed in found if listed]
                 assert ties == want, (str(sigma), str(tau), node.span, (i, j, a, b))
+                # No reaching split is lost: each has the child point sets of a listed one.
+                kept = {sets for _, sets, listed in found if listed}
+                assert all(sets in kept for _, sets, _ in found), (str(sigma), str(tau))
                 signs.add(node.sign)
                 arities.add(node.arity)
                 checked += 1
