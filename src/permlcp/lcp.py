@@ -49,6 +49,15 @@ the bounds, with the best fixed one below the length, but skips only a
 split that an earlier one strictly beats, or that repeats one before it.
 The tests check every materialized cell against the brute-force oracle.
 
+Since an internal cell depends only on its box's points, it is scanned and
+stored under its *tight box*: the first and last position and the lowest
+and highest value of those points.  A box asked for under another key
+whose tight box is already stored gets the value under its own key too, as
+an alias, so later reads of that key hit at once.  The tight scan lists the
+same splits as the scan of the box asked for, with the same child point
+sets in the same order, so the lengths, the plain witness and the
+canonical pick do not change; the witness walks read tight keys only.
+
 :func:`lcp` is the single entry point.  The separable and the general
 algorithm are this one program: :func:`lcp_plan` picks the guiding tree,
 and a tree with no prime node is the separable case.  The table has O(m^4)
@@ -168,6 +177,9 @@ class DpTable:
     splits that can at most tie one read earlier, so they change no cell
     value and no plain witness; the canonical walk runs the scans in tie
     mode, which skips only strictly beaten splits and lists every tied one.
+    An internal box with points is evaluated under its tight box (see
+    :meth:`_tight`), and the key it was asked for holds an alias of that
+    entry once it exists; leaves and empty boxes keep the key asked for.
 
     The fill keeps its own stack instead of Python's: an internal cell's
     scan is a generator that yields each child box missing from the table
@@ -219,9 +231,12 @@ class DpTable:
         """The cell's length, evaluated on a miss.
 
         A leaf or a box without target points is stored at once.  Any other
-        box starts its scan, which waits on a stack as (scan, table, idx)
-        while the boxes it yields are evaluated the same way; each scan's
-        return value is stored and sent to the scan below it.
+        box is narrowed to its tight box.  When that is stored, its length
+        is stored under the box's own key too, as an alias.  Otherwise the
+        tight box starts its scan, which waits on a stack as (scan, table,
+        key) while the boxes it yields are evaluated the same way; each
+        scan's return value is stored under the tight key only and sent to
+        the scan below it.
         """
         S = self._S
         idx = ((i * S + j) * S + a) * S + b
@@ -235,9 +250,14 @@ class DpTable:
             if node.is_leaf or not points:
                 length = table[idx] = 1 if points else 0
             else:
-                fill = self._linear_cell if node.kind == "linear" else self._prime_cell
-                stack.append((fill(node, i, j, a, b), table, idx))
-                length = None
+                i, j, a, b = self._tight(i, j, a, b)
+                key = ((i * S + j) * S + a) * S + b
+                length = table.get(key)
+                if length is None:
+                    fill = self._linear_cell if node.kind == "linear" else self._prime_cell
+                    stack.append((fill(node, i, j, a, b), table, key))
+                else:
+                    table[idx] = length  # the alias: the raw key of a stored tight box
             while stack:
                 scan, table, idx = stack[-1]
                 try:
@@ -252,13 +272,39 @@ class DpTable:
             idx = ((i * S + j) * S + a) * S + b
 
     def _run(self, scan):
-        """Drive one scan to its return value, sending it the length of each box it yields."""
+        """Drive one scan to its return value, sending it the length of each box it yields.
+
+        Each box is read under its tight key, so a replay of a fill scan
+        stores no alias and reads no cell the fill did not evaluate.
+        """
         length = None
         try:
             while True:
-                length = self._cell(*scan.send(length))
+                node, i, j, a, b = scan.send(length)
+                length = self._cell(node, *self._tight(i, j, a, b))
         except StopIteration as done:
             return done.value
+
+    def _tight(self, i: int, j: int, a: int, b: int) -> tuple[int, int, int, int]:
+        """The tight box of the box's target points: their outermost positions and values.
+
+        That is their first and last position and their lowest and highest
+        value, found by walking in from each edge.  A box with no point
+        comes back as it is.
+        """
+        tauv, pos = self._tauv, self._pos
+        lo = i
+        while lo <= j and not a <= tauv[lo - 1] <= b:
+            lo += 1
+        if lo > j:
+            return i, j, a, b
+        while not a <= tauv[j - 1] <= b:
+            j -= 1
+        while not lo <= pos[a - 1] <= j:
+            a += 1
+        while not lo <= pos[b - 1] <= j:
+            b -= 1
+        return lo, j, a, b
 
     def _points(self, i: int, j: int, a: int, b: int) -> int:
         """The number of target points at positions i..j with values a..b.
@@ -503,14 +549,16 @@ class DpTable:
     def _boxes(self, node: DecompNode, cuts: tuple) -> list[tuple | None]:
         """The child boxes (child, i, j, a, b) of the split a scan gave as ``cuts``.
 
-        Child k takes position slice k and the value slice of its rank.  A
-        box with no target point, the only kind of length 0, is None.
+        Child k takes position slice k and the value slice of its rank, as
+        its tight box, so tied splits whose children hold the same points
+        give the same boxes.  A box with no target point, the only kind of
+        length 0, is None.
         """
         pos, val = cuts
         split: list[tuple | None] = []
         for k, (child, r) in enumerate(zip(node.children, _ranks(node))):
-            box = (child, pos[k], pos[k + 1] - 1, val[r - 1], val[r] - 1)
-            split.append(box if self._points(*box[1:]) else None)
+            box = (pos[k], pos[k + 1] - 1, val[r - 1], val[r] - 1)
+            split.append((child, *self._tight(*box)) if self._points(*box) else None)
         return split
 
     def reconstruct(
@@ -527,10 +575,10 @@ class DpTable:
 
         Give all of the cell's node, i, j, a and b, or none of them for the
         root cell; anything else raises ValueError.  Walks down from the
-        cell: each internal box takes its first split that reaches the
-        stored length, or with ``canonical`` the split of lexicographically
-        smallest pattern (the first on ties); each leaf adds its first hit
-        in its window.  Raises RuntimeError when the stored lengths do not
+        cell's tight box: each internal box takes its first split that
+        reaches the stored length, or with ``canonical`` the split of
+        lexicographically smallest pattern (the first on ties); each leaf
+        adds its first hit in its window.  Raises RuntimeError when the stored lengths do not
         rebuild to a pattern of the cell's length common to both sides.
         """
         box = (node, i, j, a, b)
@@ -539,6 +587,7 @@ class DpTable:
         elif None in box:
             raise ValueError("reconstruct takes all of node, i, j, a, b, or none of them")
         length = self.cell(*box)
+        box = (box[0], *self._tight(*box[1:]))
         memo = self._resolve(box) if canonical and length else {}
         hits = []  # (position in the guide, value there, position in tau)
         stack: list[tuple] = [box] if length else []

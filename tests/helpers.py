@@ -142,7 +142,7 @@ def assert_valid_result(sigma: Permutation, tau: Permutation, result) -> None:
 
 
 def materialized_cells(table):
-    """Yield (node, i, j, a, b, length) for every cell a DpTable holds.
+    """Yield (node, i, j, a, b, length) for every entry a DpTable holds, aliases included.
 
     Decodes the packed (i, j, a, b) keys.  All leaves share one sub-table,
     so leaf cells come once, under the first leaf of the walk.
@@ -159,3 +159,28 @@ def materialized_cells(table):
             idx, a = divmod(idx, S)
             i, j = divmod(idx, S)
             yield node, i, j, a, b, length
+
+
+def tight_box(tau: Permutation, i: int, j: int, a: int, b: int):
+    """(first position, last position, lowest value, highest value) of tau's points in the box.
+
+    None when the box holds no point.
+    """
+    points = [(p, v) for p, v in enumerate(tau.values, 1) if i <= p <= j and a <= v <= b]
+    if not points:
+        return None
+    positions, values = zip(*points)
+    return min(positions), max(positions), min(values), max(values)
+
+
+def evaluated_cells(table):
+    """The cells of ``materialized_cells`` that the fill evaluated, without the aliases.
+
+    An internal box with target points is evaluated under its tight box; its
+    other keys are aliases of that entry.  Leaves and empty boxes are stored
+    under the key they were asked for.
+    """
+    for cell in materialized_cells(table):
+        node, i, j, a, b, _ = cell
+        if node.is_leaf or tight_box(table.tau, i, j, a, b) in (None, (i, j, a, b)):
+            yield cell
