@@ -5,8 +5,11 @@ integer interval; the strong ones (those overlapping no other common
 interval) nest into a tree.  Internal nodes are typed linear (children's
 value ranges monotone, signed + or -) or prime (labeled by the simple
 permutation ordering the children by value).  Expanding a linear node of
-arity k into a left comb of k-1 binary nodes of the same sign yields the
-binary tree shape the dynamic programs walk.
+arity k into k-1 binary nodes of the same sign yields the binary tree shape
+the dynamic programs walk.  Every such binarization spells the same
+permutation (Bose, Buss & Lubiw, IPL 1998); a + node is cut at the child
+boundary nearest the middle of its span, and each side again, which cuts
+the DP's cells, and a - node becomes a left comb.
 
 The tree is built in one left-to-right stack pass, and every walk over a
 tree keeps its own stack, so a tree of any depth stays within Python's
@@ -15,6 +18,7 @@ recursion limit.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Iterator
 
@@ -199,27 +203,58 @@ def _fold(root: DecompNode, combine):
     return results[0]
 
 
+def _join(children: list[DecompNode], ends: list[int], lo: int, hi: int) -> DecompNode:
+    """Binary + nodes over ``children[lo:hi]``, cut nearest the middle of their span.
+
+    ``ends`` holds each child's last position.  Cutting after child t
+    leaves ``ends[t] - first + 1`` positions on the left, so the best cut
+    minimizes ``|2 * ends[t] - first - last + 1|``, the smaller t on a tie.
+    """
+    if hi - lo == 1:
+        return children[lo]
+    first, last = children[lo].span.lo, ends[hi - 1]
+    t = bisect_left(ends, (first + last) // 2, lo, hi - 1)
+    if t > lo and (t == hi - 1 or ends[t - 1] + ends[t] >= first + last - 1):
+        t -= 1
+    left, right = _join(children, ends, lo, t + 1), _join(children, ends, t + 1, hi)
+    return DecompNode(
+        "linear",
+        IntervalSpan(first, last),
+        (left.value_range[0], right.value_range[1]),
+        (left, right),
+        sign="+",
+    )
+
+
 def expand_tree(tree: DecompTree) -> DecompTree:
-    """Binarize every linear node into a left comb of same-sign binary nodes."""
+    """Binarize every linear node into same-sign binary nodes.
+
+    A + node is cut at the child boundary nearest the middle of its span
+    (the earlier one on a tie), and each side again, so its k children sit
+    about log2 k levels deep rather than k - 1, and the DP fills fewer
+    cells.  A - node becomes a left comb: its scans skip dominated splits
+    only within a row, so balancing it would cost cells.
+    """
     if tree.expanded:
         raise ValueError("tree is already expanded")
 
     def expand(node: DecompNode, children: list[DecompNode]) -> DecompNode:
         if node.is_leaf:
             return node
-        if node.kind == "prime":
-            return replace(node, children=tuple(children))
+        if node.kind == "prime" or len(children) == 2:
+            return DecompNode(
+                node.kind, node.span, node.value_range, tuple(children), node.sign, node.label
+            )
+        if node.sign == "+":
+            return _join(children, [c.span.hi for c in children], 0, len(children))
         acc = children[0]
         for child in children[1:]:
             acc = DecompNode(
                 "linear",
                 IntervalSpan(acc.span.lo, child.span.hi),
-                (
-                    min(acc.value_range[0], child.value_range[0]),
-                    max(acc.value_range[1], child.value_range[1]),
-                ),
+                (child.value_range[0], acc.value_range[1]),
                 (acc, child),
-                sign=node.sign,
+                sign="-",
             )
         return acc
 
@@ -232,7 +267,7 @@ def is_separable(sigma: Permutation) -> bool:
 
 
 def separating_tree(sigma: Permutation) -> DecompTree:
-    """A binary separating tree of a separable permutation (left-comb expansion)."""
+    """A binary separating tree of a separable permutation, as :func:`expand_tree` shapes it."""
     tree = decomposition_tree(sigma)
     if any(node.kind == "prime" for node in tree.walk()):
         raise NotSeparableError(f"{sigma} is not separable")

@@ -23,7 +23,10 @@ first split that reaches a cell's length is taken, which makes the witness
 reproducible; replaying the cell's own fill scan finds it and reads no cell
 the fill did not.  With ``canonical=True`` the lexicographically smallest
 pattern of maximal length is kept instead, over every split that reaches
-each length, which the same scan lists in its tie mode.
+each length, which the same scan lists in its tie mode.  The scan order
+runs over the expanded guide, so the way :func:`expand_tree` binarizes a
+linear node can pick another plain witness among ties; no length and no
+canonical pattern depends on it.
 
 No cell is longer than the number of target points (p, tau(p)) in its box,
 which a 2-D prefix count over the target gives in O(1): a box with no point

@@ -1,20 +1,24 @@
-"""Pinned answers: lcp() over a seeded pair set hashes to one recorded digest.
+"""Pinned answers: lcp() over a seeded pair set hashes to two recorded digests.
 
-The digest covers the pattern, both occurrences and the algorithm of every
-result, for all three algos and both values of ``canonical``.  An error is
-an answer too, hashed by type and message: ``separable`` raises
+The full digest covers the pattern, both occurrences and the algorithm of
+every result, for all three algos and both values of ``canonical``.  The
+second covers what no change of scan order or tree shape may move: every
+length, and every ``canonical=True`` answer in full.  An error is an answer
+too, hashed by type and message: ``separable`` raises
 ``NotSeparableError`` on a guide with a prime node.  A change meant to keep
-every answer (a faster scan, a new skip) keeps the digest; a change meant
-to alter an answer records the new digest and says why.
+every answer (a faster scan, a new skip) keeps both digests; a change meant
+to alter a plain witness records a new full digest and says why.
 """
 
+import functools
 import hashlib
 import random
 
 from helpers import random_permutation, random_separable
 from permlcp import Permutation, concat_rho, decomposition_tree, lcp, max_prime_arity
 
-DIGEST = "57fa4708c408a9ced22050be01bb9d81527234a66762cbf9c677e9ddfbcd3157"
+DIGEST = "b6a458342790bcbd46ea34941d4e7b9230b5b0c7698ea2fa31e2b33e745b9d66"
+LENGTHS_AND_CANONICAL_DIGEST = "a322f82086727904edb353e94f16a0c057fe86f30e53b9d9ebedf426336bdd43"
 
 
 def _prime_inflation(rng: random.Random, n: int) -> Permutation:
@@ -49,23 +53,34 @@ def _pairs():
     return pairs
 
 
-def _answer(sigma, tau, algo, canonical) -> str:
+def _answer(sigma, tau, algo, canonical) -> tuple[str, str]:
+    """The full answer line's tail, and the part of it the second digest keeps."""
     try:
         r = lcp(sigma, tau, algo, canonical=canonical)
     except ValueError as error:
-        return f"{type(error).__name__}: {error}"
-    return f"{r.pattern} | {r.occ_sigma} | {r.occ_tau} | {r.algorithm}"
+        text = f"{type(error).__name__}: {error}"
+        return text, text
+    text = f"{r.pattern} | {r.occ_sigma} | {r.occ_tau} | {r.algorithm}"
+    return text, text if canonical else f"length {r.length}"
 
 
-def answers_digest() -> str:
-    digest = hashlib.sha256()
+@functools.cache
+def answers_digests() -> tuple[str, str]:
+    """The full digest and the lengths-and-canonical digest, in one pass."""
+    full, kept = hashlib.sha256(), hashlib.sha256()
     for sigma, tau in _pairs():
         for algo in ("auto", "separable", "general"):
             for canonical in (False, True):
-                line = f"{sigma} / {tau} {algo} {canonical}: {_answer(sigma, tau, algo, canonical)}\n"
-                digest.update(line.encode())
-    return digest.hexdigest()
+                head = f"{sigma} / {tau} {algo} {canonical}: "
+                text, part = _answer(sigma, tau, algo, canonical)
+                full.update(f"{head}{text}\n".encode())
+                kept.update(f"{head}{part}\n".encode())
+    return full.hexdigest(), kept.hexdigest()
 
 
 def test_answers_match_the_recorded_digest():
-    assert answers_digest() == DIGEST
+    assert answers_digests()[0] == DIGEST
+
+
+def test_lengths_and_canonical_answers_match_their_digest():
+    assert answers_digests()[1] == LENGTHS_AND_CANONICAL_DIGEST

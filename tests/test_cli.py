@@ -279,6 +279,25 @@ class TestDeepInputs:
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
+    def test_expanded_json_of_long_identity(self, capsys):
+        """The 1,999 + nodes of the identity of size 2000 nest 11 deep, not 1,999."""
+        identity = " ".join(map(str, range(1, 2001)))
+        code, out, _ = run(capsys, "tree", identity, "--kind", "expanded", "--format", "json")
+        assert code == 0
+
+        def spelled(node, low):
+            """The values a linear-only tree spells, each above ``low``."""
+            if not node["children"]:
+                return [low + 1]
+            children = node["children"]
+            lows = {}
+            for child in children if node["sign"] == "+" else children[::-1]:
+                lows[id(child)] = low
+                low += child["span"][1] - child["span"][0] + 1
+            return [v for child in children for v in spelled(child, lows[id(child)])]
+
+        assert " ".join(map(str, spelled(json.loads(out)["root"], 0))) == identity
+
 
 class TestContainsCommand:
     def test_known_example_present(self, capsys):

@@ -250,17 +250,40 @@ class TestExpandTree:
         assert minus.children[0].sign == "-"
         assert (minus.children[0].span.lo, minus.children[0].span.hi) == (3, 4)
 
-    def test_left_comb_of_four(self):
-        tree = tree_from_nested(("+", 1, 2, 3, 4))
-        expanded = expand_tree(tree)
-        node = expanded.root
-        spans_seen = []
-        while not node.is_leaf:
-            assert node.sign == "+" and node.arity == 2
-            assert node.children[1].is_leaf
-            spans_seen.append((node.span.lo, node.span.hi))
-            node = node.children[0]
-        assert spans_seen == [(1, 4), (1, 3), (1, 2)]
+    @staticmethod
+    def _shape(node):
+        """Leaf values, nested by the binary nodes above them."""
+        if node.is_leaf:
+            return node.leaf_value
+        return tuple(TestExpandTree._shape(child) for child in node.children)
+
+    def test_plus_nodes_split_at_the_middle_minus_nodes_comb(self):
+        def shape(spec):
+            return self._shape(expand_tree(tree_from_nested(spec)).root)
+
+        assert shape(("+", 1, 2, 3, 4)) == ((1, 2), (3, 4))
+        # Both cuts of three leaves miss the middle by half a leaf: the first wins.
+        assert shape(("+", 1, 2, 3)) == (1, (2, 3))
+        assert shape(("-", 4, 3, 2, 1)) == (((4, 3), 2), 1)
+        for node in expand_tree(tree_from_nested(("-", 4, 3, 2, 1))).walk():
+            assert node.is_leaf or node.sign == "-"
+
+    def test_plus_node_cut_nearest_the_middle(self):
+        """Children of widths 2, 2, 5, 4, 1: the cut after the third leaves 9 of 14 positions left."""
+        spec = ("+", ("-", 2, 1), ("-", 4, 3), ("-", 9, 8, 7, 6, 5), ("-", 13, 12, 11, 10), 14)
+        root = expand_tree(tree_from_nested(spec)).root
+        assert root.sign == "+"
+        assert [(c.span.lo, c.span.hi) for c in root.children] == [(1, 9), (10, 14)]
+
+    def test_identity_expands_to_logarithmic_depth(self):
+        """A left comb over the identity of size 10^4 would be 9,999 deep."""
+        tree = expand_tree(decomposition_tree(Permutation(tuple(range(1, 10_001)))))
+        depth, stack = 0, [(tree.root, 0)]
+        while stack:
+            node, d = stack.pop()
+            depth = max(depth, d)
+            stack.extend((child, d + 1) for child in node.children)
+        assert depth == 14
 
     def test_binary_tree_unchanged(self):
         sigma = parse_permutation("2 1")
