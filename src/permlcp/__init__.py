@@ -24,7 +24,7 @@ from .decomposition import (
     tree_to_permutation,
     tree_to_text,
 )
-from .lcp import DpTable, LcpPlan, LcpResult, lcp, lcp_plan
+from .dp import DpTable, LcpPlan, LcpResult, lcp, lcp_plan
 from .oracle import oracle_is_simple, oracle_lcp, oracle_separable
 from .perms import (
     Occurrence,

@@ -4,7 +4,11 @@ Commands: ``lcp`` (longest common pattern between two permutations),
 ``plan`` (which input would guide ``lcp``, and the predicted costs),
 ``tree`` (inspect decomposition trees), ``check`` (separability/simplicity
 predicates with witnesses) and ``contains`` (pattern involvement through the
-LCP reduction).  Machine output goes to stdout, diagnostics to stderr.
+LCP reduction).  Each command returns its exit code, a JSON-ready payload
+and its text, and :func:`main` renders the result once: the payload under
+``-o json``, the text otherwise (``tree`` has ``--format`` instead, and
+returns the rendering it picks).  ``--quiet`` only drops that stdout, so it
+never changes an exit code.  Diagnostics go to stderr.
 
 Exit codes: 0 ok/true, 1 predicate false, 2 input error, 3 algorithm
 precondition violated, a JSON tree nested past the recursion limit or an
@@ -27,49 +31,43 @@ from .decomposition import (
     tree_to_dot,
     tree_to_text,
 )
-from .lcp import lcp, lcp_plan
+from .dp import lcp, lcp_plan
 from .perms import Occurrence, Pattern, find_occurrence, parse_permutation
 
 # Prime arity at which the per-cell cost n^(2d-2) starts to hurt.
 ARITY_WARN_THRESHOLD = 6
 
 
-def _warn(message: str) -> None:
-    print(f"warning: {message}", file=sys.stderr)
+def _text(fields: dict) -> str:
+    """One ``name: value`` line per field; a value of None reads ``not built``."""
+    return "\n".join(
+        f"{name}: {'not built' if value is None else value}" for name, value in fields.items()
+    )
 
 
-def cmd_lcp(args: argparse.Namespace) -> int:
+def cmd_lcp(args: argparse.Namespace) -> tuple[int, dict, str]:
     sigma = parse_permutation(args.sigma)
     tau = parse_permutation(args.tau)
     plan = lcp_plan(sigma, tau, args.algo)
     arity = plan.prime_arity
     if arity >= ARITY_WARN_THRESHOLD:
-        _warn(
-            f"guiding tree has a prime node of arity {arity}; the per-cell "
-            f"cost grows like n^(2*{arity}-2), this may be very slow"
+        print(
+            f"warning: guiding tree has a prime node of arity {arity}; the per-cell "
+            f"cost grows like n^(2*{arity}-2), this may be very slow",
+            file=sys.stderr,
         )
     result = lcp(sigma, tau, plan, canonical=args.canonical)
-    if args.quiet:
-        return 0
-    if args.output == "json":
-        print(
-            json.dumps(
-                {
-                    "pattern": list(result.pattern.values),
-                    "length": result.length,
-                    "occ_sigma": list(result.occ_sigma.positions),
-                    "occ_tau": list(result.occ_tau.positions),
-                    "algorithm": result.algorithm,
-                }
-            )
-        )
-    else:
-        print(f"pattern: {result.pattern}")
-        print(f"length: {result.length}")
-        print(f"occ_sigma: {result.occ_sigma}")
-        print(f"occ_tau: {result.occ_tau}")
-        print(f"algorithm: {result.algorithm}")
-    return 0
+    fields = {
+        "pattern": result.pattern,
+        "length": result.length,
+        "occ_sigma": result.occ_sigma,
+        "occ_tau": result.occ_tau,
+        "algorithm": result.algorithm,
+    }
+    payload = {
+        name: list(v) if isinstance(v, (Pattern, Occurrence)) else v for name, v in fields.items()
+    }
+    return 0, payload, _text(fields)
 
 
 def _cost(value: int | None) -> int | str | None:
@@ -80,7 +78,7 @@ def _cost(value: int | None) -> int | str | None:
     return f">=1e{int((value.bit_length() - 1) * math.log10(2))}"
 
 
-def cmd_plan(args: argparse.Namespace) -> int:
+def cmd_plan(args: argparse.Namespace) -> tuple[int, dict, str]:
     plan = lcp_plan(parse_permutation(args.sigma), parse_permutation(args.tau), args.algo)
     fields = {
         "guided_by": plan.guided_by,
@@ -89,119 +87,85 @@ def cmd_plan(args: argparse.Namespace) -> int:
         "cost_sigma": _cost(plan.cost_sigma),
         "cost_tau": _cost(plan.cost_tau),
     }
-    if args.quiet:
-        return 0
-    if args.output == "json":
-        print(json.dumps(fields))
-    else:
-        for name, value in fields.items():
-            print(f"{name}: {'not built' if value is None else value}")
-    return 0
+    return 0, fields, _text(fields)
 
 
-def cmd_tree(args: argparse.Namespace) -> int:
-    sigma = parse_permutation(args.sigma)
-    tree = decomposition_tree(sigma)
+def cmd_tree(args: argparse.Namespace) -> tuple[int, None, str]:
+    tree = decomposition_tree(parse_permutation(args.sigma))
     if args.kind == "expanded":
         tree = expand_tree(tree)
-    if args.quiet:
-        return 0
     if args.format == "dot":
-        print(tree_to_dot(tree))
-    elif args.format == "json":
-        print(json.dumps(tree_to_dict(tree)))
-    else:
-        print(tree_to_text(tree))
-    return 0
+        return 0, None, tree_to_dot(tree)
+    if args.format == "json":
+        return 0, None, json.dumps(tree_to_dict(tree))
+    return 0, None, tree_to_text(tree)
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: argparse.Namespace) -> tuple[int, dict, str]:
     sigma = parse_permutation(args.sigma)
     tree = decomposition_tree(sigma)
 
     if args.separable:
         prime = next((node for node in tree.walk() if node.kind == "prime"), None)
-        ok = prime is None
-        if not ok:
-            # The label is simple, so it holds 3 1 4 2 or 2 4 1 3; one
-            # position from each matched child spells the same pattern in sigma.
-            pattern_name = "3 1 4 2"
-            hit = find_occurrence(prime.label, Pattern((3, 1, 4, 2)))
-            if hit is None:
-                pattern_name = "2 4 1 3"
-                hit = find_occurrence(prime.label, Pattern((2, 4, 1, 3)))
-            witness = Occurrence(tuple(prime.children[k - 1].span.lo for k in hit))
-        if not args.quiet:
-            if args.output == "json":
-                payload = {"predicate": "separable", "value": ok}
-                if not ok:
-                    payload["witness"] = list(witness.positions)
-                    payload["forbidden_pattern"] = pattern_name
-                print(json.dumps(payload))
-            elif ok:
-                print("separable")
-            else:
-                values = " ".join(str(sigma.values[p - 1]) for p in witness)
-                print(
-                    f"not separable: {pattern_name} occurs at positions "
-                    f"{witness} (values {values})"
-                )
-        return 0 if ok else 1
+        if prime is None:
+            return 0, {"predicate": "separable", "value": True}, "separable"
+        # The label is simple, so it holds 3 1 4 2 or 2 4 1 3; one
+        # position from each matched child spells the same pattern in sigma.
+        pattern_name = "3 1 4 2"
+        hit = find_occurrence(prime.label, Pattern((3, 1, 4, 2)))
+        if hit is None:
+            pattern_name = "2 4 1 3"
+            hit = find_occurrence(prime.label, Pattern((2, 4, 1, 3)))
+        witness = Occurrence(tuple(prime.children[k - 1].span.lo for k in hit))
+        payload = {
+            "predicate": "separable",
+            "value": False,
+            "witness": list(witness.positions),
+            "forbidden_pattern": pattern_name,
+        }
+        values = " ".join(str(sigma.values[p - 1]) for p in witness)
+        return 1, payload, (
+            f"not separable: {pattern_name} occurs at positions {witness} (values {values})"
+        )
 
     # --simple: the whole permutation is one prime node over leaves.
-    ok = tree.root.kind == "prime" and all(child.is_leaf for child in tree.root.children)
-    witness_span = None
-    if not ok:
-        # The first proper common interval is the span of a non-root internal
-        # node or of two neighbouring children of a linear node.
-        spans = []
-        for node in tree.walk():
-            spans += [child.span for child in node.children if child.children]
-            if node.kind == "linear":
-                spans += [IntervalSpan(a.span.lo, b.span.hi) for a, b in zip(node.children, node.children[1:])]
-        witness_span = min(
-            (s for s in spans if s.width < sigma.n), key=lambda s: (s.lo, s.hi), default=None
+    if tree.root.kind == "prime" and all(child.is_leaf for child in tree.root.children):
+        return 0, {"predicate": "simple", "value": True}, "simple"
+    # The first proper common interval is the span of a non-root internal
+    # node or of two neighbouring children of a linear node.
+    spans = []
+    for node in tree.walk():
+        spans += [child.span for child in node.children if child.children]
+        if node.kind == "linear":
+            spans += [IntervalSpan(a.span.lo, b.span.hi) for a, b in zip(node.children, node.children[1:])]
+    span = min((s for s in spans if s.width < sigma.n), key=lambda s: (s.lo, s.hi), default=None)
+    payload = {"predicate": "simple", "value": False}
+    if span is None:
+        return 1, payload, (
+            f"not simple: size {sigma.n} < 4 (smallest simple size is 4; whole span 1-{sigma.n})"
         )
-    if not args.quiet:
-        if args.output == "json":
-            payload = {"predicate": "simple", "value": ok}
-            if witness_span is not None:
-                payload["witness_span"] = [witness_span.lo, witness_span.hi]
-            print(json.dumps(payload))
-        elif ok:
-            print("simple")
-        elif witness_span is not None:
-            print(f"not simple: common interval at positions {witness_span}")
-        else:
-            print(f"not simple: size {sigma.n} < 4 (smallest simple size is 4; whole span 1-{sigma.n})")
-    return 0 if ok else 1
+    payload["witness_span"] = [span.lo, span.hi]
+    return 1, payload, f"not simple: common interval at positions {span}"
 
 
-def cmd_contains(args: argparse.Namespace) -> int:
+def cmd_contains(args: argparse.Namespace) -> tuple[int, dict, str]:
     pattern = parse_permutation(args.pattern)
     sigma = parse_permutation(args.sigma)
     result = lcp(pattern, sigma, "auto")
-    ok = result.length == len(pattern)
-    if not args.quiet:
-        if args.output == "json":
-            payload = {"contains": ok}
-            if ok:
-                payload["occurrence"] = list(result.occ_tau.positions)
-            print(json.dumps(payload))
-        elif ok:
-            values = " ".join(str(sigma.values[p - 1]) for p in result.occ_tau)
-            print(f"occurrence at positions {result.occ_tau} (values {values})")
-        else:
-            print("no occurrence")
-    return 0 if ok else 1
+    if result.length != len(pattern):
+        return 1, {"contains": False}, "no occurrence"
+    values = " ".join(str(sigma.values[p - 1]) for p in result.occ_tau)
+    payload = {"contains": True, "occurrence": list(result.occ_tau.positions)}
+    return 0, payload, f"occurrence at positions {result.occ_tau} (values {values})"
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument(
         "--output", "-o", choices=("text", "json"), default="text", help="output format"
     )
-    common.add_argument("--quiet", action="store_true", help="suppress stdout, keep exit codes")
+    quiet = argparse.ArgumentParser(add_help=False)
+    quiet.add_argument("--quiet", action="store_true", help="suppress stdout, keep exit codes")
 
     parser = argparse.ArgumentParser(
         prog="permlcp",
@@ -219,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="algorithm selection (default: auto)",
     )
 
-    p_lcp = sub.add_parser("lcp", parents=[common, pair], help="longest common pattern")
+    p_lcp = sub.add_parser("lcp", parents=[output, quiet, pair], help="longest common pattern")
     p_lcp.add_argument(
         "--canonical",
         action="store_true",
@@ -228,17 +192,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_lcp.set_defaults(func=cmd_lcp)
 
     p_plan = sub.add_parser(
-        "plan", parents=[common, pair], help="which input guides lcp, and the predicted costs"
+        "plan", parents=[output, quiet, pair], help="which input guides lcp, and the predicted costs"
     )
     p_plan.set_defaults(func=cmd_plan)
 
-    p_tree = sub.add_parser("tree", parents=[common], help="print a decomposition tree")
+    p_tree = sub.add_parser("tree", parents=[quiet], help="print a decomposition tree")
     p_tree.add_argument("sigma")
     p_tree.add_argument("--kind", choices=("labeled", "expanded"), default="labeled")
     p_tree.add_argument("--format", choices=("text", "dot", "json"), default="text")
     p_tree.set_defaults(func=cmd_tree)
 
-    p_check = sub.add_parser("check", parents=[common], help="test a permutation predicate")
+    p_check = sub.add_parser("check", parents=[output, quiet], help="test a permutation predicate")
     p_check.add_argument("sigma")
     group = p_check.add_mutually_exclusive_group(required=True)
     group.add_argument("--separable", action="store_true")
@@ -246,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=cmd_check)
 
     p_contains = sub.add_parser(
-        "contains", parents=[common], help="does the pattern occur in the permutation?"
+        "contains", parents=[output, quiet], help="does the pattern occur in the permutation?"
     )
     p_contains.add_argument("pattern")
     p_contains.add_argument("sigma")
@@ -258,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, payload, text = args.func(args)
+        out = json.dumps(payload) if getattr(args, "output", "text") == "json" else text
     except NotSeparableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -268,6 +233,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # RecursionError on a deep JSON tree, or an internal fault
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    if not args.quiet:
+        print(out)
+    return code
 
 
 def entry() -> None:

@@ -326,14 +326,6 @@ class DpTable:
         below = cnt[(i - 1) * W + b] - cnt[(i - 1) * W + a - 1]
         return [cnt[p * W + b] - cnt[p * W + a - 1] - below for p in range(i - 1, j + 1)]
 
-    def _leaf_hit(self, i: int, j: int, a: int, b: int) -> int:
-        """The first position in i..j whose value lies in a..b, or 0."""
-        tauv = self._tauv
-        for h in range(i, j + 1):
-            if a <= tauv[h - 1] <= b:
-                return h
-        return 0
-
     def _linear_cell(
         self, node: DecompNode, i: int, j: int, a: int, b: int, want: int = 0, ties=None
     ):
@@ -580,9 +572,10 @@ class DpTable:
         root cell; anything else raises ValueError.  Walks down from the
         cell's tight box: each internal box takes its first split that
         reaches the stored length, or with ``canonical`` the split of
-        lexicographically smallest pattern (the first on ties); each leaf
-        adds its first hit in its window.  Raises RuntimeError when the stored lengths do not
-        rebuild to a pattern of the cell's length common to both sides.
+        lexicographically smallest pattern (the first on ties); each leaf,
+        a tight box too, adds the point at its first position.  Raises
+        RuntimeError when a leaf box holds no point, or when the stored lengths
+        do not rebuild to a pattern of the cell's length common to both sides.
         """
         box = (node, i, j, a, b)
         if box.count(None) == 5:
@@ -597,10 +590,10 @@ class DpTable:
         while stack:
             box = stack.pop()
             if box[0].is_leaf:
-                h = self._leaf_hit(*box[1:])
-                if not h:
+                # Leaf boxes on the walk are tight, so a point sits at the first position.
+                if not self._points(*box[1:]):
                     raise RuntimeError("a leaf cell of length 1 has no hit in its window")
-                hits.append((box[0].span.lo, box[0].leaf_value, h))
+                hits.append((box[0].span.lo, box[0].leaf_value, box[1]))
                 continue
             split = memo[box][1] if canonical else self._first_split(*box, self._cell(*box))
             stack.extend(c for c in split if c is not None)

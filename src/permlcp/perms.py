@@ -7,7 +7,7 @@ convention.
 
 ``find_occurrence`` is the definitional backtracking search.  It is
 exponential in the worst case and intended for validation, oracles and small
-inputs only; the polynomial algorithms live in :mod:`permlcp.lcp`.
+inputs only; the polynomial algorithms live in :mod:`permlcp.dp`.
 """
 
 from __future__ import annotations

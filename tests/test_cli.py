@@ -326,7 +326,34 @@ class TestContainsCommand:
         assert normalize(picked).values == (2, 1)
 
 
+class TestQuiet:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(("lcp", "2 4 6 1 3 5", "1 2 3", "--algo", "general"), id="lcp-warning"),
+            pytest.param(("lcp", "1 2 x", "1 2"), id="lcp-parse-error"),
+            pytest.param(("lcp", "3 1 4 2", "1 2", "--algo", "separable", "-o", "json"), id="lcp-not-separable"),
+            pytest.param(("plan", "2 4 1 3 5", "1 3 2"), id="plan"),
+            pytest.param(("plan", "1 2", "1 2 2", "-o", "json"), id="plan-parse-error"),
+            pytest.param(("tree", "1 2 2"), id="tree-parse-error"),
+            pytest.param(("tree", str(alternating_chain(5000)), "--format", "json"), id="tree-deep-json"),
+            pytest.param(("check", "2 4 1 3", "--separable"), id="check-not-separable"),
+            pytest.param(("check", "1 2", "--simple", "-o", "json"), id="check-not-simple"),
+            pytest.param(("contains", "3 2 1", "1 4 2 5 6 3"), id="contains-absent"),
+            pytest.param(("contains", "2 1", "1 3 2", "-o", "json"), id="contains-json"),
+        ],
+    )
+    def test_quiet_keeps_exit_code_and_stderr(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert run(capsys, *argv, "--quiet") == (code, "", err)
+
+
 class TestParserBehaviour:
+    def test_tree_rejects_output_flag(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["tree", "2 1 3", "-o", "json"])
+        assert exc.value.code == 2
+
     def test_module_runs_as_script(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.environ.get("PYTHONPATH")

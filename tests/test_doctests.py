@@ -1,13 +1,10 @@
 """Keep the usage examples in the docstrings honest."""
 
 import doctest
-import importlib
 
 import permlcp.algebra
+import permlcp.dp
 import permlcp.perms
-
-# The package re-exports the function lcp under the submodule's name.
-lcp_module = importlib.import_module("permlcp.lcp")
 
 
 def test_perms_doctests():
@@ -21,5 +18,5 @@ def test_algebra_doctests():
 
 
 def test_lcp_doctests():
-    result = doctest.testmod(lcp_module)
+    result = doctest.testmod(permlcp.dp)
     assert result.failed == 0 and result.attempted > 0

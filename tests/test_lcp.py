@@ -37,7 +37,7 @@ from permlcp import (
     parse_permutation,
     tree_from_nested,
 )
-from permlcp.lcp import _position_cuts, _ranks
+from permlcp.dp import _position_cuts, _ranks
 from permlcp.oracle import oracle_lcp
 
 
@@ -366,6 +366,16 @@ class TestTableProperties:
             for canonical in (False, True):
                 with pytest.raises(RuntimeError):
                     table.reconstruct(canonical=canonical)
+
+    def test_leaf_length_without_a_point_raises(self):
+        tau = parse_permutation("3 1 4 2 5")
+        table = DpTable(expand_tree(decomposition_tree(parse_permutation("2 1 3"))), tau)
+        leaf = next(node for node in table.tree.walk() if node.is_leaf)
+        S = table.n + 2
+        table._tables[leaf][((1 * S + 1) * S + 1) * S + 1] = 1  # position 1 holds value 3, not 1
+        for canonical in (False, True):
+            with pytest.raises(RuntimeError, match="no hit in its window"):
+                table.reconstruct(leaf, 1, 1, 1, 1, canonical=canonical)
 
 
 # (sigma, tau, algo, plain (pattern, occ_sigma, occ_tau), canonical (...)).
