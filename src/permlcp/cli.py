@@ -159,6 +159,16 @@ def cmd_contains(args: argparse.Namespace) -> tuple[int, dict, str]:
     return 0, payload, f"occurrence at positions {result.occ_tau} (values {values})"
 
 
+class _Command(argparse.ArgumentParser):
+    """A subcommand's parser: it rejects an unknown argument itself, under its own usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 def build_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument(
@@ -171,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="permlcp",
         description="Longest common pattern between permutations, and the trees behind it.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
 
     pair = argparse.ArgumentParser(add_help=False)
     pair.add_argument("sigma", help="first permutation, e.g. '5 1 4 3 2'")

@@ -61,6 +61,25 @@ same splits as the scan of the box asked for, with the same child point
 sets in the same order, so the lengths, the plain witness and the
 canonical pick do not change; the witness walks read tight keys only.
 
+A split can beat the best so far only if each child beats what the other
+leaves it: the low child ``best - m_high``, where m_high bounds the high
+child, and the high child ``best - u``.  So a linear scan asks each child
+box with that *floor*, and the child's own scan starts its best there.  A
+box that beats its floor comes back with its exact length; one that does
+not comes back with the floor, which bounds it, and its table entry holds
+the bound ``-1 - ub`` ("at most ub") in place of a length.  A later read at
+a floor of at least ub takes the bound as it is; one at a lower floor scans
+the box again.  A split that beats the best has both children above their
+floors, so both come back exact, and the best rises through the same
+splits as with every child exact.  A bound can stand in for an exact
+length in the dominance skips below too: the split that read it could not
+beat the best, and a split it dominates has a high child no longer than
+that split's bound on it.  The plain replay and the tie mode start their
+best one below the cell's length, so they read the children at floors no
+lower than the fill did.  A prime scan starts at its own floor, but asks
+its children for exact lengths.  :meth:`DpTable.cell`, ``root_cell`` and
+``reconstruct`` ask at floor 0, so callers only ever see exact lengths.
+
 :func:`lcp` is the single entry point.  The separable and the general
 algorithm are this one program: :func:`lcp_plan` picks the guiding tree,
 and a tree with no prime node is the separable case.  The table has O(m^4)
@@ -184,6 +203,11 @@ class DpTable:
     :meth:`_tight`), and the key it was asked for holds an alias of that
     entry once it exists; leaves and empty boxes keep the key asked for.
 
+    An entry is an exact length (>= 0) or, for an internal box asked at a
+    floor it did not beat, the bound ``-1 - ub``: the length is at most ub
+    (see :meth:`_cell`).  :meth:`cell` reads through a bound, so it always
+    returns the exact length.
+
     The fill keeps its own stack instead of Python's: an internal cell's
     scan is a generator that yields each child box missing from the table
     and resumes with its length, so the depth of the guide costs list
@@ -230,23 +254,26 @@ class DpTable:
     def root_cell(self) -> int:
         return self._cell(self.tree.root, 1, self.n, 1, self.n)
 
-    def _cell(self, node: DecompNode, i: int, j: int, a: int, b: int) -> int:
-        """The cell's length, evaluated on a miss.
+    def _cell(self, node: DecompNode, i: int, j: int, a: int, b: int, floor: int = 0) -> int:
+        """The cell's length when it exceeds ``floor``, else a bound on it of at most ``floor``.
 
-        A leaf or a box without target points is stored at once.  Any other
-        box is narrowed to its tight box.  When that is stored, its length
-        is stored under the box's own key too, as an alias.  Otherwise the
-        tight box starts its scan, which waits on a stack as (scan, table,
-        key) while the boxes it yields are evaluated the same way; each
-        scan's return value is stored under the tight key only and sent to
-        the scan below it.
+        An entry that answers the floor returns at once: an exact length, or
+        a bound whose ub is at most the floor.  A leaf or a box without
+        target points is stored exact.  Any other box is narrowed to its
+        tight box.  When that entry answers the floor, it is stored under
+        the box's own key too, as an alias.  Otherwise the tight box starts
+        its scan at the floor, which waits on a stack as (scan, table, key,
+        floor) while the boxes it yields with their floors are evaluated the
+        same way.  A scan's best is stored under the tight key only, as the
+        exact length when it beat the floor and as the bound "at most
+        floor" when not, and is sent to the scan below it.
         """
         S = self._S
         idx = ((i * S + j) * S + a) * S + b
         table = self._tables[node]
         length = table.get(idx)
-        if length is not None:
-            return length
+        if length is not None and length >= -1 - floor:
+            return length if length >= 0 else -1 - length
         stack = []
         while True:
             points = self._points(i, j, a, b)
@@ -256,18 +283,22 @@ class DpTable:
                 i, j, a, b = self._tight(i, j, a, b)
                 key = ((i * S + j) * S + a) * S + b
                 length = table.get(key)
-                if length is None:
+                if length is None or length < -1 - floor:
                     fill = self._linear_cell if node.kind == "linear" else self._prime_cell
-                    stack.append((fill(node, i, j, a, b), table, key))
+                    stack.append((fill(node, i, j, a, b, floor=floor), table, key, floor))
+                    length = None  # a just-started scan takes no value
                 else:
                     table[idx] = length  # the alias: the raw key of a stored tight box
+                    if length < 0:
+                        length = -1 - length
             while stack:
-                scan, table, idx = stack[-1]
+                scan, table, idx, floor = stack[-1]
                 try:
-                    node, i, j, a, b = scan.send(length)
+                    node, i, j, a, b, floor = scan.send(length)
                     break
                 except StopIteration as done:
-                    length = table[idx] = done.value
+                    length = done.value
+                    table[idx] = length if length > floor else -1 - floor
                     stack.pop()
             else:
                 return length
@@ -277,14 +308,15 @@ class DpTable:
     def _run(self, scan):
         """Drive one scan to its return value, sending it the length of each box it yields.
 
-        Each box is read under its tight key, so a replay of a fill scan
-        stores no alias and reads no cell the fill did not evaluate.
+        Each box is read under its tight key at the floor the scan asked
+        for, so a replay of a fill scan stores no alias and reads no cell
+        the fill did not evaluate.
         """
         length = None
         try:
             while True:
-                node, i, j, a, b = scan.send(length)
-                length = self._cell(node, *self._tight(i, j, a, b))
+                node, i, j, a, b, floor = scan.send(length)
+                length = self._cell(node, *self._tight(i, j, a, b), floor)
         except StopIteration as done:
             return done.value
 
@@ -327,15 +359,23 @@ class DpTable:
         return [cnt[p * W + b] - cnt[p * W + a - 1] - below for p in range(i - 1, j + 1)]
 
     def _linear_cell(
-        self, node: DecompNode, i: int, j: int, a: int, b: int, want: int = 0, ties=None
+        self, node: DecompNode, i: int, j: int, a: int, b: int, want: int = 0, ties=None,
+        floor: int = 0,
     ):
         """Scan a linear cell for its length, or with ``want`` for the cuts of the splits reaching it.
 
         Like every scan, this is a generator: it yields each child box
-        missing from the table, as (node, i, j, a, b), is sent that box's
-        length, and returns its result.  Row h > i is not scanned when
-        position h - 1 holds no window point, nor column c > a when value
-        c - 1 does not: it repeats the row or column before it.
+        missing from the table, as (node, i, j, a, b, floor), is sent what
+        :meth:`_cell` returns for it at that floor, and returns its result.
+        The fill starts its best at ``floor`` and returns the best it
+        reached.  The low child is asked at the floor ``best - m_high`` and
+        the high one at ``best - u``, both at least 0, and a stored bound at
+        or below that floor is read as it is: either way a child that
+        cannot let the split beat the best comes back as a bound, and a
+        bound read for u also feeds the dominance skips below.  Row h > i
+        is not scanned when position h - 1 holds no window point, nor
+        column c > a when value c - 1 does not: it repeats the row or
+        column before it.
 
         A split (h, c) gives positions i..h-1 to the left child and h..j to
         the right one, and values a..c-1 to the low child (the left one for
@@ -350,12 +390,12 @@ class DpTable:
         box, and a row by its children's points over a..b.  A split whose
         bounds cannot beat the best is not read, and the high child is not
         read when u plus its bound cannot.  With ``want``, the scan replays
-        the fill up to the first split whose length reaches it and returns
-        its cuts ((i, h, j + 1), (a, c, b + 1)), or None.  With a ``ties``
-        list too (tie mode), it appends the cuts of every such split and
-        returns None: the best stays ``want - 1``, and ``top`` holds the u
-        read less one, so only a split that u strictly beats is skipped, and
-        the row break on ``top`` never fires.
+        the fill from best ``want - 1`` up to the first split whose length
+        reaches it and returns its cuts ((i, h, j + 1), (a, c, b + 1)), or
+        None.  With a ``ties`` list too (tie mode), it appends the cuts of
+        every such split and returns None: the best stays ``want - 1``, and
+        ``top`` holds the u read less one, so only a split that u strictly
+        beats is skipped, and the row break on ``top`` never fires.
         """
         left, right = node.children
         positive = node.sign == "+"
@@ -373,7 +413,7 @@ class DpTable:
         seen = [-1] * (b + 2)
         tauv, pos = self._tauv, self._pos
 
-        best = want - 1 if tie else 0
+        best = want - 1 if want else floor
         for h in range(i, j + 2):
             if h > i and not a <= tauv[h - 2] <= b:
                 continue  # position h - 1 holds no window point: the row repeats row h - 1
@@ -417,9 +457,12 @@ class DpTable:
                         break  # the bound only shrinks from here on
                     continue
                 if m_low:
+                    need = best - m_high if best > m_high else 0
                     u = low_tab.get(low_base + c)
-                    if u is None:
-                        u = yield (low, lo_i, lo_j, a, c - 1)
+                    if u is None or u < -1 - need:
+                        u = yield (low, lo_i, lo_j, a, c - 1, need)
+                    elif u < 0:
+                        u = -1 - u
                 else:
                     u = 0
                 if u <= top:
@@ -430,9 +473,12 @@ class DpTable:
                 if u + m_high <= best:
                     continue
                 if m_high:
+                    need = best - u if best > u else 0
                     v = high_tab.get(high_base + c * S)
-                    if v is None:
-                        v = yield (high, hi_i, hi_j, c, b)
+                    if v is None or v < -1 - need:
+                        v = yield (high, hi_i, hi_j, c, b, need)
+                    elif v < 0:
+                        v = -1 - v
                 else:
                     v = 0
                 if u + v > best:
@@ -445,14 +491,18 @@ class DpTable:
         return None if want else best
 
     def _prime_cell(
-        self, node: DecompNode, i: int, j: int, a: int, b: int, want: int = 0, ties=None
+        self, node: DecompNode, i: int, j: int, a: int, b: int, want: int = 0, ties=None,
+        floor: int = 0,
     ):
         """Scan a prime cell for its length, or with ``want`` for the cuts of the splits reaching it.
 
-        Position cuts come from :func:`_position_cuts` with the best so far
-        as its floor, so a prefix of cuts whose point counts cannot beat the
-        best is dropped whole.  The best only grows, so the same tuples
-        reach the value scan as if every tuple were listed and checked.
+        The fill starts its best at ``floor``.  Position cuts come from
+        :func:`_position_cuts` with the best so far as its floor, so a
+        prefix of cuts whose point counts cannot beat the best is dropped
+        whole.  The best only grows, so the same tuples reach the value scan
+        as if every tuple were listed and checked.  The value slices'
+        children are asked for exact lengths, at floor 0, and a stored bound
+        is read as a miss.
         ``want`` and ``ties`` work as in :meth:`_linear_cell`; the cuts are
         (i, h_1, ..., h_{d-1}, j + 1) and, in value slice order, (a, c_1,
         ..., c_{d-1}, b + 1).
@@ -463,7 +513,7 @@ class DpTable:
         cap = want or min(sum(sizes), upto[-1])
         order = sorted(range(d), key=node.label.values.__getitem__)
         path = [a] * d  # a, then the value cuts c_1..c_{d-1} as they are made
-        best = 0 if ties is None else want - 1
+        best = want - 1 if want else floor
         for cuts, pos_caps in _position_cuts(i, sizes, upto, lambda: best):
             # suffix_caps[t]: the position caps of value slices t + 1..d.
             suffix_caps = [0] * (d + 1)
@@ -509,8 +559,8 @@ class DpTable:
                 total = partial
             else:
                 got = table.get(base + ct)
-                if got is None:
-                    got = yield (child, p_lo, p_hi, c_prev, ct - 1)
+                if got is None or got < 0:
+                    got = yield (child, p_lo, p_hi, c_prev, ct - 1, 0)
                 total = partial + got
             if t == d:
                 if total > best:

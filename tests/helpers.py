@@ -142,10 +142,11 @@ def assert_valid_result(sigma: Permutation, tau: Permutation, result) -> None:
 
 
 def materialized_cells(table):
-    """Yield (node, i, j, a, b, length) for every entry a DpTable holds, aliases included.
+    """Yield (node, i, j, a, b, entry) for every entry a DpTable holds, aliases included.
 
-    Decodes the packed (i, j, a, b) keys.  All leaves share one sub-table,
-    so leaf cells come once, under the first leaf of the walk.
+    ``entry`` is the stored int: a length, or -1 - ub for a bound "at most
+    ub".  Decodes the packed (i, j, a, b) keys.  All leaves share one
+    sub-table, so leaf cells come once, under the first leaf of the walk.
     """
     S = table._S
     seen = set()
@@ -154,11 +155,11 @@ def materialized_cells(table):
         if id(memo) in seen:
             continue
         seen.add(id(memo))
-        for idx, length in list(memo.items()):
+        for idx, entry in list(memo.items()):
             idx, b = divmod(idx, S)
             idx, a = divmod(idx, S)
             i, j = divmod(idx, S)
-            yield node, i, j, a, b, length
+            yield node, i, j, a, b, entry
 
 
 def tight_box(tau: Permutation, i: int, j: int, a: int, b: int):

@@ -354,6 +354,15 @@ class TestParserBehaviour:
             main(["tree", "2 1 3", "-o", "json"])
         assert exc.value.code == 2
 
+    def test_unknown_flag_shows_the_subcommand_usage(self, capsys):
+        for argv in (["tree", "2 1 3", "--bogus"], ["lcp", "1 2", "2 1", "--bogus"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"usage: permlcp {argv[0]} "), err
+            assert err.rstrip().endswith("error: unrecognized arguments: --bogus"), err
+
     def test_module_runs_as_script(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.environ.get("PYTHONPATH")

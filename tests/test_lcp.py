@@ -305,7 +305,8 @@ class TestTableProperties:
         tree = expand_tree(decomposition_tree(sigma))
         table = DpTable(tree, tau)
         table.root_cell()
-        for node, i, j, a, b, length in list(materialized_cells(table)):
+        for node, i, j, a, b, _ in list(materialized_cells(table)):
+            length = table.cell(node, i, j, a, b)  # a stored bound rescans to the exact length
             for canonical in (False, True):
                 pattern, occ_sigma, occ_tau = table.reconstruct(
                     node, i, j, a, b, canonical=canonical
@@ -494,13 +495,26 @@ class TestPinnedWitnesses:
         assert guided == ["tau", "tau"]
 
 
+def oracle_cell(sigma, tau, node, i, j, a, b) -> int:
+    """The oracle's M(V, i, j, a, b).
+
+    That is the longest common pattern of the guide's block under V and the
+    window of tau at positions i..j with values a..b; an empty window has
+    length 0.
+    """
+    block = normalize(sigma.values[node.span.lo - 1 : node.span.hi])
+    window = normalize([v for v in tau.values[i - 1 : j] if a <= v <= b])
+    if not window.values:
+        return 0
+    return len(oracle_lcp(Permutation(block.values), Permutation(window.values)))
+
+
 class TestCellsMatchOracle:
     def test_every_materialized_cell_is_exact(self):
-        """Each cell the fill stores, whatever its bounds skipped, equals the oracle's length.
+        """Each exact entry, whatever the fill's bounds skipped, equals the oracle's length.
 
-        A cell M(V, i, j, a, b) is the longest common pattern of the guide's
-        block under V and the window of tau at positions i..j with values
-        a..b; an empty window has length 0.
+        A bound entry -1 - ub says "at most ub", so ub must be at least the
+        oracle's length.
         """
         rng = random.Random(19)
         guides = [random_separable(rng, rng.randint(1, 10)) for _ in range(20)]
@@ -508,26 +522,25 @@ class TestCellsMatchOracle:
             sigma = random_permutation(rng, rng.randint(4, 9))
             if lcp_plan(sigma, sigma).prime_arity:
                 guides.append(sigma)
-        checked = 0
+        checked = bounds = 0
         for sigma in guides:
             tau = random_permutation(rng, rng.randint(4, 10))
             table = DpTable(lcp_plan(sigma, tau, "general").tree, tau)
             table.reconstruct(canonical=True)
-            for node, i, j, a, b, length in materialized_cells(table):
-                block = normalize(sigma.values[node.span.lo - 1 : node.span.hi])
-                window = normalize([v for v in tau.values[i - 1 : j] if a <= v <= b])
-                want = (
-                    len(oracle_lcp(Permutation(block.values), Permutation(window.values)))
-                    if window.values
-                    else 0
-                )
-                assert length == want, (str(sigma), str(tau), node.span, (i, j, a, b))
+            for node, i, j, a, b, entry in materialized_cells(table):
+                want = oracle_cell(sigma, tau, node, i, j, a, b)
+                where = (str(sigma), str(tau), node.span, (i, j, a, b))
+                if entry >= 0:
+                    assert entry == want, where
+                else:
+                    assert -1 - entry >= want, where
+                    bounds += 1
                 checked += 1
-        assert checked > 8000
+        assert checked > 8000 and bounds > 0
 
 
 class TestCellCounts:
-    """The skips, the point-count bounds and the tight keys cut the cells larger fills materialize.
+    """The skips, the point-count bounds, the tight keys and the floors cut the cells fills store.
 
     Cell counts do not depend on the machine.  Each bound is a fraction of
     what the fill materialized before the skip or bound it guards: the full
@@ -535,9 +548,10 @@ class TestCellCounts:
     interval-width bounds for the point-count bounds, the fill that read
     every cut for the skips of cuts that repeat the cut before them, for
     the tight keys, the fill that keyed every cell by the box it was asked
-    for, and, for + nodes split at the middle, the left-comb fill.  The
+    for, for + nodes split at the middle, the left-comb fill, and for the
+    floors, the fill that asked every child for its exact length.  The
     unequal pairs' counts are pins, not fractions.  A count of stored
-    entries includes the aliases.
+    entries includes the aliases and the bound entries.
     """
 
     @staticmethod
@@ -553,11 +567,12 @@ class TestCellCounts:
         return sigma, random_permutation(rng, 20)
 
     def test_separable_twenty_pair(self):
-        """Binarized into left combs, the guide's + nodes stored 11,185 cells."""
-        assert self._cells(*self._smoke_pair(), "separable") <= 8_000
+        """Without floors the pair stored 7,696 entries (11,185 with + nodes as left combs)."""
+        assert self._cells(*self._smoke_pair(), "separable") <= 1_500
 
     def test_separable_twenty_pair_canonical(self):
-        assert self._cells(*self._smoke_pair(), "separable", canonical=True) <= 76_780 * 2 // 3
+        """Without floors the canonical walk stored 15,953 entries."""
+        assert self._cells(*self._smoke_pair(), "separable", canonical=True) <= 15_953 // 10
 
     def test_separable_self_pair(self):
         sigma = random_separable(random.Random(4), 30)
@@ -568,18 +583,18 @@ class TestCellCounts:
         assert self._cells(chain, chain, "auto") <= 324_543 // 10
 
     def test_plan_keeps_its_cells_down_on_unequal_pairs(self):
-        """In sum the planned guide materializes fewer cells than the other input would.
+        """On each pair the planned guide stores fewer entries than the other input would.
 
-        Tight keys cut the other guide's cells more than the planned
-        guide's, so on some pairs the other guide stores fewer; the plan's
-        cost model counts worst-case split reads, not cells.  The per-pair
-        counts pin the planned guide's cells with + nodes split at the
-        middle.  In sum they stay at or below the 1,938 the left combs
-        stored, though pair 6 rose from 148 to 171.
+        The plan's cost model counts worst-case split reads, not cells.
+        Without floors, tight keys cut the other guide's cells more than
+        the planned guide's, and on 3 of these pairs the other guide stored
+        fewer.  The per-pair counts pin the planned guide's entries with
+        floors; without them the pairs stored 324, 215, 235, 314, 61, 113,
+        171 and 306, and 1,739 in sum.
         """
-        pinned = [324, 215, 235, 314, 61, 113, 171, 306]
+        pinned = [96, 58, 57, 70, 34, 42, 54, 63]
         rng = random.Random(10)
-        totals = [0, 0]
+        total = 0
         for most in pinned:
             sigma = random_separable(rng, 6)
             tau = random_separable(rng, 26)
@@ -590,10 +605,9 @@ class TestCellCounts:
             other = DpTable(expand_tree(decomposition_tree(target)), guide)
             other.reconstruct()
             cells = [len(list(materialized_cells(t))) for t in (planned, other)]
-            assert cells[0] <= most, (str(sigma), str(tau), cells)
-            totals = [t + c for t, c in zip(totals, cells)]
-        assert totals[0] <= 1_938, totals
-        assert totals[0] < totals[1], totals
+            assert cells[0] <= most and cells[0] < cells[1], (str(sigma), str(tau), cells)
+            total += cells[0]
+        assert total <= 1_739 // 3, total
 
     def test_arity_seven_pair(self):
         """An arity-7 guide of size 9: the plain walk's evaluated cells and its witness.
@@ -629,12 +643,79 @@ class TestCellCounts:
         assert sum(1 for _ in materialized_cells(table)) <= 80_562 // 4
 
     def test_chain_of_100_self_pair(self):
-        """Keyed by the box asked for, this pair stored 368,925 cells in about 72 s."""
+        """Keyed by the box asked for, this pair stored 368,925 cells in about 72 s.
+
+        With tight keys and without floors it stored 131,177 entries.
+        """
         chain = alternating_chain(100)
         table = DpTable(lcp_plan(chain, chain).tree, chain)
         pattern, _, _ = table.reconstruct()
         assert len(pattern) == 100
-        assert sum(1 for _ in materialized_cells(table)) <= 368_925 // 2
+        assert sum(1 for _ in materialized_cells(table)) <= 131_177 // 40
+
+    def test_chain_of_200_self_pair(self):
+        """Without floors this pair stored 1,024,852 entries in about 30 s."""
+        chain = alternating_chain(200)
+        table = DpTable(lcp_plan(chain, chain).tree, chain)
+        pattern, _, _ = table.reconstruct()
+        assert len(pattern) == 200
+        assert sum(1 for _ in materialized_cells(table)) <= 20_000
+
+
+class TestBoundEntries:
+    """A box asked at a floor it does not beat is stored as the bound -1 - ub, "at most ub"."""
+
+    @staticmethod
+    def _tables_with_bounds():
+        """Filled tables of seeded separable and prime guides, each with its bound entries."""
+        rng = random.Random(52)
+        guides = [random_separable(rng, rng.randint(6, 10)) for _ in range(6)]
+        while len(guides) < 12:
+            # A prime node is asked with a floor only from under a linear node.
+            simple = random_permutation(rng, rng.randint(4, 5))
+            if lcp_plan(simple, simple).prime_arity in (4, 5):
+                blocks = [simple, random_separable(rng, rng.randint(1, 3))]
+                rng.shuffle(blocks)
+                guides.append(Permutation(rng.choice((concat_plus, concat_minus))(*blocks).values))
+        for sigma in guides:
+            tau = random_permutation(rng, rng.randint(6, 10))
+            table = DpTable(lcp_plan(sigma, tau, "general").tree, tau)
+            table.root_cell()
+            yield sigma, tau, table, [c for c in materialized_cells(table) if c[5] < 0]
+
+    @staticmethod
+    def _raw(table, node, i, j, a, b):
+        S = table._S
+        return table._tables[node][((i * S + j) * S + a) * S + b]
+
+    def test_bound_at_or_below_the_floor_is_taken_as_it_is(self):
+        seen = 0
+        for _, _, table, bounds in self._tables_with_bounds():
+            for node, i, j, a, b, entry in bounds:
+                ub = -1 - entry
+                before = sum(1 for _ in materialized_cells(table))
+                for floor in (ub, ub + 1):
+                    assert table._cell(node, i, j, a, b, floor) == ub
+                assert sum(1 for _ in materialized_cells(table)) == before
+                assert self._raw(table, node, i, j, a, b) == entry
+                seen += 1
+        assert seen > 100
+
+    def test_bound_rescans_to_the_exact_length(self):
+        """``cell`` rescans a bound to the oracle's length and leaves the raw entry exact.
+
+        Entries come in the order they were stored, so an alias comes after
+        its tight entry, which is exact by then, and the alias path stores
+        that length.
+        """
+        kinds = set()
+        for sigma, tau, table, bounds in self._tables_with_bounds():
+            for node, i, j, a, b, entry in bounds:
+                length = table.cell(node, i, j, a, b)
+                assert length == oracle_cell(sigma, tau, node, i, j, a, b) <= -1 - entry
+                assert self._raw(table, node, i, j, a, b) == length
+                kinds.add(node.kind)
+        assert kinds == {"linear", "prime"}
 
 
 class TestPositionCuts:
@@ -717,7 +798,13 @@ class TestTightKeys:
     """
 
     def test_aliases_equal_their_tight_entry(self):
-        """Every internal entry under another key has its tight entry stored, of equal length."""
+        """Every internal entry under another key has its tight entry stored, and agrees with it.
+
+        An exact alias equals its tight entry.  An alias stored while the
+        tight entry held a bound keeps that bound when the tight entry is
+        later rescanned at a lower floor, so a bound alias -1 - ub only has
+        ub at least the length or the bound its tight entry holds now.
+        """
         rng = random.Random(31)
         pairs = [
             (random_separable(rng, rng.randint(4, 12)), random_permutation(rng, rng.randint(6, 12)))
@@ -738,7 +825,12 @@ class TestTightKeys:
                     if node.is_leaf or tight in (None, (i, j, a, b)):
                         continue
                     where = (str(sigma), str(tau), (i, j, a, b))
-                    assert stored.get((node, *tight)) == length, where
+                    held = stored.get((node, *tight))
+                    assert held is not None, where
+                    if length >= 0:
+                        assert held == length, where
+                    else:
+                        assert -1 - length >= (held if held >= 0 else -1 - held), where
                     kinds.add(node.kind)
                     aliases += 1
         assert kinds == {"linear", "prime"} and aliases > 500
@@ -812,8 +904,8 @@ class TestTieMode:
         many boxes, not only for the whole target.
         """
         rng = random.Random(17)
-        guides = [random_separable(rng, rng.randint(3, 7)) for _ in range(12)]
-        while len(guides) < 32:
+        guides = [random_separable(rng, rng.randint(3, 7)) for _ in range(18)]
+        while len(guides) < 48:
             simple = random_permutation(rng, rng.randint(4, 5))
             if lcp_plan(simple, simple).prime_arity in (4, 5):
                 blocks = [simple, random_separable(rng, rng.randint(1, 2))]
@@ -825,8 +917,10 @@ class TestTieMode:
             tau = random_permutation(rng, rng.randint(3, 7))
             table = DpTable(lcp_plan(sigma, tau, "general").tree, tau)
             table.reconstruct()
-            cells = [c for c in materialized_cells(table) if not c[0].is_leaf and c[5]]
-            for node, i, j, a, b, length in cells:
+            for node, i, j, a, b, _ in [c for c in materialized_cells(table) if not c[0].is_leaf]:
+                length = table.cell(node, i, j, a, b)  # the entry may be a bound
+                if not length:
+                    continue
                 scan = table._linear_cell if node.kind == "linear" else table._prime_cell
                 ties = []
                 assert table._run(scan(node, i, j, a, b, length, ties)) is None
