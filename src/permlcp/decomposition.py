@@ -11,15 +11,18 @@ permutation (Bose, Buss & Lubiw, IPL 1998); a + node is cut at the child
 boundary nearest the middle of its span, and each side again, which cuts
 the DP's cells, and a - node becomes a left comb.
 
-The tree is built in one left-to-right stack pass, and every walk over a
-tree keeps its own stack, so a tree of any depth stays within Python's
-recursion limit.
+The tree is built in one left-to-right stack pass that builds each node
+once: a linear node grows its child list in place while it is open on the
+stack.  Expansion builds only the binary nodes and the copies of the nodes
+above them, so an expanded tree shares every other subtree with its
+source.  Every walk over a tree keeps its own stack, so a tree of any depth
+stays within Python's recursion limit.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator
 
 from .perms import Pattern, Permutation, normalize
@@ -160,50 +163,73 @@ def decomposition_tree(sigma: Permutation) -> DecompTree:
     form an interval.  The scan down the stack stops once the union's value
     range reaches a value not yet read, which a doubly linked list of the
     unread values tells in O(1).
+
+    A merge of two entries is linear, signed by their value ranges; one of
+    three or more is prime, since two adjacent entries whose union is an
+    interval would have merged when the later one was pushed.  A linear
+    node stays open on the stack: a same-sign merge appends the new child
+    to its list in place, and the node is built once, when it becomes a
+    child or the root.
     """
     vals = sigma.values
     n = len(vals)
     # Nearest unread value below / above v; 0 and n + 1 are sentinels.
     below = list(range(-1, n + 1))
     above = list(range(1, n + 3))
-    stack: list[DecompNode] = []
+    # A stack entry is [first position, lowest value, highest value, node,
+    # sign, children]: a built node with sign and children None, or an open
+    # linear node with node None.  Lists, not tuples: the interpreter keeps
+    # freed tuples for tuples of their size alone, which raised peak memory.
+    stack: list[list] = []
     for pos, v in enumerate(vals, 1):
         floor, ceil = below[v], above[v]
         above[floor], below[ceil] = ceil, floor
-        node = DecompNode("leaf", IntervalSpan(pos, pos), (v, v))
+        entry = [pos, v, v, DecompNode("leaf", IntervalSpan(pos, pos), (v, v)), None, None]
         lo = hi = v
         k = len(stack)
         while k:
             k -= 1
             top = stack[k]
-            lo = min(lo, top.value_range[0])
-            hi = max(hi, top.value_range[1])
+            if top[1] < lo:
+                lo = top[1]
+            if top[2] > hi:
+                hi = top[2]
             if lo <= floor or hi >= ceil:
                 break
-            if hi - lo == pos - top.span.lo:
-                node = _classify((*stack[k:], node), IntervalSpan(top.span.lo, pos))
-                if node.kind == "linear" and top.kind == "linear" and top.sign == node.sign:
-                    # A same-sign linear first child is no strong interval.
-                    node = replace(node, children=top.children + node.children[1:])
+            if hi - lo == pos - top[0]:
+                if k == len(stack) - 1:
+                    sign = "+" if top[2] < entry[1] else "-"
+                    if top[4] == sign:
+                        # A same-sign linear first child is no strong interval.
+                        children = top[5]
+                        children.append(_built(entry))
+                    else:
+                        children = [_built(top), _built(entry)]
+                    entry = [top[0], lo, hi, None, sign, children]
+                else:
+                    children = [_built(e) for e in stack[k:]]
+                    children.append(_built(entry))
+                    label = normalize(tuple(c.value_range[0] for c in children))
+                    node = DecompNode(
+                        "prime", IntervalSpan(top[0], pos), (lo, hi), tuple(children), label=label
+                    )
+                    entry = [top[0], lo, hi, node, None, None]
                 del stack[k:]
-                lo, hi = node.value_range
-        stack.append(node)
-    return DecompTree(stack[0], n, expanded=False)
+        stack.append(entry)
+    return DecompTree(_built(stack[0]), n, expanded=False)
 
 
-def _fold(root: DecompNode, combine):
-    """``combine(node, results for its children)``, children first, without recursion.
-
-    Reversed preorder puts each node after its subtree, first child's result on top.
-    """
-    results: list = []
-    for node in reversed(list(root.walk())):
-        parts = [results.pop() for _ in node.children]
-        results.append(combine(node, parts))
-    return results[0]
+def _built(entry: list) -> DecompNode:
+    """The node of a stack entry, building an open linear node now."""
+    first, lo, hi, node, sign, children = entry
+    if node is None:
+        node = DecompNode(
+            "linear", IntervalSpan(first, first + hi - lo), (lo, hi), tuple(children), sign=sign
+        )
+    return node
 
 
-def _join(children: list[DecompNode], ends: list[int], lo: int, hi: int) -> DecompNode:
+def _join(children: tuple[DecompNode, ...], ends: list[int], lo: int, hi: int) -> DecompNode:
     """Binary + nodes over ``children[lo:hi]``, cut nearest the middle of their span.
 
     ``ends`` holds each child's last position.  Cutting after child t
@@ -234,31 +260,48 @@ def expand_tree(tree: DecompTree) -> DecompTree:
     about log2 k levels deep rather than k - 1, and the DP fills fewer
     cells.  A - node becomes a left comb: its scans skip dominated splits
     only within a row, so balancing it would cost cells.
+
+    A node whose children all come back unchanged is returned itself, so
+    the expanded tree shares every subtree without a linear node of arity
+    above 2 with its source, and a tree with none keeps its root.
     """
     if tree.expanded:
         raise ValueError("tree is already expanded")
-
-    def expand(node: DecompNode, children: list[DecompNode]) -> DecompNode:
-        if node.is_leaf:
-            return node
-        if node.kind == "prime" or len(children) == 2:
-            return DecompNode(
-                node.kind, node.span, node.value_range, tuple(children), node.sign, node.label
-            )
-        if node.sign == "+":
-            return _join(children, [c.span.hi for c in children], 0, len(children))
-        acc = children[0]
-        for child in children[1:]:
-            acc = DecompNode(
-                "linear",
-                IntervalSpan(acc.span.lo, child.span.hi),
-                (child.value_range[0], acc.value_range[1]),
-                (acc, child),
-                sign="-",
-            )
-        return acc
-
-    return DecompTree(_fold(tree.root, expand), tree.source_size, expanded=True)
+    # Children pushed in order pop last first, so reversed, the order puts
+    # each node after its subtree with its last child's result on top.
+    order = []
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(node.children)
+    results: list[DecompNode] = []
+    for node in reversed(order):
+        d = len(node.children)
+        if not d:
+            results.append(node)
+            continue
+        children = tuple(results[-d:])
+        del results[-d:]
+        if node.kind == "prime" or d == 2:
+            if children != node.children:  # nodes compare by identity
+                node = DecompNode(
+                    node.kind, node.span, node.value_range, children, node.sign, node.label
+                )
+        elif node.sign == "+":
+            node = _join(children, [c.span.hi for c in children], 0, d)
+        else:
+            node = children[0]
+            for child in children[1:]:
+                node = DecompNode(
+                    "linear",
+                    IntervalSpan(node.span.lo, child.span.hi),
+                    (child.value_range[0], node.value_range[1]),
+                    (node, child),
+                    sign="-",
+                )
+        results.append(node)
+    return DecompTree(results[0], tree.source_size, expanded=True)
 
 
 def is_separable(sigma: Permutation) -> bool:
@@ -367,41 +410,71 @@ def tree_from_nested(spec) -> DecompTree:
 
 
 def tree_to_dict(tree: DecompTree) -> dict:
-    """JSON-ready dict: nested {kind, sign?, label?, span, value_range, children}."""
+    """JSON-ready dict: nested {kind, sign?, label?, span, value_range, children}.
 
-    def node_dict(node: DecompNode, children: list[dict]) -> dict:
-        d: dict = {
-            "kind": node.kind,
-            "span": [node.span.lo, node.span.hi],
-            "value_range": list(node.value_range),
-        }
-        if node.kind == "linear":
-            d["sign"] = node.sign
-        elif node.kind == "prime":
-            d["label"] = list(node.label.values)
-        d["children"] = children
-        return d
+    Each node's dict is made when its parent is visited and appended to the
+    parent's child list, so the order the stack pops nodes in is free.
+    """
+    root = _node_dict(tree.root)
+    stack = [(tree.root, root["children"])]
+    while stack:
+        node, children = stack.pop()
+        for child in node.children:
+            d = _node_dict(child)
+            children.append(d)
+            if child.children:
+                stack.append((child, d["children"]))
+    return {"size": tree.source_size, "expanded": tree.expanded, "root": root}
 
-    return {
-        "size": tree.source_size,
-        "expanded": tree.expanded,
-        "root": _fold(tree.root, node_dict),
+
+def _node_dict(node: DecompNode) -> dict:
+    """A node's own entries in :func:`tree_to_dict`, with an empty child list."""
+    d: dict = {
+        "kind": node.kind,
+        "span": [node.span.lo, node.span.hi],
+        "value_range": list(node.value_range),
     }
+    if node.kind == "linear":
+        d["sign"] = node.sign
+    elif node.kind == "prime":
+        d["label"] = list(node.label.values)
+    d["children"] = []
+    return d
 
 
 def tree_to_dot(tree: DecompTree) -> str:
-    """Graphviz DOT rendering; node ids follow preorder for stable diffs."""
-    names = {node: f"n{k}" for k, node in enumerate(tree.walk())}
+    """Graphviz DOT rendering; node ids follow preorder for stable diffs.
+
+    One preorder pass: a node's edge lines take a slot after its own line
+    and are filled in once its children have their ids.
+    """
     lines = ["digraph decomposition_tree {"]
-    for node, name in names.items():
-        if node.is_leaf:
-            lines.append(f'  {name} [shape=none, label="{node.leaf_value}"];')
-        elif node.kind == "linear":
-            lines.append(f'  {name} [shape=box, label="{node.sign}"];')
+    # Each frame: an iterator over a node's children, its id, the edge lines
+    # named so far and their slot in ``lines``.  The root's frame has slot 0,
+    # the header, and its one edge line is dropped.
+    stack = [(iter((tree.root,)), "", [], 0)]
+    k = 0
+    while stack:
+        children, parent, edges, slot = stack[-1]
+        for node in children:
+            name = f"n{k}"
+            k += 1
+            edges.append(f"  {parent} -> {name};")
+            if node.kind == "leaf":
+                lines.append(f'  {name} [shape=none, label="{node.value_range[0]}"];')
+                continue
+            if node.kind == "linear":
+                lines.append(f'  {name} [shape=box, label="{node.sign}"];')
+            else:
+                text = " ".join(map(str, node.label.values))
+                lines.append(f'  {name} [shape=box, label="{text}"];')
+            lines.append("")
+            stack.append((iter(node.children), name, [], len(lines) - 1))
+            break
         else:
-            text = " ".join(map(str, node.label.values))
-            lines.append(f'  {name} [shape=box, label="{text}"];')
-        lines.extend(f"  {name} -> {names[child]};" for child in node.children)
+            stack.pop()
+            if slot:
+                lines[slot] = "\n".join(edges)
     lines.append("}")
     return "\n".join(lines)
 
@@ -409,18 +482,22 @@ def tree_to_dot(tree: DecompTree) -> str:
 def tree_to_text(tree: DecompTree) -> str:
     """Indented outline with decorations, one node per line."""
     out: list[str] = []
-    stack = [(tree.root, 0)]
+    # Each frame: an iterator over a node's children and their indent.
+    stack = [(iter((tree.root,)), "")]
     while stack:
-        node, depth = stack.pop()
-        pad = "  " * depth
-        if node.is_leaf:
-            out.append(f"{pad}{node.leaf_value} (pos {node.span.lo})")
-        else:
+        children, pad = stack[-1]
+        for node in children:
+            if node.kind == "leaf":
+                out.append(f"{pad}{node.value_range[0]} (pos {node.span.lo})")
+                continue
             vlo, vhi = node.value_range
             deco = f"(pos {node.span}, val {vlo}-{vhi})"
             if node.kind == "linear":
                 out.append(f"{pad}{node.sign} {deco}")
             else:
                 out.append(f"{pad}P {' '.join(map(str, node.label.values))} {deco}")
-        stack.extend([(child, depth + 1) for child in node.children[::-1]])
+            stack.append((iter(node.children), pad + "  "))
+            break
+        else:
+            stack.pop()
     return "\n".join(out)

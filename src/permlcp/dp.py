@@ -388,14 +388,17 @@ class DpTable:
         is no longer than that split, or than the bound that skipped it.  Each
         child is bounded by its span's width and by the target points in its
         box, and a row by its children's points over a..b.  A split whose
-        bounds cannot beat the best is not read, and the high child is not
-        read when u plus its bound cannot.  With ``want``, the scan replays
-        the fill from best ``want - 1`` up to the first split whose length
-        reaches it and returns its cuts ((i, h, j + 1), (a, c, b + 1)), or
-        None.  With a ``ties`` list too (tie mode), it appends the cuts of
-        every such split and returns None: the best stays ``want - 1``, and
-        ``top`` holds the u read less one, so only a split that u strictly
-        beats is skipped, and the row break on ``top`` never fires.
+        bounds cannot beat the best is not read, and the row ends at the
+        first one whose high bound plus the low child's row bound cannot:
+        later columns only lower the high bound.  The high child is not
+        read when u plus its bound cannot beat the best.  With ``want``, the
+        scan replays the fill from best ``want - 1`` up to the first split
+        whose length reaches it and returns its cuts ((i, h, j + 1), (a, c,
+        b + 1)), or None.  With a ``ties`` list too (tie mode), it appends
+        the cuts of every such split and returns None: the best stays
+        ``want - 1``, and ``top`` holds the u read less one, so only a split
+        that u strictly beats is skipped, and the row break on ``top`` never
+        fires.
         """
         left, right = node.children
         positive = node.sign == "+"
@@ -453,8 +456,8 @@ class DpTable:
                 if m_high > mk_high:
                     m_high = mk_high
                 if m_low + m_high <= best:
-                    if m_low == mk_low:
-                        break  # the bound only shrinks from here on
+                    if mk_low + m_high <= best:
+                        break  # no later split's bound can beat the best
                     continue
                 if m_low:
                     need = best - m_high if best > m_high else 0

@@ -1,5 +1,7 @@
 """Common intervals, strong intervals, tree construction and expansion."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -23,6 +25,8 @@ from permlcp import (
     Permutation,
     avoids,
     common_intervals,
+    concat_rho,
+    decomposition,
     decomposition_tree,
     expand_tree,
     is_separable,
@@ -39,6 +43,9 @@ from permlcp import (
 from permlcp.oracle import oracle_is_simple
 
 SIGMA11 = parse_permutation("5 1 10 9 6 7 8 11 2 4 3")
+
+# sha256 of every export of every host in _export_hosts, labeled and expanded.
+EXPORTS_DIGEST = "c146fbf0c2b7a38d20309bd82b5d588ceb794397e8d1f4b7d858fe384feaa3b2"
 
 
 def spans(intervals):
@@ -446,6 +453,57 @@ class TestExports:
         assert any(line.strip().startswith("+ (pos 3-8") for line in lines)
 
 
+def _evens_then_odds(n: int) -> Permutation:
+    """2 4 ... 1 3 ...: a prime root over n leaves, which the stack pass scans in O(n^2)."""
+    return Permutation(tuple([*range(2, n + 1, 2), *range(1, n + 1, 2)]))
+
+
+def _export_hosts() -> list[Permutation]:
+    """About 60 seeded hosts of sizes 1-300 from the families the exports meet.
+
+    Random, separable, near-identity (a few adjacent swaps), prime-rich (a
+    random skeleton inflated by random blocks), alternating chains,
+    identity and reverse, and 2 4 ... 1 3 ....
+    """
+    rng = random.Random(23)
+    sizes = (1, 2, 3, 7, 16, 40, 95, 300)
+    hosts = [random_permutation(rng, n) for n in sizes]
+    hosts += [random_separable(rng, n) for n in sizes]
+    for n in sizes:
+        values = list(range(1, n + 1))
+        for _ in range(rng.randint(1, 6) if n > 1 else 0):
+            p = rng.randrange(n - 1)
+            values[p], values[p + 1] = values[p + 1], values[p]
+        hosts.append(Permutation(tuple(values)))
+    for n in (4, 6, 8, 12):
+        skeleton = random_permutation(rng, n)
+        blocks = [random_permutation(rng, rng.randint(1, 9)) for _ in range(n)]
+        hosts.append(Permutation(concat_rho(skeleton, blocks).values))
+    for n in sizes:
+        hosts.append(alternating_chain(n))
+        hosts.append(Permutation(tuple(range(1, n + 1))))
+        hosts.append(Permutation(tuple(range(n, 0, -1))))
+        hosts.append(_evens_then_odds(n))
+    return hosts
+
+
+def exports_digest() -> str:
+    """sha256 over text, DOT and JSON of each host's labeled and expanded tree."""
+    digest = hashlib.sha256()
+    for sigma in _export_hosts():
+        tree = decomposition_tree(sigma)
+        for t in (tree, expand_tree(tree)):
+            for text in (tree_to_text(t), tree_to_dot(t), json.dumps(tree_to_dict(t))):
+                digest.update(f"{text}\n".encode())
+    return digest.hexdigest()
+
+
+def test_exports_match_the_recorded_digest():
+    """Trees, their expansion and all three exports stay byte for byte the same."""
+    assert len(_export_hosts()) == 60
+    assert exports_digest() == EXPORTS_DIGEST
+
+
 class TestDeepTrees:
     """Building and walking a tree keep their own stacks, so depth is no limit."""
 
@@ -472,3 +530,71 @@ class TestDeepTrees:
         assert tree_to_dict(tree)["size"] == 5000
         assert tree_to_permutation(tree).values == sigma.values
         assert tree_to_permutation(expanded).values == sigma.values
+
+
+class TestEachNodeBuiltOnce:
+    """Every DecompNode the builders make is counted through a subclass put in its place."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        count = [0]
+
+        class Counted(DecompNode):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                count[0] += 1
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(decomposition, "DecompNode", Counted)
+        return count
+
+    @pytest.mark.parametrize(
+        "sigma",
+        [
+            Permutation(tuple(range(1, 2001))),
+            Permutation(tuple(range(2000, 0, -1))),
+            alternating_chain(500),
+            _evens_then_odds(500),
+            random_permutation(random.Random(5), 500),
+        ],
+        ids=["identity", "reverse", "chain", "evens-then-odds", "random"],
+    )
+    def test_tree_builds_only_the_nodes_it_holds(self, built, sigma):
+        tree = decomposition_tree(sigma)
+        assert built[0] == sum(1 for _ in tree.walk())
+
+    def test_expand_builds_only_the_nodes_its_source_lacks(self, built):
+        """k - 1 binary nodes per linear node of arity k > 2, and a copy of each node above one."""
+        rng = random.Random(6)
+        hosts = [
+            SIGMA11,
+            Permutation(tuple(range(1, 2001))),
+            random_permutation(rng, 500),
+            random_separable(rng, 300),
+        ]
+        for sigma in hosts:
+            tree = decomposition_tree(sigma)
+            changed, expected = set(), 0
+            for node in reversed(list(tree.walk())):
+                if node.kind == "linear" and node.arity > 2:
+                    expected += node.arity - 1
+                elif any(id(child) in changed for child in node.children):
+                    expected += 1
+                else:
+                    continue
+                changed.add(id(node))
+            before = built[0]
+            expanded = expand_tree(tree)
+            source = {id(node) for node in tree.walk()}
+            new = sum(1 for node in expanded.walk() if id(node) not in source)
+            assert built[0] - before == new == expected
+
+    @pytest.mark.parametrize(
+        "sigma", [alternating_chain(300), parse_permutation("2 4 1 3")], ids=["chain", "2413"]
+    )
+    def test_expand_returns_a_tree_without_wide_linear_nodes_itself(self, built, sigma):
+        tree = decomposition_tree(sigma)
+        before = built[0]
+        assert expand_tree(tree).root is tree.root
+        assert built[0] == before
