@@ -34,10 +34,16 @@ is 0 and a leaf box is 1 when it holds a point, without a scan.  Each
 internal cell is the best sum of child cells over all splits, and depends
 only on the points in its box.  So a scan cuts only at i or a, or just
 after a window point: a cut moved past a position or a value holding none
-repeats the split one step before it (Ibarra, IPL 1997).  The scan skips a
-split whose children's point counts cannot beat the best so far, and stops
-when the best meets the cell's own count; a prime scan drops a whole prefix
-of position cuts that cannot (see :func:`_position_cuts`).  Every scan also
+repeats the split one step before it (Ibarra, IPL 1997).  A linear scan
+lists its cuts from the window's points themselves, its rows by their rank
+in position order and its columns from one sorted list of their values, so
+it counts each child's points as it goes and reads no prefix count; and a
+leaf child's length is its point count, so it asks no leaf box.  The scan
+skips a split whose children's point counts cannot beat the best so far,
+and stops when the best meets the cell's own count; a linear scan reads
+only the one run of rows whose bound can beat the best (see
+:meth:`DpTable._linear_cell`), and a prime scan drops a whole prefix of
+position cuts that cannot (see :func:`_position_cuts`).  Every scan also
 skips a split that an earlier split already beats.  A cell never shrinks when its
 window grows, so along a scan axis one child's length never decreases and
 the other's never increases; a split whose growing child did not grow past
@@ -234,6 +240,8 @@ class DpTable:
             cnt.extend(accumulate(placed, initial=0))
         self._cnt = cnt
         self._tables: dict[DecompNode, dict[int, int]] = {}
+        # Per binary linear node, from its first scan on (see _linear_cell).
+        self._linear: dict[DecompNode, tuple] = {}
         leaf_table: dict[int, int] = {}
         for node in tree.walk():
             if node.kind == "linear" and node.arity != 2:
@@ -274,9 +282,11 @@ class DpTable:
         length = table.get(idx)
         if length is not None and length >= -1 - floor:
             return length if length >= 0 else -1 - length
+        cnt, W = self._cnt, self._W
         stack = []
         while True:
-            points = self._points(i, j, a, b)
+            hi, lo = j * W, (i - 1) * W
+            points = cnt[hi + b] - cnt[lo + b] - cnt[hi + a - 1] + cnt[lo + a - 1]  # see _points
             if node.is_leaf or not points:
                 length = table[idx] = 1 if points else 0
             else:
@@ -372,94 +382,111 @@ class DpTable:
         the high one at ``best - u``, both at least 0, and a stored bound at
         or below that floor is read as it is: either way a child that
         cannot let the split beat the best comes back as a bound, and a
-        bound read for u also feeds the dominance skips below.  Row h > i
-        is not scanned when position h - 1 holds no window point, nor
-        column c > a when value c - 1 does not: it repeats the row or
-        column before it.
+        bound read for u also feeds the dominance skips below.  A leaf
+        child is never asked: its length is its point count, 0 or 1.
 
         A split (h, c) gives positions i..h-1 to the left child and h..j to
         the right one, and values a..c-1 to the low child (the left one for
-        +, the right one for -) and c..b to the high one.  So the low
-        child's length u(h, c) never decreases in c and the high child's
-        never increases; for a + node the same holds in h.  u is read first.
-        The split is skipped when u does not exceed the largest u read at a
-        split (h', c') before it whose high child is at least as long: one
-        with h' = h for a - node, h' <= h and c' <= c for a + node.  Then it
-        is no longer than that split, or than the bound that skipped it.  Each
-        child is bounded by its span's width and by the target points in its
-        box, and a row by its children's points over a..b.  A split whose
-        bounds cannot beat the best is not read, and the row ends at the
-        first one whose high bound plus the low child's row bound cannot:
-        later columns only lower the high bound.  The high child is not
-        read when u plus its bound cannot beat the best.  With ``want``, the
-        scan replays the fill from best ``want - 1`` up to the first split
-        whose length reaches it and returns its cuts ((i, h, j + 1), (a, c,
-        b + 1)), or None.  With a ``ties`` list too (tie mode), it appends
-        the cuts of every such split and returns None: the best stays
-        ``want - 1``, and ``top`` holds the u read less one, so only a split
-        that u strictly beats is skipped, and the row break on ``top`` never
-        fires.
+        +, the right one for -) and c..b to the high one.  The scan walks
+        the window's P points, not its positions and values: row x is the
+        cut h with x window points on its left (h = i for x = 0, else one
+        past the x-th point's position), and the columns are c = a and one
+        past each window value, in order.  A cut moved past a position or a
+        value without a window point repeats the split before it, so these
+        are all the splits there are to read.  Each child is bounded by its
+        span's width and by its points, so with k_left and k_right the
+        children's widths, row x is bounded by ``min(k_left, x) +
+        min(k_right, P - x)``: the bound rises by one per row, stays at the
+        cell's cap, then falls by one per row.  A split's length is at most
+        its row's bound, so once a row on the rise passes the best, the best
+        stays below the bound of each later row until the fall: the rows
+        that can beat the best form one run.  The scan starts at the first
+        row whose bound ``x + k_right`` passes the best and stops at the
+        first row after it that fails.  Along a row, the children's points
+        below c and from c on are counted one column at a time.
+
+        The low child's length u(h, c) never decreases in c and the high
+        child's never increases; for a + node the same holds in h.  u is
+        read first.  The split is skipped when u does not exceed the largest
+        u read at a split (h', c') before it whose high child is at least
+        as long: one with h' = h for a - node, h' <= h and c' <= c for a +
+        node.  Then it is no longer than that split, or than the bound that
+        skipped it.  A split whose bounds cannot beat the best is not read,
+        and the row ends at the first one whose high bound plus the low
+        child's row bound cannot: later columns only lower the high bound.
+        The high child is not read when u plus its bound cannot beat the
+        best.  With ``want``, the scan replays the fill from best ``want -
+        1`` up to the first split whose length reaches it and returns its
+        cuts ((i, h, j + 1), (a, c, b + 1)), or None.  With a ``ties`` list
+        too (tie mode), it appends the cuts of every such split and returns
+        None: the best stays ``want - 1``, and ``top`` holds the u read less
+        one, so only a split that u strictly beats is skipped, and the row
+        break on ``top`` never fires.
         """
-        left, right = node.children
-        positive = node.sign == "+"
-        low, high = (left, right) if positive else (right, left)
-        k_low = low.span.width
-        k_high = high.span.width
-        cap = want or min(k_low + k_high, self._points(i, j, a, b))
-        tie = 0 if ties is None else 1
-        low_tab = self._tables[low]
-        high_tab = self._tables[high]
-        S = self._S
-        cnt = self._cnt
-        W = self._W
-        # seen[c]: for a + node, the low length last read in column c.
-        seen = [-1] * (b + 2)
+        facts = self._linear.get(node)
+        if facts is None:  # the node's first scan
+            positive = node.sign == "+"
+            low, high = node.children if positive else node.children[::-1]
+            facts = self._linear[node] = (
+                low, high, low.span.width, high.span.width, positive, low.is_leaf, high.is_leaf,
+                self._tables[low], self._tables[high],
+            )
+        low, high, k_low, k_high, positive, low_leaf, high_leaf, low_tab, high_tab = facts
         tauv, pos = self._tauv, self._pos
+        hs = [i]  # hs[x]: the cut of row x
+        for h in range(i + 1, j + 2):
+            if a <= tauv[h - 2] <= b:
+                hs.append(h)
+        P = len(hs) - 1
+        # side[t] < cut: value cols[t] - 1 is in the row's low child.  Positions
+        # are negated for a - node, whose low child holds positions h..j, and
+        # column a adds no value, so its side is past every cut.
+        cols = [a]
+        sides = [j + 1]
+        for v in range(a, b + 1):
+            p = pos[v - 1]
+            if i <= p <= j:
+                cols.append(v + 1)
+                sides.append(p if positive else -p)
+        cap = want or min(k_low + k_high, P)
+        tie = 0 if ties is None else 1
+        S = self._S
+        # seen[c]: for a + node, the low length last read in column c.
+        seen = [-1] * (b + 2) if positive else None
 
         best = want - 1 if want else floor
-        for h in range(i, j + 2):
-            if h > i and not a <= tauv[h - 2] <= b:
-                continue  # position h - 1 holds no window point: the row repeats row h - 1
+        k_right = k_high if positive else k_low
+        for x in range(best - k_right + 1 if best >= k_right else 0, P + 1):
+            h = hs[x]
             if positive:
-                lo_i, lo_j, hi_i, hi_j = i, h - 1, h, j
+                lo_i, lo_j, hi_i, hi_j, cut, n_low = i, h - 1, h, j, h, x
             else:
-                lo_i, lo_j, hi_i, hi_j = h, j, i, h - 1
-            # cnt[x_at + c] - cnt[x_under + c]: the child's points with values below c.
-            low_at = lo_j * W - 1
-            low_under = (lo_i - 1) * W - 1
-            high_at = hi_j * W - 1
-            high_under = (hi_i - 1) * W - 1
-            low_below_a = cnt[low_at + a] - cnt[low_under + a]
-            high_to_b = cnt[high_at + b + 1] - cnt[high_under + b + 1]
-            mk_low = cnt[low_at + b + 1] - cnt[low_under + b + 1] - low_below_a
-            if k_low < mk_low:
-                mk_low = k_low
-            mk_high = high_to_b - cnt[high_at + a] + cnt[high_under + a]
-            if k_high < mk_high:
-                mk_high = k_high
+                lo_i, lo_j, hi_i, hi_j, cut, n_low = h, j, i, h - 1, 1 - h, P - x
+            mk_low = n_low if n_low < k_low else k_low
+            mk_high = P - n_low if P - n_low < k_high else k_high
             if mk_low + mk_high <= best:
-                continue
+                break  # the run of rows that can beat the best is over
             low_base = ((lo_i * S + lo_j) * S + a) * S - 1  # + c: values a..c-1
             high_base = (hi_i * S + hi_j) * S * S + b  # + c * S: values c..b
             top = -1  # the largest low length (less tie) read at a split this one cannot beat
-            for c in range(a, b + 2):
-                if c > a and not i <= pos[c - 2] <= j:
-                    continue  # no window point has value c - 1: the split repeats (h, c - 1)
+            below = 0  # the low child's points with values below c
+            above = P - n_low + 1  # the high child's points from c on; column a takes the 1
+            for c, side in zip(cols, sides):
+                if side < cut:
+                    below += 1
+                else:
+                    above -= 1
                 if positive and seen[c] > top:
                     top = seen[c]
                 if top >= mk_low:
                     break  # every later split of the row at most ties
-                m_low = cnt[low_at + c] - cnt[low_under + c] - low_below_a
-                if m_low > mk_low:
-                    m_low = mk_low
-                m_high = high_to_b - cnt[high_at + c] + cnt[high_under + c]
-                if m_high > mk_high:
-                    m_high = mk_high
+                m_low = below if below < k_low else k_low
+                m_high = above if above < k_high else k_high
                 if m_low + m_high <= best:
                     if mk_low + m_high <= best:
                         break  # no later split's bound can beat the best
                     continue
-                if m_low:
+                if m_low and not low_leaf:
                     need = best - m_high if best > m_high else 0
                     u = low_tab.get(low_base + c)
                     if u is None or u < -1 - need:
@@ -467,7 +494,7 @@ class DpTable:
                     elif u < 0:
                         u = -1 - u
                 else:
-                    u = 0
+                    u = m_low
                 if u <= top:
                     continue
                 top = u - tie
@@ -475,7 +502,7 @@ class DpTable:
                     seen[c] = top
                 if u + m_high <= best:
                     continue
-                if m_high:
+                if m_high and not high_leaf:
                     need = best - u if best > u else 0
                     v = high_tab.get(high_base + c * S)
                     if v is None or v < -1 - need:
@@ -483,7 +510,7 @@ class DpTable:
                     elif v < 0:
                         v = -1 - v
                 else:
-                    v = 0
+                    v = m_high
                 if u + v > best:
                     if tie:
                         ties.append(((i, h, j + 1), (a, c, b + 1)))
