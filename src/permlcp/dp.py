@@ -28,20 +28,22 @@ runs over the expanded guide, so the way :func:`expand_tree` binarizes a
 linear node can pick another plain witness among ties; no length and no
 canonical pattern depends on it.
 
-No cell is longer than the number of target points (p, tau(p)) in its box,
-which a 2-D prefix count over the target gives in O(1): a box with no point
-is 0 and a leaf box is 1 when it holds a point, without a scan.  Each
-internal cell is the best sum of child cells over all splits, and depends
-only on the points in its box.  So a scan cuts only at i or a, or just
-after a window point: a cut moved past a position or a value holding none
-repeats the split one step before it (Ibarra, IPL 1997).  A linear scan
-lists its cuts from the window's points themselves, its rows by their rank
-in position order and its columns from one sorted list of their values, so
-it counts each child's points as it goes and reads no prefix count; and a
-leaf child's length is its point count, so it asks no leaf box.  The scan
-skips a split whose children's point counts cannot beat the best so far,
-and stops when the best meets the cell's own count; a linear scan reads
-only the one run of rows whose bound can beat the best (see
+No cell is longer than the number of target points (p, tau(p)) in its box:
+a box with no point is 0 and a leaf box is 1 when it holds a point, without
+a scan.  The table finds a box's points from tau and its inverse alone,
+walking in from the box's edges, so it holds nothing that grows as the
+square of the target.  Each internal cell is the best sum of child cells
+over all splits, and depends only on the points in its box.  So a scan cuts
+only at i or a, or just after a window point: a cut moved past a position
+or a value holding none repeats the split one step before it (Ibarra, IPL
+1997).  A linear scan lists its cuts from the window's points themselves,
+its rows by their rank in position order and its columns from one sorted
+list of their values, so it counts each child's points as it goes; and a
+leaf child's length is its point count, so it asks no leaf box.  A prime
+scan counts the window's points up to each position once per scan.  The
+scan skips a split whose children's point counts cannot beat the best so
+far, and stops when the best meets the cell's own count; a linear scan
+reads only the one run of rows whose bound can beat the best (see
 :meth:`DpTable._linear_cell`), and a prime scan drops a whole prefix of
 position cuts that cannot (see :func:`_position_cuts`).  Every scan also
 skips a split that an earlier split already beats.  A cell never shrinks when its
@@ -97,7 +99,6 @@ cheaper one.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -128,7 +129,8 @@ def _position_cuts(i: int, sizes: list[int], upto: list[int], floor):
     order: ``cuts`` is (i, h_1, ..., h_{d-1}, j + 1) with h_1 <= ... <=
     h_{d-1}, slice k holds positions cuts[k]..cuts[k + 1] - 1, and
     ``caps[k]`` is the smaller of ``sizes[k]`` and the slice's points, read
-    from ``upto`` as :meth:`DpTable._points_upto` gives it.  The tuples come
+    from ``upto``, whose entry p - i + 1 (p = i - 1..j) counts the window's
+    points at positions i..p.  The tuples come
     in lexicographic order, built depth first one cut at a time.  A cut
     h_k > h_{k-1} just after a position without a point repeats the cut one
     lower, so it goes with every tuple under it.  A prefix h_1..h_k is
@@ -198,10 +200,11 @@ class DpTable:
     prime nodes keep their arity.  Cells are computed on demand through
     :meth:`cell` and cached for the lifetime of the table, and
     :meth:`reconstruct` rebuilds a witness for any cell.  Leaf cells do not
-    depend on which leaf is asked, so all leaves share one sub-table.  A
-    prefix count over tau, built once, gives the number of target points in
-    any box; no cell exceeds it, so it bounds every cell and every child of
-    a split.  The dominance skips that cut each cell's scan short drop only
+    depend on which leaf is asked, so all leaves share one sub-table.  The
+    table holds only tau, its inverse and one dict of entries per node: a
+    scan counts its box's target points from tau itself, and no cell
+    exceeds that count, so it bounds every cell and every child of a split.
+    The dominance skips that cut each cell's scan short drop only
     splits that can at most tie one read earlier, so they change no cell
     value and no plain witness; the canonical walk runs the scans in tie
     mode, which skips only strictly beaten splits and lists every tied one.
@@ -228,17 +231,9 @@ class DpTable:
         # Lengths live in one dict per node, keyed by (i, j, a, b) packed into
         # a single int: cheap to hash in the candidate loops.
         self._S = self.n + 2
-        # _cnt[p * W + v] (W = n + 1): the points (q, tau(q)) with q <= p and
-        # tau(q) <= v, so a box's point count is four reads (see _points).
-        W = self._W = self.n + 1
-        placed = [0] * self.n  # placed[v - 1]: value v sits at a position read so far
         pos = self._pos = [0] * self.n  # pos[v - 1]: the position of value v
-        cnt = array("i", [0]) * W
         for p, t in enumerate(tau.values, 1):
-            placed[t - 1] = 1
             pos[t - 1] = p
-            cnt.extend(accumulate(placed, initial=0))
-        self._cnt = cnt
         self._tables: dict[DecompNode, dict[int, int]] = {}
         # Per binary linear node, from its first scan on (see _linear_cell).
         self._linear: dict[DecompNode, tuple] = {}
@@ -266,15 +261,17 @@ class DpTable:
         """The cell's length when it exceeds ``floor``, else a bound on it of at most ``floor``.
 
         An entry that answers the floor returns at once: an exact length, or
-        a bound whose ub is at most the floor.  A leaf or a box without
-        target points is stored exact.  Any other box is narrowed to its
-        tight box.  When that entry answers the floor, it is stored under
-        the box's own key too, as an alias.  Otherwise the tight box starts
-        its scan at the floor, which waits on a stack as (scan, table, key,
-        floor) while the boxes it yields with their floors are evaluated the
-        same way.  A scan's best is stored under the tight key only, as the
-        exact length when it beat the floor and as the bound "at most
-        floor" when not, and is sent to the scan below it.
+        a bound whose ub is at most the floor.  A leaf box is stored exact:
+        1 when a walk from i finds a point in it, else 0.  Any other box is
+        narrowed by :meth:`_tight`: one with no point is stored as 0, and
+        one with points is read under its tight box.  When that entry
+        answers the floor, it is stored under the box's own key too, as an
+        alias.  Otherwise the tight box starts its scan at the floor, which
+        waits on a stack as (scan, table, key, floor) while the boxes it
+        yields with their floors are evaluated the same way.  A scan's best
+        is stored under the tight key only, as the exact length when it beat
+        the floor and as the bound "at most floor" when not, and is sent to
+        the scan below it.
         """
         S = self._S
         idx = ((i * S + j) * S + a) * S + b
@@ -282,15 +279,18 @@ class DpTable:
         length = table.get(idx)
         if length is not None and length >= -1 - floor:
             return length if length >= 0 else -1 - length
-        cnt, W = self._cnt, self._W
+        tauv = self._tauv
         stack = []
         while True:
-            hi, lo = j * W, (i - 1) * W
-            points = cnt[hi + b] - cnt[lo + b] - cnt[hi + a - 1] + cnt[lo + a - 1]  # see _points
-            if node.is_leaf or not points:
-                length = table[idx] = 1 if points else 0
+            if node.is_leaf:
+                p = i  # walk to the box's first point, if any
+                while p <= j and not a <= tauv[p - 1] <= b:
+                    p += 1
+                length = table[idx] = 1 if p <= j else 0
+            elif (box := self._tight(i, j, a, b)) is None:
+                length = table[idx] = 0
             else:
-                i, j, a, b = self._tight(i, j, a, b)
+                i, j, a, b = box
                 key = ((i * S + j) * S + a) * S + b
                 length = table.get(key)
                 if length is None or length < -1 - floor:
@@ -320,29 +320,32 @@ class DpTable:
 
         Each box is read under its tight key at the floor the scan asked
         for, so a replay of a fill scan stores no alias and reads no cell
-        the fill did not evaluate.
+        the fill did not evaluate.  A box with no point is 0 without a
+        table read.
         """
         length = None
         try:
             while True:
                 node, i, j, a, b, floor = scan.send(length)
-                length = self._cell(node, *self._tight(i, j, a, b), floor)
+                box = self._tight(i, j, a, b)
+                length = 0 if box is None else self._cell(node, *box, floor)
         except StopIteration as done:
             return done.value
 
-    def _tight(self, i: int, j: int, a: int, b: int) -> tuple[int, int, int, int]:
-        """The tight box of the box's target points: their outermost positions and values.
+    def _tight(self, i: int, j: int, a: int, b: int) -> tuple[int, int, int, int] | None:
+        """The tight box of the box's target points: their outermost positions and values, or None.
 
         That is their first and last position and their lowest and highest
-        value, found by walking in from each edge.  A box with no point
-        comes back as it is.
+        value, found by walking in from each edge over tau and its inverse.
+        A box with no point, empty ranges j = i - 1 and b = a - 1 included,
+        gives None.
         """
         tauv, pos = self._tauv, self._pos
         lo = i
         while lo <= j and not a <= tauv[lo - 1] <= b:
             lo += 1
         if lo > j:
-            return i, j, a, b
+            return None
         while not a <= tauv[j - 1] <= b:
             j -= 1
         while not lo <= pos[a - 1] <= j:
@@ -350,23 +353,6 @@ class DpTable:
         while not lo <= pos[b - 1] <= j:
             b -= 1
         return lo, j, a, b
-
-    def _points(self, i: int, j: int, a: int, b: int) -> int:
-        """The number of target points at positions i..j with values a..b.
-
-        An empty range, j = i - 1 or b = a - 1, holds none.
-        """
-        cnt = self._cnt
-        hi = j * self._W
-        lo = (i - 1) * self._W
-        return cnt[hi + b] - cnt[lo + b] - cnt[hi + a - 1] + cnt[lo + a - 1]
-
-    def _points_upto(self, i: int, j: int, a: int, b: int) -> list[int]:
-        """At index p - i + 1, for p = i - 1..j: the points at positions i..p with values a..b."""
-        cnt = self._cnt
-        W = self._W
-        below = cnt[(i - 1) * W + b] - cnt[(i - 1) * W + a - 1]
-        return [cnt[p * W + b] - cnt[p * W + a - 1] - below for p in range(i - 1, j + 1)]
 
     def _linear_cell(
         self, node: DecompNode, i: int, j: int, a: int, b: int, want: int = 0, ties=None,
@@ -539,7 +525,7 @@ class DpTable:
         """
         sizes = [c.span.width for c in node.children]
         d = len(sizes)
-        upto = self._points_upto(i, j, a, b)
+        upto = list(accumulate((a <= v <= b for v in self._tauv[i - 1 : j]), initial=0))
         cap = want or min(sum(sizes), upto[-1])
         order = sorted(range(d), key=node.label.values.__getitem__)
         path = [a] * d  # a, then the value cuts c_1..c_{d-1} as they are made
@@ -632,8 +618,8 @@ class DpTable:
         pos, val = cuts
         split: list[tuple | None] = []
         for k, (child, r) in enumerate(zip(node.children, _ranks(node))):
-            box = (pos[k], pos[k + 1] - 1, val[r - 1], val[r] - 1)
-            split.append((child, *self._tight(*box)) if self._points(*box) else None)
+            box = self._tight(pos[k], pos[k + 1] - 1, val[r - 1], val[r] - 1)
+            split.append(None if box is None else (child, *box))
         return split
 
     def reconstruct(
@@ -663,7 +649,7 @@ class DpTable:
         elif None in box:
             raise ValueError("reconstruct takes all of node, i, j, a, b, or none of them")
         length = self.cell(*box)
-        box = (box[0], *self._tight(*box[1:]))
+        box = (box[0], *(self._tight(*box[1:]) or box[1:]))  # a box without a point stays as it is
         memo = self._resolve(box) if canonical and length else {}
         hits = []  # (position in the guide, value there, position in tau)
         stack: list[tuple] = [box] if length else []
@@ -671,7 +657,7 @@ class DpTable:
             box = stack.pop()
             if box[0].is_leaf:
                 # Leaf boxes on the walk are tight, so a point sits at the first position.
-                if not self._points(*box[1:]):
+                if self._tight(*box[1:]) is None:
                     raise RuntimeError("a leaf cell of length 1 has no hit in its window")
                 hits.append((box[0].span.lo, box[0].leaf_value, box[1]))
                 continue

@@ -3,6 +3,7 @@
 import gc
 import random
 import sys
+import tracemalloc
 import weakref
 from collections import Counter
 from itertools import combinations_with_replacement
@@ -964,9 +965,9 @@ class TestTieMode:
         assert checked > 500
 
 
-class TestPointCounts:
-    def test_prefix_count_matches_brute_force(self):
-        """Every box's point count equals a brute-force count, empty boxes and ranges included."""
+class TestTightBoxes:
+    def test_tight_box_matches_brute_force(self):
+        """Every box's tight box equals a brute-force one: None without a point, empty ranges too."""
         rng = random.Random(33)
         targets = [parse_permutation("1"), parse_permutation("2 1")]
         targets += [random_permutation(rng, n) for n in (3, 5, 7, 9, 9)]
@@ -977,8 +978,21 @@ class TestPointCounts:
                 for j in range(i - 1, n + 1):
                     for a in range(1, n + 2):
                         for b in range(a - 1, n + 1):
-                            want = sum(1 for p in range(i, j + 1) if a <= tau.values[p - 1] <= b)
-                            assert table._points(i, j, a, b) == want, (str(tau), (i, j, a, b))
+                            want = tight_box(tau, i, j, a, b)
+                            assert table._tight(i, j, a, b) == want, (str(tau), (i, j, a, b))
+
+    def test_table_memory_does_not_grow_with_the_target_squared(self):
+        """A table holds tau, its inverse and its entries: no count over every box of the target."""
+        tau = Permutation(tuple(range(1, 3001)))
+        tree = expand_tree(decomposition_tree(parse_permutation("2 1")))
+        tracemalloc.start()
+        try:
+            DpTable(tree, tau)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert lcp(parse_permutation("1"), tau).length == 1
 
 
 class TestDeepGuides:
