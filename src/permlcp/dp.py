@@ -29,8 +29,8 @@ linear node can pick another plain witness among ties; no length and no
 canonical pattern depends on it.
 
 No cell is longer than the number of target points (p, tau(p)) in its box:
-a box with no point is 0 and a leaf box is 1 when it holds a point, without
-a scan.  The table finds a box's points from tau and its inverse alone,
+a box with no point is 0 and a leaf box is 1 when it holds one, read from
+tau.  The table finds a box's points from tau and its inverse alone,
 walking in from the box's edges, so it holds nothing that grows as the
 square of the target.  Each internal cell is the best sum of child cells
 over all splits, and depends only on the points in its box.  So a scan cuts
@@ -40,7 +40,8 @@ or a value holding none repeats the split one step before it (Ibarra, IPL
 its rows by their rank in position order and its columns from one sorted
 list of their values, so it counts each child's points as it goes; and a
 leaf child's length is its point count, so it asks no leaf box.  A prime
-scan counts the window's points up to each position once per scan.  The
+scan counts the window's points up to each position once per scan, and
+takes a leaf child's length from a flag its value cuts set.  The
 scan skips a split whose children's point counts cannot beat the best so
 far, and stops when the best meets the cell's own count; a linear scan
 reads only the one run of rows whose bound can beat the best (see
@@ -199,18 +200,18 @@ class DpTable:
     The guiding tree must be in expanded form (all linear nodes binary);
     prime nodes keep their arity.  Cells are computed on demand through
     :meth:`cell` and cached for the lifetime of the table, and
-    :meth:`reconstruct` rebuilds a witness for any cell.  Leaf cells do not
-    depend on which leaf is asked, so all leaves share one sub-table.  The
-    table holds only tau, its inverse and one dict of entries per node: a
-    scan counts its box's target points from tau itself, and no cell
-    exceeds that count, so it bounds every cell and every child of a split.
+    :meth:`reconstruct` rebuilds a witness for any cell.  The scans and
+    :meth:`cell` read a leaf's length from tau, so the table holds only tau,
+    its inverse and one dict of entries per internal node: a scan counts
+    its box's target points from tau itself, and no cell exceeds that
+    count, so it bounds every cell and every child of a split.
     The dominance skips that cut each cell's scan short drop only
     splits that can at most tie one read earlier, so they change no cell
     value and no plain witness; the canonical walk runs the scans in tie
     mode, which skips only strictly beaten splits and lists every tied one.
     An internal box with points is evaluated under its tight box (see
     :meth:`_tight`), and the key it was asked for holds an alias of that
-    entry once it exists; leaves and empty boxes keep the key asked for.
+    entry once it exists; empty boxes keep the key asked for.
 
     An entry is an exact length (>= 0) or, for an internal box asked at a
     floor it did not beat, the bound ``-1 - ub``: the length is at most ub
@@ -237,32 +238,33 @@ class DpTable:
         self._tables: dict[DecompNode, dict[int, int]] = {}
         # Per binary linear node, from its first scan on (see _linear_cell).
         self._linear: dict[DecompNode, tuple] = {}
-        leaf_table: dict[int, int] = {}
         for node in tree.walk():
             if node.kind == "linear" and node.arity != 2:
                 raise ValueError(
                     "guiding tree must be expanded: found a linear node of "
                     f"arity {node.arity}"
                 )
-            self._tables[node] = leaf_table if node.is_leaf else {}
+            if not node.is_leaf:
+                self._tables[node] = {}
 
     def cell(self, node: DecompNode, i: int, j: int, a: int, b: int) -> int:
         """The length M(node, i, j, a, b); ranges must satisfy 1 <= i <= j <= n, 1 <= a <= b <= n."""
         if not (1 <= i <= j <= self.n and 1 <= a <= b <= self.n):
             raise ValueError(f"cell ranges out of bounds: i={i} j={j} a={a} b={b}")
+        if node.is_leaf:  # whichever leaf: 1 when the box holds a target point, else 0
+            return 0 if self._tight(i, j, a, b) is None else 1
         if node not in self._tables:
             raise ValueError("node does not belong to this table's guiding tree")
         return self._cell(node, i, j, a, b)
 
     def root_cell(self) -> int:
-        return self._cell(self.tree.root, 1, self.n, 1, self.n)
+        return self.cell(self.tree.root, 1, self.n, 1, self.n)
 
     def _cell(self, node: DecompNode, i: int, j: int, a: int, b: int, floor: int = 0) -> int:
         """The cell's length when it exceeds ``floor``, else a bound on it of at most ``floor``.
 
         An entry that answers the floor returns at once: an exact length, or
-        a bound whose ub is at most the floor.  A leaf box is stored exact:
-        1 when a walk from i finds a point in it, else 0.  Any other box is
+        a bound whose ub is at most the floor.  Otherwise the internal node's box is
         narrowed by :meth:`_tight`: one with no point is stored as 0, and
         one with points is read under its tight box.  When that entry
         answers the floor, it is stored under the box's own key too, as an
@@ -279,15 +281,9 @@ class DpTable:
         length = table.get(idx)
         if length is not None and length >= -1 - floor:
             return length if length >= 0 else -1 - length
-        tauv = self._tauv
         stack = []
         while True:
-            if node.is_leaf:
-                p = i  # walk to the box's first point, if any
-                while p <= j and not a <= tauv[p - 1] <= b:
-                    p += 1
-                length = table[idx] = 1 if p <= j else 0
-            elif (box := self._tight(i, j, a, b)) is None:
+            if (box := self._tight(i, j, a, b)) is None:
                 length = table[idx] = 0
             else:
                 i, j, a, b = box
@@ -415,7 +411,7 @@ class DpTable:
             low, high = node.children if positive else node.children[::-1]
             facts = self._linear[node] = (
                 low, high, low.span.width, high.span.width, positive, low.is_leaf, high.is_leaf,
-                self._tables[low], self._tables[high],
+                self._tables.get(low), self._tables.get(high),
             )
         low, high, k_low, k_high, positive, low_leaf, high_leaf, low_tab, high_tab = facts
         tauv, pos = self._tauv, self._pos
@@ -549,12 +545,13 @@ class DpTable:
         made so far, so value slice t starts at ``path[t - 1]``, and
         ``order[t - 1]`` is the child taking it; ``partial`` is the length of
         slices 1..t-1.  Returns the new best as soon as it meets ``cap``,
-        with ``path`` holding that split's cuts.  A ct > c_prev for t < d
-        whose value ct - 1 sits outside the window repeats ct - 1, and is
-        skipped.  The later slices only lose values as ct grows, so a ct
-        whose total does not exceed the previous ct's cannot win, and its
-        later slices are not scanned; in tie mode only a total below the
-        previous one is, and a split beating ``best`` goes to ``ties``.
+        with ``path`` holding that split's cuts; a leaf child's length is
+        ``held``: does a value c_prev..ct-1 sit at a position p_lo..p_hi?  A
+        ct > c_prev for t < d whose value ct - 1 sits outside the window
+        repeats ct - 1, and is skipped.  The later slices only lose values as
+        ct grows, so a ct whose total does not exceed the previous ct's cannot
+        win, and its later slices are not scanned; in tie mode only a total
+        below the previous one is, and a split beating ``best`` goes to ``ties``.
         """
         d = len(order)
         c_prev = path[t - 1]
@@ -562,16 +559,21 @@ class DpTable:
         child = node.children[k]
         p_lo = cuts[k]
         p_hi = cuts[k + 1] - 1
-        table = self._tables[child]
+        table = self._tables.get(child)  # None for a leaf
         S = self._S
         base = ((p_lo * S + p_hi) * S + c_prev) * S - 1  # + ct: values c_prev..ct-1
         tie = 0 if ties is None else 1
         last = -1
         pos, lo, end = self._pos, cuts[0], cuts[-1]
+        held = table is None and t == d and any(p_lo <= p <= p_hi for p in pos[c_prev - 1 : b])
         for ct in (b + 1,) if t == d else range(c_prev, b + 2):
-            if t < d and ct > c_prev and not lo <= pos[ct - 2] < end:
-                continue  # value ct - 1 is outside the window: the split repeats ct - 1
-            if p_hi < p_lo or ct == c_prev:
+            if t < d and ct > c_prev:
+                if not lo <= (p := pos[ct - 2]) < end:
+                    continue  # value ct - 1 is outside the window: the split repeats ct - 1
+                held = held or p_lo <= p <= p_hi
+            if table is None:
+                total = partial + held
+            elif p_hi < p_lo or ct == c_prev:
                 total = partial
             else:
                 got = table.get(base + ct)
@@ -640,8 +642,8 @@ class DpTable:
         reaches the stored length, or with ``canonical`` the split of
         lexicographically smallest pattern (the first on ties); each leaf,
         a tight box too, adds the point at its first position.  Raises
-        RuntimeError when a leaf box holds no point, or when the stored lengths
-        do not rebuild to a pattern of the cell's length common to both sides.
+        RuntimeError when the stored lengths do not rebuild to a pattern of
+        the cell's length common to both sides.
         """
         box = (node, i, j, a, b)
         if box.count(None) == 5:
@@ -657,8 +659,6 @@ class DpTable:
             box = stack.pop()
             if box[0].is_leaf:
                 # Leaf boxes on the walk are tight, so a point sits at the first position.
-                if self._tight(*box[1:]) is None:
-                    raise RuntimeError("a leaf cell of length 1 has no hit in its window")
                 hits.append((box[0].span.lo, box[0].leaf_value, box[1]))
                 continue
             split = memo[box][1] if canonical else self._first_split(*box, self._cell(*box))

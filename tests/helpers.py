@@ -145,16 +145,11 @@ def materialized_cells(table):
     """Yield (node, i, j, a, b, entry) for every entry a DpTable holds, aliases included.
 
     ``entry`` is the stored int: a length, or -1 - ub for a bound "at most
-    ub".  Decodes the packed (i, j, a, b) keys.  All leaves share one
-    sub-table, so leaf cells come once, under the first leaf of the walk.
+    ub".  Decodes the packed (i, j, a, b) keys.  Only internal nodes have
+    entries: a leaf's length is read from tau, never stored.
     """
     S = table._S
-    seen = set()
-    for node in table.tree.walk():
-        memo = table._tables[node]
-        if id(memo) in seen:
-            continue
-        seen.add(id(memo))
+    for node, memo in list(table._tables.items()):
         for idx, entry in list(memo.items()):
             idx, b = divmod(idx, S)
             idx, a = divmod(idx, S)
@@ -177,11 +172,11 @@ def tight_box(tau: Permutation, i: int, j: int, a: int, b: int):
 def evaluated_cells(table):
     """The cells of ``materialized_cells`` that the fill evaluated, without the aliases.
 
-    An internal box with target points is evaluated under its tight box; its
-    other keys are aliases of that entry.  Leaves and empty boxes are stored
-    under the key they were asked for.
+    A box with target points is evaluated under its tight box; its other
+    keys are aliases of that entry.  Empty boxes are stored under the key
+    they were asked for.
     """
     for cell in materialized_cells(table):
         node, i, j, a, b, _ = cell
-        if node.is_leaf or tight_box(table.tau, i, j, a, b) in (None, (i, j, a, b)):
+        if tight_box(table.tau, i, j, a, b) in (None, (i, j, a, b)):
             yield cell

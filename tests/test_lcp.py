@@ -371,14 +371,20 @@ class TestTableProperties:
                     table.reconstruct(canonical=canonical)
 
     def test_leaf_length_without_a_point_raises(self):
+        """A leaf's length is read from tau, so a leaf box without a point rebuilds to nothing.
+
+        No leaf entry is stored that could claim a point the box lacks.
+        """
         tau = parse_permutation("3 1 4 2 5")
         table = DpTable(expand_tree(decomposition_tree(parse_permutation("2 1 3"))), tau)
         leaf = next(node for node in table.tree.walk() if node.is_leaf)
-        S = table.n + 2
-        table._tables[leaf][((1 * S + 1) * S + 1) * S + 1] = 1  # position 1 holds value 3, not 1
         for canonical in (False, True):
-            with pytest.raises(RuntimeError, match="no hit in its window"):
-                table.reconstruct(leaf, 1, 1, 1, 1, canonical=canonical)
+            pattern, occ_sigma, occ_tau = table.reconstruct(leaf, 1, 1, 1, 1, canonical=canonical)
+            assert (pattern.values, occ_sigma.positions, occ_tau.positions) == ((), (), ())
+            pattern, occ_sigma, occ_tau = table.reconstruct(leaf, 2, 2, 1, 1, canonical=canonical)
+            assert (pattern.values, occ_tau.positions) == ((1,), (2,))  # position 2 holds value 1
+            assert occ_sigma.positions == (leaf.span.lo,)
+        assert leaf not in table._tables
 
 
 # (sigma, tau, algo, plain (pattern, occ_sigma, occ_tau), canonical (...)).
@@ -519,14 +525,14 @@ class TestCellsMatchOracle:
         oracle's length.
         """
         rng = random.Random(19)
-        guides = [random_separable(rng, rng.randint(1, 10)) for _ in range(20)]
+        guides = [random_separable(rng, rng.randint(1, 12)) for _ in range(20)]
         while len(guides) < 40:
-            sigma = random_permutation(rng, rng.randint(4, 9))
+            sigma = random_permutation(rng, rng.randint(5, 10))
             if lcp_plan(sigma, sigma).prime_arity:
                 guides.append(sigma)
         checked = bounds = 0
         for sigma in guides:
-            tau = random_permutation(rng, rng.randint(4, 10))
+            tau = random_permutation(rng, rng.randint(7, 12))
             table = DpTable(lcp_plan(sigma, tau, "general").tree, tau)
             table.reconstruct(canonical=True)
             for node, i, j, a, b, entry in materialized_cells(table):
@@ -584,6 +590,27 @@ class TestCellCounts:
         kinds = Counter(cell[0].kind for cell in materialized_cells(table))
         assert kinds == {"linear": 637}
 
+    def test_prime_guides_store_no_leaf_entry(self):
+        """A prime scan reads a leaf child's length from tau, so no walk stores a leaf entry.
+
+        Reading leaf children through the table, the 8 orientations of the
+        ``prime_guide`` bench pool stored 7,047 leaf entries of 10,230.
+        """
+        rng = random.Random(26)
+        arities = {}
+        while len(arities) < 3:
+            sigma = random_permutation(rng, rng.randint(5, 9))
+            arity = lcp_plan(sigma, sigma).prime_arity
+            if arity in (4, 5, 7):
+                arities.setdefault(arity, sigma)
+        for sigma in arities.values():
+            tau = random_permutation(rng, 9)
+            for canonical in (False, True):
+                table = DpTable(lcp_plan(sigma, tau, "general").tree, tau)
+                table.reconstruct(canonical=canonical)
+                kinds = Counter(cell[0].kind for cell in materialized_cells(table))
+                assert "leaf" not in kinds and kinds["prime"] > 0, (str(sigma), str(tau), kinds)
+
     def test_separable_twenty_pair_canonical(self):
         """Without floors the canonical walk stored 15,953 entries."""
         assert self._cells(*self._smoke_pair(), "separable", canonical=True) <= 15_953 // 10
@@ -640,6 +667,13 @@ class TestCellCounts:
         assert pattern.values == (2, 5, 1, 3, 4)
         assert occ_sigma.positions == (3, 4, 5, 6, 9)
         assert occ_tau.positions == (1, 5, 6, 7, 8)
+
+    def test_arity_seven_pair_entries(self):
+        """Reading leaf children through the table, the pair stored 773 entries plain, 903 canonical."""
+        sigma = parse_permutation("9 7 4 8 3 5 2 1 6")
+        tau = parse_permutation("5 2 4 1 8 3 6 7 9")
+        assert self._cells(sigma, tau, "general") <= 773 // 3
+        assert self._cells(sigma, tau, "general", canonical=True) <= 903 // 3
 
     def test_small_guide_large_target_canonical(self):
         """Tied sub-boxes share their tight key, so the canonical walk resolves each once.
@@ -850,7 +884,7 @@ class TestTightKeys:
                 stored = {cell[:5]: cell[5] for cell in materialized_cells(table)}
                 for (node, i, j, a, b), length in stored.items():
                     tight = tight_box(tau, i, j, a, b)
-                    if node.is_leaf or tight in (None, (i, j, a, b)):
+                    if tight in (None, (i, j, a, b)):
                         continue
                     where = (str(sigma), str(tau), (i, j, a, b))
                     held = stored.get((node, *tight))
@@ -945,7 +979,7 @@ class TestTieMode:
             tau = random_permutation(rng, rng.randint(3, 7))
             table = DpTable(lcp_plan(sigma, tau, "general").tree, tau)
             table.reconstruct()
-            for node, i, j, a, b, _ in [c for c in materialized_cells(table) if not c[0].is_leaf]:
+            for node, i, j, a, b, _ in list(materialized_cells(table)):
                 length = table.cell(node, i, j, a, b)  # the entry may be a bound
                 if not length:
                     continue
@@ -966,12 +1000,15 @@ class TestTieMode:
 
 
 class TestTightBoxes:
-    def test_tight_box_matches_brute_force(self):
-        """Every box's tight box equals a brute-force one: None without a point, empty ranges too."""
+    @staticmethod
+    def _targets():
         rng = random.Random(33)
         targets = [parse_permutation("1"), parse_permutation("2 1")]
-        targets += [random_permutation(rng, n) for n in (3, 5, 7, 9, 9)]
-        for tau in targets:
+        return targets + [random_permutation(rng, n) for n in (3, 5, 7, 9, 9)]
+
+    def test_tight_box_matches_brute_force(self):
+        """Every box's tight box equals a brute-force one: None without a point, empty ranges too."""
+        for tau in self._targets():
             table = DpTable(expand_tree(decomposition_tree(parse_permutation("1"))), tau)
             n = tau.n
             for i in range(1, n + 2):
@@ -980,6 +1017,20 @@ class TestTightBoxes:
                         for b in range(a - 1, n + 1):
                             want = tight_box(tau, i, j, a, b)
                             assert table._tight(i, j, a, b) == want, (str(tau), (i, j, a, b))
+
+    def test_leaf_cell_is_whether_the_box_holds_a_point(self):
+        """A leaf's cell is read from tau: 1 when the box holds a point, else 0, and nothing is stored."""
+        for tau in self._targets():
+            table = DpTable(expand_tree(decomposition_tree(parse_permutation("1"))), tau)
+            leaf = table.tree.root
+            n = tau.n
+            for i in range(1, n + 1):
+                for j in range(i, n + 1):
+                    for a in range(1, n + 1):
+                        for b in range(a, n + 1):
+                            want = tight_box(tau, i, j, a, b) is not None
+                            assert table.cell(leaf, i, j, a, b) == want, (str(tau), (i, j, a, b))
+            assert table.root_cell() == 1 and not table._tables
 
     def test_table_memory_does_not_grow_with_the_target_squared(self):
         """A table holds tau, its inverse and its entries: no count over every box of the target."""
