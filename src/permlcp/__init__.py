@@ -1,8 +1,9 @@
 """permlcp: longest common pattern between permutations.
 
 Exact longest-common-pattern computation guided by decomposition trees:
-polynomial when one input is separable or has bounded prime-node arity,
-with brute-force oracles alongside for validation.
+polynomial when one input is separable or has bounded prime-node arity.
+The brute-force oracles that the tests check it against live in
+:mod:`permlcp.oracle`, which this package does not import.
 """
 
 from .algebra import concat_minus, concat_plus, concat_rho
@@ -16,8 +17,6 @@ from .decomposition import (
     expand_tree,
     is_separable,
     max_prime_arity,
-    separating_tree,
-    strong_intervals,
     tree_from_nested,
     tree_to_dict,
     tree_to_dot,
@@ -25,7 +24,6 @@ from .decomposition import (
     tree_to_text,
 )
 from .dp import DpTable, LcpPlan, LcpResult, lcp, lcp_plan
-from .oracle import oracle_is_simple, oracle_lcp, oracle_separable
 from .perms import (
     Occurrence,
     Pattern,
@@ -56,11 +54,9 @@ __all__ = [
     "DecompTree",
     "NotSeparableError",
     "common_intervals",
-    "strong_intervals",
     "decomposition_tree",
     "expand_tree",
     "is_separable",
-    "separating_tree",
     "max_prime_arity",
     "tree_to_permutation",
     "tree_from_nested",
@@ -72,7 +68,4 @@ __all__ = [
     "LcpPlan",
     "lcp",
     "lcp_plan",
-    "oracle_lcp",
-    "oracle_is_simple",
-    "oracle_separable",
 ]

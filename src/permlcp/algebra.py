@@ -14,27 +14,21 @@ from .perms import Pattern, PermLike, _as_values
 
 
 def concat_plus(left: PermLike, right: PermLike) -> Pattern:
-    """Positive concatenation: right block shifted above the left one.
+    """Positive concatenation, ``concat_rho((1, 2), [left, right])``.
 
     >>> concat_plus(Pattern((2, 1)), Pattern((1, 2, 3))).values
     (2, 1, 3, 4, 5)
     """
-    lv = _as_values(left)
-    rv = _as_values(right)
-    k = len(lv)
-    return Pattern(lv + tuple(v + k for v in rv))
+    return concat_rho((1, 2), (left, right))
 
 
 def concat_minus(left: PermLike, right: PermLike) -> Pattern:
-    """Negative concatenation: left block shifted above the right one.
+    """Negative concatenation, ``concat_rho((2, 1), [left, right])``.
 
     >>> concat_minus(Pattern((1,)), Pattern((1,))).values
     (2, 1)
     """
-    lv = _as_values(left)
-    rv = _as_values(right)
-    k = len(rv)
-    return Pattern(tuple(v + k for v in lv) + rv)
+    return concat_rho((2, 1), (left, right))
 
 
 def concat_rho(rho: PermLike, blocks: Sequence[PermLike]) -> Pattern:
@@ -43,9 +37,8 @@ def concat_rho(rho: PermLike, blocks: Sequence[PermLike]) -> Pattern:
     Block i keeps its internal order and is shifted up by the total size of
     the blocks ranked below it, i.e. by ``sum(len(block_j) for j with
     rho_j < rho_i)``.  Empty blocks are allowed and contribute nothing.
-    The two-block cases reduce to the signed concatenations:
-    ``concat_rho((1, 2), [p, q]) == concat_plus(p, q)`` and
-    ``concat_rho((2, 1), [p, q]) == concat_minus(p, q)``.
+    The two-block cases are the signed concatenations: ``(1, 2)`` places
+    the right block above the left one, ``(2, 1)`` the left above the right.
     """
     rv = _as_values(rho)
     if not rv:

@@ -47,12 +47,6 @@ class IntervalSpan:
     def width(self) -> int:
         return self.hi - self.lo + 1
 
-    def overlaps(self, other: "IntervalSpan") -> bool:
-        """Proper overlap: both differences and the intersection non-empty."""
-        return (self.lo < other.lo <= self.hi < other.hi) or (
-            other.lo < self.lo <= other.hi < self.hi
-        )
-
     def __str__(self) -> str:
         return f"{self.lo}-{self.hi}"
 
@@ -128,31 +122,6 @@ def common_intervals(sigma: Permutation) -> frozenset[IntervalSpan]:
             if mx - mn == hi - lo:
                 spans.append(IntervalSpan(lo + 1, hi + 1))
     return frozenset(spans)
-
-
-def strong_intervals(sigma: Permutation) -> frozenset[IntervalSpan]:
-    """The common intervals that overlap no other common interval: the tree's node spans."""
-    return frozenset(node.span for node in decomposition_tree(sigma).walk())
-
-
-def _classify(children: tuple[DecompNode, ...], span: IntervalSpan) -> DecompNode:
-    """Build the internal node over ``children``, typing and labeling it."""
-    lo = min(c.value_range[0] for c in children)
-    hi = max(c.value_range[1] for c in children)
-    increasing = all(
-        children[t + 1].value_range[0] == children[t].value_range[1] + 1
-        for t in range(len(children) - 1)
-    )
-    if increasing:
-        return DecompNode("linear", span, (lo, hi), children, sign="+")
-    decreasing = all(
-        children[t + 1].value_range[1] == children[t].value_range[0] - 1
-        for t in range(len(children) - 1)
-    )
-    if decreasing:
-        return DecompNode("linear", span, (lo, hi), children, sign="-")
-    label = normalize(tuple(c.value_range[0] for c in children))
-    return DecompNode("prime", span, (lo, hi), children, label=label)
 
 
 def decomposition_tree(sigma: Permutation) -> DecompTree:
@@ -309,14 +278,6 @@ def is_separable(sigma: Permutation) -> bool:
     return all(node.kind != "prime" for node in decomposition_tree(sigma).walk())
 
 
-def separating_tree(sigma: Permutation) -> DecompTree:
-    """A binary separating tree of a separable permutation, as :func:`expand_tree` shapes it."""
-    tree = decomposition_tree(sigma)
-    if any(node.kind == "prime" for node in tree.walk()):
-        raise NotSeparableError(f"{sigma} is not separable")
-    return expand_tree(tree)
-
-
 def max_prime_arity(tree: DecompTree) -> int:
     """Largest arity over prime nodes; 0 when the tree has none."""
     return max((n.arity for n in tree.walk() if n.kind == "prime"), default=0)
@@ -373,8 +334,10 @@ def tree_from_nested(spec) -> DecompTree:
     ``('-', c1, c2, ...)`` for signed linear nodes, or
     ``((r1, ..., rd), c1, ..., cd)`` for a prime node labeled by the
     permutation ``r``.  Leaf positions run left to right; the leaves must
-    spell out a permutation of {1..n}.  Useful for constructing alternative
-    separating trees, which are not unique.
+    spell out a permutation of {1..n}, and each node's children, ranked by
+    their lowest values, must rank as its head says.  A label that ranks
+    them monotonically is rejected: such a node is linear.  Useful for
+    constructing alternative separating trees, which are not unique.
     """
     next_pos = 0
 
@@ -388,17 +351,21 @@ def tree_from_nested(spec) -> DecompTree:
             raise ValueError("internal node needs at least 2 children")
         children = tuple(build(c) for c in children_spec)
         span = IntervalSpan(children[0].span.lo, children[-1].span.hi)
-        node = _classify(children, span)
-        if node.value_range[1] - node.value_range[0] != span.hi - span.lo:
+        lo = min(c.value_range[0] for c in children)
+        hi = max(c.value_range[1] for c in children)
+        if hi - lo != span.hi - span.lo:
             raise ValueError(f"children of node over {span} do not tile a value interval")
+        order = normalize(tuple(c.value_range[0] for c in children))
+        up = tuple(range(1, len(children) + 1))
         if head in ("+", "-"):
-            if node.sign != head:
+            if order.values != (up if head == "+" else up[::-1]):
                 raise ValueError(
                     f"children value ranges are not {'increasing' if head == '+' else 'decreasing'}"
                 )
-        elif node.kind != "prime" or node.label.values != tuple(head):
-            raise ValueError(f"prime label {head} does not match the children's value order")
-        return node
+            return DecompNode("linear", span, (lo, hi), children, sign=head)
+        if order.values != tuple(head) or order.values in (up, up[::-1]):
+            raise ValueError(f"prime label {head} is monotone or not the children's value order")
+        return DecompNode("prime", span, (lo, hi), children, label=order)
 
     root = build(spec)
     leaves = tuple(n.leaf_value for n in root.walk() if n.is_leaf)

@@ -55,9 +55,6 @@ class Permutation:
     def n(self) -> int:
         return len(self.values)
 
-    def to_pattern(self) -> "Pattern":
-        return Pattern(self.values)
-
     def __len__(self) -> int:
         return len(self.values)
 

@@ -79,10 +79,15 @@ def common_intervals_by_rescan(sigma: Permutation) -> list[IntervalSpan]:
     ]
 
 
+def overlaps(s: IntervalSpan, t: IntervalSpan) -> bool:
+    """Proper overlap: both differences and the intersection non-empty."""
+    return (s.lo < t.lo <= s.hi < t.hi) or (t.lo < s.lo <= t.hi < s.hi)
+
+
 def strong_intervals_by_overlap(sigma: Permutation) -> frozenset[IntervalSpan]:
     """Strong intervals by definition: common intervals that overlap no other one."""
     common = common_intervals_by_rescan(sigma)
-    return frozenset(s for s in common if not any(s.overlaps(t) for t in common))
+    return frozenset(s for s in common if not any(overlaps(s, t) for t in common))
 
 
 def all_common_pattern_values(sigma, tau):

@@ -72,8 +72,11 @@ def test_rho_arity_mismatch():
 
 @given(patterns, patterns)
 def test_rho_two_block_cases_match_signed_ops(p, q):
-    assert concat_rho(Pattern((1, 2)), [p, q]).values == concat_plus(p, q).values
-    assert concat_rho(Pattern((2, 1)), [p, q]).values == concat_minus(p, q).values
+    # The signed concatenations by definition: one block shifted above the other.
+    assert concat_rho(Pattern((1, 2)), [p, q]).values == p.values + tuple(v + len(p) for v in q)
+    assert concat_rho(Pattern((2, 1)), [p, q]).values == tuple(v + len(q) for v in p) + q.values
+    assert concat_plus(p, q) == concat_rho(Pattern((1, 2)), [p, q])
+    assert concat_minus(p, q) == concat_rho(Pattern((2, 1)), [p, q])
 
 
 @given(nonempty_patterns, st.data())

@@ -28,6 +28,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_python(*args):
+    """A fresh interpreter that imports permlcp from this checkout's src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
 class TestLcpCommand:
     def test_simple_case(self, capsys):
         code, out, _ = run(capsys, "lcp", "1 2 3", "3 2 1")
@@ -364,15 +374,14 @@ class TestParserBehaviour:
             assert err.rstrip().endswith("error: unrecognized arguments: --bogus"), err
 
     def test_module_runs_as_script(self):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.environ.get("PYTHONPATH")
-        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-        proc = subprocess.run(
-            [sys.executable, "-m", "permlcp.cli", "lcp", "2 4 1 3", "1 3 2 4"],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = run_python("-m", "permlcp.cli", "lcp", "2 4 1 3", "1 3 2 4")
         assert proc.returncode == 0
         assert "length: 3" in proc.stdout
+
+    def test_import_leaves_the_oracle_unloaded(self):
+        proc = run_python("-c", "import sys, permlcp.cli; print('permlcp.oracle' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_missing_subcommand_is_systemexit_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import (
     all_permutations,
     alternating_chain,
+    overlaps,
     random_permutation,
     random_separable,
     separating_trees_of,
@@ -30,10 +31,9 @@ from permlcp import (
     decomposition_tree,
     expand_tree,
     is_separable,
+    lcp_plan,
     max_prime_arity,
     parse_permutation,
-    separating_tree,
-    strong_intervals,
     tree_from_nested,
     tree_to_dict,
     tree_to_dot,
@@ -52,6 +52,11 @@ def spans(intervals):
     return sorted((s.lo, s.hi) for s in intervals)
 
 
+def strong_intervals(sigma):
+    """The strong intervals of sigma: the spans of its decomposition tree's nodes."""
+    return frozenset(node.span for node in decomposition_tree(sigma).walk())
+
+
 class TestIntervalSpan:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -60,10 +65,10 @@ class TestIntervalSpan:
             IntervalSpan(0, 1)
 
     def test_overlap_is_proper_crossing(self):
-        assert IntervalSpan(1, 3).overlaps(IntervalSpan(3, 4))
-        assert IntervalSpan(3, 4).overlaps(IntervalSpan(1, 3))
-        assert not IntervalSpan(1, 3).overlaps(IntervalSpan(2, 3))  # nested
-        assert not IntervalSpan(1, 2).overlaps(IntervalSpan(3, 4))  # disjoint
+        assert overlaps(IntervalSpan(1, 3), IntervalSpan(3, 4))
+        assert overlaps(IntervalSpan(3, 4), IntervalSpan(1, 3))
+        assert not overlaps(IntervalSpan(1, 3), IntervalSpan(2, 3))  # nested
+        assert not overlaps(IntervalSpan(1, 2), IntervalSpan(3, 4))  # disjoint
 
 
 class TestCommonIntervals:
@@ -132,7 +137,7 @@ class TestStrongIntervals:
             assert strong <= common_intervals(sigma)
             for s in strong:
                 for t in strong:
-                    assert not s.overlaps(t)
+                    assert not overlaps(s, t)
 
     def test_matches_overlap_definition_exhaustive(self):
         for n in range(1, 8):
@@ -327,7 +332,7 @@ class TestSeparability:
 
     def test_separating_tree_is_valid(self):
         sigma = parse_permutation("4 2 3 1 6 5 8 9 7")
-        tree = separating_tree(sigma)
+        tree = expand_tree(decomposition_tree(sigma))
         nodes = list(tree.walk())
         leaves = [n for n in nodes if n.is_leaf]
         internal = [n for n in nodes if not n.is_leaf]
@@ -337,13 +342,13 @@ class TestSeparability:
         assert tree_to_permutation(tree).values == sigma.values
 
     def test_separating_tree_smallest(self):
-        tree = separating_tree(parse_permutation("1 2"))
+        tree = expand_tree(decomposition_tree(parse_permutation("1 2")))
         assert tree.root.sign == "+"
         assert [c.is_leaf for c in tree.root.children] == [True, True]
 
     def test_not_separable_raises(self):
         with pytest.raises(NotSeparableError):
-            separating_tree(parse_permutation("3 1 4 2"))
+            lcp_plan(parse_permutation("3 1 4 2"), parse_permutation("1"), "separable")
 
 
 class TestMaxPrimeArity:
@@ -415,6 +420,10 @@ class TestTreeFromNested:
             tree_from_nested(((2, 1, 3), 1, 2, 3))  # label does not match value order
         with pytest.raises(ValueError):
             tree_from_nested(((1, 2, 3), 1, 2, 3))  # monotone children make a linear node
+        with pytest.raises(ValueError):
+            tree_from_nested(((3, 2, 1), 3, 2, 1))  # so do decreasing ones
+        with pytest.raises(ValueError):
+            tree_from_nested(((2, 1), 2, 1))  # and any two children
         with pytest.raises(Exception):
             tree_from_nested(("+", 1, 1))  # duplicate leaf value
 

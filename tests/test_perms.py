@@ -100,9 +100,9 @@ class TestFindOccurrence:
 
     def test_self_containment(self):
         host = parse_permutation("3 1 4 2")
-        occ = find_occurrence(host, host.to_pattern())
+        occ = find_occurrence(host, Pattern(host.values))
         assert occ.positions == (1, 2, 3, 4)
-        assert not avoids(host, host.to_pattern())
+        assert not avoids(host, Pattern(host.values))
 
     def test_empty_pattern_occurs_everywhere(self):
         host = parse_permutation("2 1")
@@ -117,7 +117,7 @@ class TestFindOccurrence:
         for host in all_permutations(4):
             for k in range(5):
                 for pat_perm in all_permutations(k) if k else [None]:
-                    pat = Pattern(()) if pat_perm is None else pat_perm.to_pattern()
+                    pat = Pattern(()) if pat_perm is None else Pattern(pat_perm.values)
                     got = find_occurrence(host, pat)
                     want = contains_by_enumeration(host.values, pat.values)
                     assert (got is not None) == want
