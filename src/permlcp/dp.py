@@ -3,7 +3,7 @@
 The table M(V, i, j, a, b) holds, for a node V of the guiding tree and a
 window of the target permutation (positions i..j, values a..b), the length
 of a longest common pattern between the sub-permutation under V and that
-window; it stores lengths only.  Linear nodes combine the two child tables
+window; it stores lengths, and the split that set each one.  Linear nodes combine the two child tables
 over a split position h and a split value c; prime nodes of arity d slice
 both windows into d weakly increasing pieces, matching position slices to
 value slices through the node's simple-permutation label.  A binary linear
@@ -16,17 +16,17 @@ that box's length, and one loop keeps the scans waiting on an explicit
 stack, so a guide of any depth fills within the interpreter's recursion
 limit.
 
-The witness is re-scanned from the lengths, only along its own path, in
-one fixed order: position cuts in lexicographic order, then value cuts in
-lexicographic order (for a linear node, h ascending then c ascending).  The
-first split that reaches a cell's length is taken, which makes the witness
-reproducible; replaying the cell's own fill scan finds it and reads no cell
-the fill did not.  With ``canonical=True`` the lexicographically smallest
-pattern of maximal length is kept instead, over every split that reaches
-each length, which the same scan lists in its tie mode.  The scan order
-runs over the expanded guide, so the way :func:`expand_tree` binarizes a
-linear node can pick another plain witness among ties; no length and no
-canonical pattern depends on it.
+Each scan reads the splits in one fixed order: position cuts in
+lexicographic order, then value cuts in lexicographic order (for a linear
+node, h ascending then c ascending).  Beside each exact length the fill
+keeps the split that last raised the cell's best, which is the first split
+in that order to reach the length.  The plain witness walks these stored
+splits down from the root, so it is reproducible and runs no scan.  With
+``canonical=True`` the lexicographically smallest pattern of maximal length
+is kept instead, over every split that reaches each length, which the same
+scan lists in its tie mode.  The scan order runs over the expanded guide,
+so the way :func:`expand_tree` binarizes a linear node can pick another
+plain witness among ties; no length and no canonical pattern depends on it.
 
 No cell is longer than the number of target points (p, tau(p)) in its box:
 a box with no point is 0 and a leaf box is 1 when it holds one, read from
@@ -83,9 +83,9 @@ floors, so both come back exact, and the best rises through the same
 splits as with every child exact.  A bound can stand in for an exact
 length in the dominance skips below too: the split that read it could not
 beat the best, and a split it dominates has a high child no longer than
-that split's bound on it.  The plain replay and the tie mode start their
-best one below the cell's length, so they read the children at floors no
-lower than the fill did.  A prime scan starts at its own floor, but asks
+that split's bound on it.  The tie mode starts its best one below the
+cell's length, so it reads the children at floors no lower than the fill
+did.  A prime scan starts at its own floor, but asks
 its children for exact lengths.  :meth:`DpTable.cell`, ``root_cell`` and
 ``reconstruct`` ask at floor 0, so callers only ever see exact lengths.
 
@@ -202,7 +202,8 @@ class DpTable:
     :meth:`cell` and cached for the lifetime of the table, and
     :meth:`reconstruct` rebuilds a witness for any cell.  The scans and
     :meth:`cell` read a leaf's length from tau, so the table holds only tau,
-    its inverse and one dict of entries per internal node: a scan counts
+    its inverse and, per internal node, a dict of entries and one of the
+    splits that set them (see :meth:`_cell`): a scan counts
     its box's target points from tau itself, and no cell exceeds that
     count, so it bounds every cell and every child of a split.
     The dominance skips that cut each cell's scan short drop only
@@ -236,6 +237,8 @@ class DpTable:
         for p, t in enumerate(tau.values, 1):
             pos[t - 1] = p
         self._tables: dict[DecompNode, dict[int, int]] = {}
+        # The split that set each exact length, under the same keys (see _cell).
+        self._splits: dict[DecompNode, dict[int, int | tuple]] = {}
         # Per binary linear node, from its first scan on (see _linear_cell).
         self._linear: dict[DecompNode, tuple] = {}
         for node in tree.walk():
@@ -246,6 +249,7 @@ class DpTable:
                 )
             if not node.is_leaf:
                 self._tables[node] = {}
+                self._splits[node] = {}
 
     def cell(self, node: DecompNode, i: int, j: int, a: int, b: int) -> int:
         """The length M(node, i, j, a, b); ranges must satisfy 1 <= i <= j <= n, 1 <= a <= b <= n."""
@@ -269,11 +273,12 @@ class DpTable:
         one with points is read under its tight box.  When that entry
         answers the floor, it is stored under the box's own key too, as an
         alias.  Otherwise the tight box starts its scan at the floor, which
-        waits on a stack as (scan, table, key, floor) while the boxes it
-        yields with their floors are evaluated the same way.  A scan's best
-        is stored under the tight key only, as the exact length when it beat
-        the floor and as the bound "at most floor" when not, and is sent to
-        the scan below it.
+        waits on a stack as (scan, table, splits, key, floor) while the
+        boxes it yields with their floors are evaluated the same way.  A
+        scan's best is stored under the tight key only: when it beat the
+        floor, as the exact length, with the split that set it in
+        ``splits``; when not, as the bound "at most floor".  It is then sent
+        to the scan below it.
         """
         S = self._S
         idx = ((i * S + j) * S + a) * S + b
@@ -291,19 +296,22 @@ class DpTable:
                 length = table.get(key)
                 if length is None or length < -1 - floor:
                     fill = self._linear_cell if node.kind == "linear" else self._prime_cell
-                    stack.append((fill(node, i, j, a, b, floor=floor), table, key, floor))
+                    scan = fill(node, i, j, a, b, floor)
+                    stack.append((scan, table, self._splits[node], key, floor))
                     length = None  # a just-started scan takes no value
                 else:
                     table[idx] = length  # the alias: the raw key of a stored tight box
                     if length < 0:
                         length = -1 - length
             while stack:
-                scan, table, idx, floor = stack[-1]
+                scan, table, splits, idx, floor = stack[-1]
                 try:
                     node, i, j, a, b, floor = scan.send(length)
                     break
                 except StopIteration as done:
-                    length = done.value
+                    length, split = done.value
+                    if length > floor:
+                        splits[idx] = split
                     table[idx] = length if length > floor else -1 - floor
                     stack.pop()
             else:
@@ -312,13 +320,7 @@ class DpTable:
             idx = ((i * S + j) * S + a) * S + b
 
     def _run(self, scan):
-        """Drive one scan to its return value, sending it the length of each box it yields.
-
-        Each box is read under its tight key at the floor the scan asked
-        for, so a replay of a fill scan stores no alias and reads no cell
-        the fill did not evaluate.  A box with no point is 0 without a
-        table read.
-        """
+        """Drive a tie-mode scan to its end, reading each box it yields under its tight key."""
         length = None
         try:
             while True:
@@ -351,21 +353,21 @@ class DpTable:
         return lo, j, a, b
 
     def _linear_cell(
-        self, node: DecompNode, i: int, j: int, a: int, b: int, want: int = 0, ties=None,
-        floor: int = 0,
+        self, node: DecompNode, i: int, j: int, a: int, b: int, floor: int = 0, ties=None
     ):
-        """Scan a linear cell for its length, or with ``want`` for the cuts of the splits reaching it.
+        """Scan a linear cell for (best, split), or with ``ties`` for the splits reaching a length.
 
         Like every scan, this is a generator: it yields each child box
         missing from the table, as (node, i, j, a, b, floor), is sent what
         :meth:`_cell` returns for it at that floor, and returns its result.
         The fill starts its best at ``floor`` and returns the best it
-        reached.  The low child is asked at the floor ``best - m_high`` and
-        the high one at ``best - u``, both at least 0, and a stored bound at
-        or below that floor is read as it is: either way a child that
-        cannot let the split beat the best comes back as a bound, and a
-        bound read for u also feeds the dominance skips below.  A leaf
-        child is never asked: its length is its point count, 0 or 1.
+        reached with the split (h, c) that last raised it, packed as ``h *
+        S + c``, or None.  The low child is asked at the floor ``best -
+        m_high`` and the high one at ``best - u``, both at least 0, and a
+        stored bound at or below that floor is read as it is: either way a
+        child that cannot let the split beat the best comes back as a
+        bound, and a bound read for u also feeds the dominance skips below.
+        A leaf child is never asked: its length is its point count, 0 or 1.
 
         A split (h, c) gives positions i..h-1 to the left child and h..j to
         the right one, and values a..c-1 to the low child (the left one for
@@ -397,11 +399,10 @@ class DpTable:
         and the row ends at the first one whose high bound plus the low
         child's row bound cannot: later columns only lower the high bound.
         The high child is not read when u plus its bound cannot beat the
-        best.  With ``want``, the scan replays the fill from best ``want -
-        1`` up to the first split whose length reaches it and returns its
-        cuts ((i, h, j + 1), (a, c, b + 1)), or None.  With a ``ties`` list
-        too (tie mode), it appends the cuts of every such split and returns
-        None: the best stays ``want - 1``, and ``top`` holds the u read less
+        best.  With a ``ties`` list (tie mode), called at a floor one below
+        the cell's length, the scan appends the cuts ((i, h, j + 1), (a, c,
+        b + 1)) of every split that beats the floor and returns (floor,
+        None): the best stays at the floor, and ``top`` holds the u read less
         one, so only a split that u strictly beats is skipped, and the row
         break on ``top`` never fires.
         """
@@ -430,13 +431,13 @@ class DpTable:
             if i <= p <= j:
                 cols.append(v + 1)
                 sides.append(p if positive else -p)
-        cap = want or min(k_low + k_high, P)
+        cap = min(k_low + k_high, P)
         tie = 0 if ties is None else 1
         S = self._S
         # seen[c]: for a + node, the low length last read in column c.
         seen = [-1] * (b + 2) if positive else None
 
-        best = want - 1 if want else floor
+        best, split = floor, None
         k_right = k_high if positive else k_low
         for x in range(best - k_right + 1 if best >= k_right else 0, P + 1):
             h = hs[x]
@@ -497,16 +498,15 @@ class DpTable:
                     if tie:
                         ties.append(((i, h, j + 1), (a, c, b + 1)))
                         continue
-                    best = u + v
+                    best, split = u + v, h * S + c
                     if best == cap:
-                        return ((i, h, j + 1), (a, c, b + 1)) if want else best
-        return None if want else best
+                        return best, split
+        return best, split
 
     def _prime_cell(
-        self, node: DecompNode, i: int, j: int, a: int, b: int, want: int = 0, ties=None,
-        floor: int = 0,
+        self, node: DecompNode, i: int, j: int, a: int, b: int, floor: int = 0, ties=None
     ):
-        """Scan a prime cell for its length, or with ``want`` for the cuts of the splits reaching it.
+        """Scan a prime cell for (best, split), or with ``ties`` for the splits reaching a length.
 
         The fill starts its best at ``floor``.  Position cuts come from
         :func:`_position_cuts` with the best so far as its floor, so a
@@ -514,44 +514,50 @@ class DpTable:
         whole.  The best only grows, so the same tuples reach the value scan
         as if every tuple were listed and checked.  The value slices'
         children are asked for exact lengths, at floor 0, and a stored bound
-        is read as a miss.
-        ``want`` and ``ties`` work as in :meth:`_linear_cell`; the cuts are
-        (i, h_1, ..., h_{d-1}, j + 1) and, in value slice order, (a, c_1,
-        ..., c_{d-1}, b + 1).
+        is read as a miss.  The split returned is the last to raise the
+        best, as its cuts (i, h_1, ..., h_{d-1}, j + 1) and, in value slice
+        order, (a, c_1, ..., c_{d-1}, b + 1); ``ties`` works as in
+        :meth:`_linear_cell`.
         """
         sizes = [c.span.width for c in node.children]
         d = len(sizes)
         upto = list(accumulate((a <= v <= b for v in self._tauv[i - 1 : j]), initial=0))
-        cap = want or min(sum(sizes), upto[-1])
+        cap = min(sum(sizes), upto[-1])
         order = sorted(range(d), key=node.label.values.__getitem__)
         path = [a] * d  # a, then the value cuts c_1..c_{d-1} as they are made
-        best = want - 1 if want else floor
+        tie = 0 if ties is None else 1
+        found = ties if tie else []  # every split that raised the best, or every tied one
+        best = floor
         for cuts, pos_caps in _position_cuts(i, sizes, upto, lambda: best):
             # suffix_caps[t]: the position caps of value slices t + 1..d.
             suffix_caps = [0] * (d + 1)
             for t in range(d - 1, -1, -1):
                 suffix_caps[t] = suffix_caps[t + 1] + pos_caps[order[t]]
             best = yield from self._prime_values(
-                node, order, cuts, suffix_caps, 1, path, 0, b, cap, best, ties
+                node, order, cuts, suffix_caps, 1, path, 0, b, cap, best, found, tie
             )
             if best == cap:
-                return (cuts, (*path, b + 1)) if want else best
-        return None if want else best
+                break
+        return best, None if tie or not found else found[-1]
 
-    def _prime_values(self, node, order, cuts, suffix_caps, t, path, partial, b, cap, best, ties):
+    def _prime_values(
+        self, node, order, cuts, suffix_caps, t, path, partial, b, cap, best, found, tie
+    ):
         """Scan the value cuts of a prime cell from slice t (1-based) on, in lexicographic order.
 
         A generator, as the scans are.  ``path[:t]`` holds a and the cuts
         made so far, so value slice t starts at ``path[t - 1]``, and
         ``order[t - 1]`` is the child taking it; ``partial`` is the length of
-        slices 1..t-1.  Returns the new best as soon as it meets ``cap``,
-        with ``path`` holding that split's cuts; a leaf child's length is
-        ``held``: does a value c_prev..ct-1 sit at a position p_lo..p_hi?  A
+        slices 1..t-1.  Returns the new best as soon as it meets ``cap``.
+        ``held`` says whether a value c_prev..ct-1 sits at a position
+        p_lo..p_hi: a leaf child's length is ``held``, and an internal child
+        is asked only when it holds, since a slice with no point is 0.  A
         ct > c_prev for t < d whose value ct - 1 sits outside the window
         repeats ct - 1, and is skipped.  The later slices only lose values as
         ct grows, so a ct whose total does not exceed the previous ct's cannot
-        win, and its later slices are not scanned; in tie mode only a total
-        below the previous one is, and a split beating ``best`` goes to ``ties``.
+        win, and its later slices are not scanned; in tie mode (``tie`` 1)
+        only a total below the previous one is.  A split beating ``best``
+        goes to ``found``, and outside tie mode raises the best.
         """
         d = len(order)
         c_prev = path[t - 1]
@@ -562,19 +568,16 @@ class DpTable:
         table = self._tables.get(child)  # None for a leaf
         S = self._S
         base = ((p_lo * S + p_hi) * S + c_prev) * S - 1  # + ct: values c_prev..ct-1
-        tie = 0 if ties is None else 1
         last = -1
         pos, lo, end = self._pos, cuts[0], cuts[-1]
-        held = table is None and t == d and any(p_lo <= p <= p_hi for p in pos[c_prev - 1 : b])
+        held = t == d and any(p_lo <= p <= p_hi for p in pos[c_prev - 1 : b])
         for ct in (b + 1,) if t == d else range(c_prev, b + 2):
             if t < d and ct > c_prev:
                 if not lo <= (p := pos[ct - 2]) < end:
                     continue  # value ct - 1 is outside the window: the split repeats ct - 1
                 held = held or p_lo <= p <= p_hi
-            if table is None:
+            if table is None or not held:
                 total = partial + held
-            elif p_hi < p_lo or ct == c_prev:
-                total = partial
             else:
                 got = table.get(base + ct)
                 if got is None or got < 0:
@@ -582,32 +585,19 @@ class DpTable:
                 total = partial + got
             if t == d:
                 if total > best:
-                    if tie:
-                        ties.append((cuts, (*path, b + 1)))
-                    else:
+                    found.append((cuts, (*path, b + 1)))
+                    if not tie:
                         best = total
             elif total > last:
                 last = total - tie
                 if total + min(suffix_caps[t], b + 1 - ct) > best:
                     path[t] = ct
                     best = yield from self._prime_values(
-                        node, order, cuts, suffix_caps, t + 1, path, total, b, cap, best, ties
+                        node, order, cuts, suffix_caps, t + 1, path, total, b, cap, best, found, tie
                     )
                     if best == cap:
                         return best
         return best
-
-    def _first_split(self, node: DecompNode, i: int, j: int, a: int, b: int, length: int):
-        """The first split that reaches ``length``, as :meth:`_boxes` gives it.
-
-        Replays the box's own fill scan, skips included, so the plain walk
-        materializes no new cell.
-        """
-        scan = self._linear_cell if node.kind == "linear" else self._prime_cell
-        cuts = self._run(scan(node, i, j, a, b, length))
-        if cuts is None:
-            raise RuntimeError("no split reaches the stored length")
-        return self._boxes(node, cuts)
 
     def _boxes(self, node: DecompNode, cuts: tuple) -> list[tuple | None]:
         """The child boxes (child, i, j, a, b) of the split a scan gave as ``cuts``.
@@ -638,12 +628,12 @@ class DpTable:
 
         Give all of the cell's node, i, j, a and b, or none of them for the
         root cell; anything else raises ValueError.  Walks down from the
-        cell's tight box: each internal box takes its first split that
-        reaches the stored length, or with ``canonical`` the split of
-        lexicographically smallest pattern (the first on ties); each leaf,
-        a tight box too, adds the point at its first position.  Raises
-        RuntimeError when the stored lengths do not rebuild to a pattern of
-        the cell's length common to both sides.
+        cell's tight box: each internal box takes the split the fill stored
+        with its length, the first to reach it, or with ``canonical`` the
+        split of lexicographically smallest pattern (the first on ties);
+        each leaf, a tight box too, adds the point at its first position.
+        Raises RuntimeError when the stored lengths do not rebuild to a
+        pattern of the cell's length common to both sides.
         """
         box = (node, i, j, a, b)
         if box.count(None) == 5:
@@ -653,6 +643,7 @@ class DpTable:
         length = self.cell(*box)
         box = (box[0], *(self._tight(*box[1:]) or box[1:]))  # a box without a point stays as it is
         memo = self._resolve(box) if canonical and length else {}
+        S = self._S
         hits = []  # (position in the guide, value there, position in tau)
         stack: list[tuple] = [box] if length else []
         while stack:
@@ -661,7 +652,15 @@ class DpTable:
                 # Leaf boxes on the walk are tight, so a point sits at the first position.
                 hits.append((box[0].span.lo, box[0].leaf_value, box[1]))
                 continue
-            split = memo[box][1] if canonical else self._first_split(*box, self._cell(*box))
+            if canonical:
+                split = memo[box][1]
+            else:
+                node, i, j, a, b = box
+                cuts = self._splits[node][((i * S + j) * S + a) * S + b]
+                if node.kind == "linear":  # packed as h * S + c
+                    h, c = divmod(cuts, S)
+                    cuts = ((i, h, j + 1), (a, c, b + 1))
+                split = self._boxes(node, cuts)
             stack.extend(c for c in split if c is not None)
         hits.sort()
         pattern = normalize(tuple(self._tauv[h - 1] for _, _, h in hits))
@@ -693,7 +692,7 @@ class DpTable:
             if splits is None:
                 ties: list[tuple] = []
                 scan = self._linear_cell if node.kind == "linear" else self._prime_cell
-                self._run(scan(*top, self._cell(*top), ties))
+                self._run(scan(*top, self._cell(*top) - 1, ties))
                 if not ties:
                     raise RuntimeError("no split reaches the stored length")
                 splits = [self._boxes(node, cuts) for cuts in ties]

@@ -336,12 +336,18 @@ class TestTableProperties:
             sigma = random_permutation(rng, rng.randint(4, 8))
             if lcp_plan(sigma, sigma).prime_arity in (4, 5):
                 pairs.append((sigma, random_permutation(rng, rng.randint(4, 8))))
+
+        def no_scan(*args):
+            raise AssertionError("the plain walk ran a scan")
+
         for sigma, tau in pairs:
-            table = DpTable(lcp_plan(sigma, tau, "general").tree, tau)
+            tree = lcp_plan(sigma, tau, "general").tree
+            table = DpTable(tree, tau)
             table.root_cell()
             memos = {id(m): m for m in table._tables.values()}.values()
             before = sum(map(len, memos))
-            table.reconstruct()
+            table._linear_cell = table._prime_cell = no_scan  # the walk reads the stored splits
+            assert table.reconstruct() == DpTable(tree, tau).reconstruct()
             assert sum(map(len, memos)) == before
 
     def test_table_freed_without_cycle_collector(self):
@@ -525,8 +531,8 @@ class TestCellsMatchOracle:
         oracle's length.
         """
         rng = random.Random(19)
-        guides = [random_separable(rng, rng.randint(1, 12)) for _ in range(20)]
-        while len(guides) < 40:
+        guides = [random_separable(rng, rng.randint(1, 12)) for _ in range(24)]
+        while len(guides) < 44:
             sigma = random_permutation(rng, rng.randint(5, 10))
             if lcp_plan(sigma, sigma).prime_arity:
                 guides.append(sigma)
@@ -899,12 +905,13 @@ class TestTightKeys:
 
 
 class TestTieMode:
-    """A scan called with ``want`` and a ``ties`` list lists the splits that reach ``want``.
+    """A scan at floor ``length - 1`` with a ``ties`` list lists the splits reaching ``length``.
 
     A split that moves a cut past a position or a value holding no window
     point has the child point sets, and so the lengths, of the split with
     that cut one lower; the scans list only the first of such a run, and
-    every other reaching split.
+    every other reaching split.  The split the fill stored for a box is the
+    first one listed.
     """
 
     @staticmethod
@@ -974,21 +981,29 @@ class TestTieMode:
                 rng.shuffle(blocks)
                 join = rng.choice((concat_plus, concat_minus))
                 guides.append(Permutation(join(*blocks).values))
-        signs, arities, checked = set(), set(), 0
+        signs, arities, checked, stored = set(), set(), 0, 0
         for sigma in guides:
             tau = random_permutation(rng, rng.randint(3, 7))
             table = DpTable(lcp_plan(sigma, tau, "general").tree, tau)
             table.reconstruct()
+            S = table._S
             for node, i, j, a, b, _ in list(materialized_cells(table)):
-                length = table.cell(node, i, j, a, b)  # the entry may be a bound
+                length = table.cell(node, i, j, a, b)  # a bound rescans to the exact length
                 if not length:
                     continue
                 scan = table._linear_cell if node.kind == "linear" else table._prime_cell
                 ties = []
-                assert table._run(scan(node, i, j, a, b, length, ties)) is None
+                assert table._run(scan(node, i, j, a, b, length - 1, ties)) == (length - 1, None)
                 found = self._brute_ties(table, node, i, j, a, b, length)
                 want = [cuts for cuts, _, listed in found if listed]
                 assert ties == want, (str(sigma), str(tau), node.span, (i, j, a, b))
+                if table._tight(i, j, a, b) == (i, j, a, b):  # a tight key, not an alias
+                    split = table._splits[node][((i * S + j) * S + a) * S + b]
+                    if node.kind == "linear":
+                        h, c = divmod(split, S)
+                        split = ((i, h, j + 1), (a, c, b + 1))
+                    assert split == ties[0], (str(sigma), str(tau), node.span, (i, j, a, b))
+                    stored += 1
                 # No reaching split is lost: each has the child point sets of a listed one.
                 kept = {sets for _, sets, listed in found if listed}
                 assert all(sets in kept for _, sets, _ in found), (str(sigma), str(tau))
@@ -996,7 +1011,7 @@ class TestTieMode:
                 arities.add(node.arity)
                 checked += 1
         assert signs >= {"+", "-"} and arities >= {2, 4, 5}
-        assert checked > 500
+        assert checked > 500 and stored > 400
 
 
 class TestTightBoxes:
