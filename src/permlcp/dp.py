@@ -36,15 +36,14 @@ square of the target.  Each internal cell is the best sum of child cells
 over all splits, and depends only on the points in its box.  So a scan cuts
 only at i or a, or just after a window point: a cut moved past a position
 or a value holding none repeats the split one step before it (Ibarra, IPL
-1997).  A linear scan lists its cuts from the window's points themselves,
-its rows by their rank in position order and its columns from one sorted
-list of their values, so it counts each child's points as it goes; and a
-leaf child's length is its point count, so it asks no leaf box.  A prime
-scan counts the window's points up to each position once per scan, and
-takes a leaf child's length from a flag its value cuts set.  The
-scan skips a split whose children's point counts cannot beat the best so
-far, and stops when the best meets the cell's own count; a linear scan
-reads only the one run of rows whose bound can beat the best (see
+1997).  Both scans list their cuts from the window's points themselves:
+rows by the points' rank in position order, and columns from one sorted
+list of their values.  A linear scan counts each child's points as it
+goes, and a leaf child's length is its point count, so it asks no leaf
+box; a prime scan takes a leaf child's length from a flag its value cuts
+set.  A scan skips a split whose children's point counts cannot beat the
+best so far, and stops when the best meets the cell's own count; a linear
+scan reads only the one run of rows whose bound can beat the best (see
 :meth:`DpTable._linear_cell`), and a prime scan drops a whole prefix of
 position cuts that cannot (see :func:`_position_cuts`).  Every scan also
 skips a split that an earlier split already beats.  A cell never shrinks when its
@@ -58,7 +57,7 @@ split can only tie, every cell value stays the one the full scan gives, and
 so does the first split in scan order that reaches it, which is the plain
 witness.  A tied split can carry a smaller pattern, so the tie mode keeps
 the bounds, with the best fixed one below the length, but skips only a
-split that an earlier one strictly beats, or that repeats one before it.
+split that an earlier one strictly beats.
 The tests check every materialized cell against the brute-force oracle.
 
 Since an internal cell depends only on its box's points, it is scanned and
@@ -123,47 +122,45 @@ def _ranks(node: DecompNode) -> tuple[int, ...]:
     return (1, 2) if node.sign == "+" else (2, 1)
 
 
-def _position_cuts(i: int, sizes: list[int], upto: list[int], floor):
+def _position_cuts(hs: list[int], end: int, sizes: list[int], floor):
     """Yield (cuts, caps) for each position-cut tuple whose caps add up to more than ``floor()``.
 
     The children of a node take position slices of the window i..j in
-    order: ``cuts`` is (i, h_1, ..., h_{d-1}, j + 1) with h_1 <= ... <=
-    h_{d-1}, slice k holds positions cuts[k]..cuts[k + 1] - 1, and
-    ``caps[k]`` is the smaller of ``sizes[k]`` and the slice's points, read
-    from ``upto``, whose entry p - i + 1 (p = i - 1..j) counts the window's
-    points at positions i..p.  The tuples come
-    in lexicographic order, built depth first one cut at a time.  A cut
-    h_k > h_{k-1} just after a position without a point repeats the cut one
-    lower, so it goes with every tuple under it.  A prefix h_1..h_k is
-    dropped when the caps of the slices it closes plus the smaller of the
-    later slices' sizes and the points after h_k cannot exceed the floor,
-    since no tuple under it can; when the last slice it closes is already
-    full, a later h_k only lowers that bound, so the level ends.  ``floor``
-    is called at every check and may only grow, so this yields exactly the
-    tuples that pass the check when their turn comes.
+    order.  The cuts are rows, as in a linear scan: ``hs`` is i, then one
+    past each window point's position, and ``end`` is j + 1.  Rows x_1 <=
+    ... <= x_{d-1} give ``cuts`` (i, hs[x_1], ..., hs[x_{d-1}], end); slice
+    k holds positions cuts[k]..cuts[k + 1] - 1 and x_{k+1} - x_k points
+    (x_0 = 0, x_d = P), and ``caps[k]`` is the smaller of that and
+    ``sizes[k]``.  The tuples come in lexicographic order, built depth
+    first one cut at a time.  A prefix x_1..x_k is dropped when the caps of
+    the slices it closes plus the smaller of the later slices' sizes and
+    the P - x_k points left cannot exceed the floor, since no tuple under
+    it can; when the last slice it closes is already full, a later x_k only
+    lowers that bound, so the level ends.  ``floor`` is called at every
+    check and may only grow, so this yields exactly the tuples that pass
+    the check when their turn comes.
     """
     d = len(sizes)
-    end = i + len(upto) - 1  # j + 1
-    total = upto[-1]
+    total = len(hs) - 1
     rest = list(accumulate(reversed(sizes), initial=0))[::-1]  # rest[k]: sizes of slices k..d-1
-    cuts = [i] * d + [end]
+    xs = [0] * d  # xs[k]: the row of cut h_k
+    cuts = [hs[0]] * d + [end]
     held = [0] * d  # held[k]: the caps of slices 0..k-1
     caps = [0] * d
     k = 1
-    cuts[1] = i - 1  # the first step moves h_1 to i
+    xs[1] = -1  # the first step moves x_1 to 0
     while k:
-        h = cuts[k] + 1
-        if h > end:
+        x = xs[k] + 1
+        if x > total:
             k -= 1
             continue
-        cuts[k] = h
-        if h > cuts[k - 1] and upto[h - i] == upto[h - 1 - i]:
-            continue  # position h - 1 holds no point: every tuple under h repeats one under h - 1
+        xs[k] = x
+        cuts[k] = hs[x]
         size = sizes[k - 1]
-        cap = upto[h - i] - upto[cuts[k - 1] - i]
+        cap = x - xs[k - 1]
         if cap > size:
             cap = size
-        more = total - upto[h - i]
+        more = total - x
         if more > rest[k]:
             more = rest[k]
         if held[k - 1] + cap + more <= floor():
@@ -174,7 +171,7 @@ def _position_cuts(i: int, sizes: list[int], upto: list[int], floor):
         if k < d - 1:
             held[k] = held[k - 1] + cap
             k += 1
-            cuts[k] = h - 1
+            xs[k] = x - 1
         else:
             caps[k] = more  # the last slice's cap, as rest[d - 1] is its size
             yield tuple(cuts), caps.copy()
@@ -241,24 +238,25 @@ class DpTable:
         self._splits: dict[DecompNode, dict[int, int | tuple]] = {}
         # Per binary linear node, from its first scan on (see _linear_cell).
         self._linear: dict[DecompNode, tuple] = {}
+        self._nodes: set[DecompNode] = set()  # the guide's nodes, leaves included
         for node in tree.walk():
             if node.kind == "linear" and node.arity != 2:
                 raise ValueError(
                     "guiding tree must be expanded: found a linear node of "
                     f"arity {node.arity}"
                 )
+            self._nodes.add(node)
             if not node.is_leaf:
-                self._tables[node] = {}
-                self._splits[node] = {}
+                self._tables[node], self._splits[node] = {}, {}
 
     def cell(self, node: DecompNode, i: int, j: int, a: int, b: int) -> int:
         """The length M(node, i, j, a, b); ranges must satisfy 1 <= i <= j <= n, 1 <= a <= b <= n."""
         if not (1 <= i <= j <= self.n and 1 <= a <= b <= self.n):
             raise ValueError(f"cell ranges out of bounds: i={i} j={j} a={a} b={b}")
-        if node.is_leaf:  # whichever leaf: 1 when the box holds a target point, else 0
-            return 0 if self._tight(i, j, a, b) is None else 1
-        if node not in self._tables:
+        if node not in self._nodes:
             raise ValueError("node does not belong to this table's guiding tree")
+        if node.is_leaf:  # 1 when the box holds a target point, else 0
+            return 0 if self._tight(i, j, a, b) is None else 1
         return self._cell(node, i, j, a, b)
 
     def root_cell(self) -> int:
@@ -508,74 +506,74 @@ class DpTable:
     ):
         """Scan a prime cell for (best, split), or with ``ties`` for the splits reaching a length.
 
-        The fill starts its best at ``floor``.  Position cuts come from
+        The fill starts its best at ``floor``.  Like :meth:`_linear_cell`,
+        it lists the window's rows ``hs`` and columns ``cols`` once, and
+        keeps j + 1 and b + 1 as the outer cuts.  Position cuts come from
         :func:`_position_cuts` with the best so far as its floor, so a
         prefix of cuts whose point counts cannot beat the best is dropped
-        whole.  The best only grows, so the same tuples reach the value scan
-        as if every tuple were listed and checked.  The value slices'
-        children are asked for exact lengths, at floor 0, and a stored bound
-        is read as a miss.  The split returned is the last to raise the
-        best, as its cuts (i, h_1, ..., h_{d-1}, j + 1) and, in value slice
-        order, (a, c_1, ..., c_{d-1}, b + 1); ``ties`` works as in
-        :meth:`_linear_cell`.
+        whole.  The value slices' children are asked for exact lengths, at
+        floor 0, and a stored bound is read as a miss.  The split returned
+        is the last to raise the best, as its cuts (i, h_1, ..., h_{d-1}, j
+        + 1) and, in value slice order, (a, c_1, ..., c_{d-1}, b + 1);
+        ``ties`` works as in :meth:`_linear_cell`.
         """
+        hs = [i] + [h for h in range(i + 1, j + 2) if a <= self._tauv[h - 2] <= b]
+        cols = [a] + [v + 1 for v in range(a, b + 1) if i <= self._pos[v - 1] <= j]
         sizes = [c.span.width for c in node.children]
         d = len(sizes)
-        upto = list(accumulate((a <= v <= b for v in self._tauv[i - 1 : j]), initial=0))
-        cap = min(sum(sizes), upto[-1])
+        cap = min(sum(sizes), len(hs) - 1)
         order = sorted(range(d), key=node.label.values.__getitem__)
-        path = [a] * d  # a, then the value cuts c_1..c_{d-1} as they are made
+        path = [0] * d  # column 0, then the columns of c_1..c_{d-1} as they are made
         tie = 0 if ties is None else 1
         found = ties if tie else []  # every split that raised the best, or every tied one
         best = floor
-        for cuts, pos_caps in _position_cuts(i, sizes, upto, lambda: best):
+        for cuts, pos_caps in _position_cuts(hs, j + 1, sizes, lambda: best):
             # suffix_caps[t]: the position caps of value slices t + 1..d.
             suffix_caps = [0] * (d + 1)
             for t in range(d - 1, -1, -1):
                 suffix_caps[t] = suffix_caps[t + 1] + pos_caps[order[t]]
             best = yield from self._prime_values(
-                node, order, cuts, suffix_caps, 1, path, 0, b, cap, best, found, tie
+                node, order, cuts, cols, suffix_caps, 1, path, 0, b, cap, best, found, tie
             )
             if best == cap:
                 break
         return best, None if tie or not found else found[-1]
 
     def _prime_values(
-        self, node, order, cuts, suffix_caps, t, path, partial, b, cap, best, found, tie
+        self, node, order, cuts, cols, suffix_caps, t, path, partial, b, cap, best, found, tie
     ):
         """Scan the value cuts of a prime cell from slice t (1-based) on, in lexicographic order.
 
-        A generator, as the scans are.  ``path[:t]`` holds a and the cuts
-        made so far, so value slice t starts at ``path[t - 1]``, and
-        ``order[t - 1]`` is the child taking it; ``partial`` is the length of
-        slices 1..t-1.  Returns the new best as soon as it meets ``cap``.
-        ``held`` says whether a value c_prev..ct-1 sits at a position
-        p_lo..p_hi: a leaf child's length is ``held``, and an internal child
-        is asked only when it holds, since a slice with no point is 0.  A
-        ct > c_prev for t < d whose value ct - 1 sits outside the window
-        repeats ct - 1, and is skipped.  The later slices only lose values as
-        ct grows, so a ct whose total does not exceed the previous ct's cannot
+        A generator, as the scans are.  ``path[:t]`` holds column 0 of
+        ``cols`` and the columns of the cuts made so far, so value slice t
+        starts at column z0 = ``path[t - 1]``, and ``order[t - 1]`` is the
+        child taking it; ``partial`` is the length of slices 1..t-1.  For t
+        < d the cut ct runs over ``cols`` from z0 on; the last slice ends at
+        b.  Returns the new best as soon as it meets ``cap``.  ``held`` says
+        whether a value c_prev..ct-1 sits at a position p_lo..p_hi: a leaf
+        child's length is ``held``, and an internal child is asked only when
+        it holds, since a slice with no point is 0.  The later slices hold
+        at most the window values from ct on, and only lose values as ct
+        grows, so a ct whose total does not exceed the previous ct's cannot
         win, and its later slices are not scanned; in tie mode (``tie`` 1)
         only a total below the previous one is.  A split beating ``best``
         goes to ``found``, and outside tie mode raises the best.
         """
         d = len(order)
-        c_prev = path[t - 1]
+        z0 = path[t - 1]
+        c_prev = cols[z0]
         k = order[t - 1]
         child = node.children[k]
-        p_lo = cuts[k]
-        p_hi = cuts[k + 1] - 1
+        p_lo, p_hi = cuts[k], cuts[k + 1] - 1
         table = self._tables.get(child)  # None for a leaf
         S = self._S
         base = ((p_lo * S + p_hi) * S + c_prev) * S - 1  # + ct: values c_prev..ct-1
         last = -1
-        pos, lo, end = self._pos, cuts[0], cuts[-1]
+        pos = self._pos
         held = t == d and any(p_lo <= p <= p_hi for p in pos[c_prev - 1 : b])
-        for ct in (b + 1,) if t == d else range(c_prev, b + 2):
-            if t < d and ct > c_prev:
-                if not lo <= (p := pos[ct - 2]) < end:
-                    continue  # value ct - 1 is outside the window: the split repeats ct - 1
-                held = held or p_lo <= p <= p_hi
+        for z, ct in enumerate(cols[z0:], z0) if t < d else ((z0, b + 1),):
+            if z > z0:  # column z adds the window value ct - 1
+                held = held or p_lo <= pos[ct - 2] <= p_hi
             if table is None or not held:
                 total = partial + held
             else:
@@ -585,15 +583,16 @@ class DpTable:
                 total = partial + got
             if t == d:
                 if total > best:
-                    found.append((cuts, (*path, b + 1)))
+                    found.append((cuts, (*[cols[x] for x in path], b + 1)))
                     if not tie:
                         best = total
             elif total > last:
                 last = total - tie
-                if total + min(suffix_caps[t], b + 1 - ct) > best:
-                    path[t] = ct
+                if total + min(suffix_caps[t], len(cols) - 1 - z) > best:
+                    path[t] = z
                     best = yield from self._prime_values(
-                        node, order, cuts, suffix_caps, t + 1, path, total, b, cap, best, found, tie
+                        node, order, cuts, cols, suffix_caps, t + 1, path, total, b, cap, best,
+                        found, tie,
                     )
                     if best == cap:
                         return best

@@ -11,6 +11,9 @@ from permlcp import (
     Permutation,
     concat_minus,
     concat_plus,
+    concat_rho,
+    decomposition_tree,
+    max_prime_arity,
     normalize,
     tree_from_nested,
 )
@@ -31,6 +34,19 @@ def random_separable(rng: random.Random, n: int) -> Permutation:
         return cat(build(u), build(k - u))
 
     return Permutation(build(n).values)
+
+
+def prime_inflation(rng: random.Random, n: int) -> Permutation:
+    """A simple permutation of arity 4 or 5 inflated by separable blocks to size n."""
+    while True:
+        skeleton = random_permutation(rng, rng.choice((4, 5)))
+        if max_prime_arity(decomposition_tree(skeleton)) == skeleton.n:
+            break
+    sizes = [1] * skeleton.n
+    for _ in range(n - skeleton.n):
+        sizes[rng.randrange(skeleton.n)] += 1
+    blocks = [random_separable(rng, s) for s in sizes]
+    return Permutation(concat_rho(skeleton, blocks).values)
 
 
 def alternating_chain(n: int) -> Permutation:

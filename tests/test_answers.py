@@ -14,24 +14,11 @@ import functools
 import hashlib
 import random
 
-from helpers import random_permutation, random_separable
-from permlcp import Permutation, concat_rho, decomposition_tree, lcp, max_prime_arity
+from helpers import prime_inflation, random_permutation, random_separable
+from permlcp import lcp
 
 DIGEST = "b6a458342790bcbd46ea34941d4e7b9230b5b0c7698ea2fa31e2b33e745b9d66"
 LENGTHS_AND_CANONICAL_DIGEST = "a322f82086727904edb353e94f16a0c057fe86f30e53b9d9ebedf426336bdd43"
-
-
-def _prime_inflation(rng: random.Random, n: int) -> Permutation:
-    """A simple permutation of arity 4 or 5 inflated by separable blocks to size n."""
-    while True:
-        skeleton = random_permutation(rng, rng.choice((4, 5)))
-        if max_prime_arity(decomposition_tree(skeleton)) == skeleton.n:
-            break
-    sizes = [1] * skeleton.n
-    for _ in range(n - skeleton.n):
-        sizes[rng.randrange(skeleton.n)] += 1
-    blocks = [random_separable(rng, s) for s in sizes]
-    return Permutation(concat_rho(skeleton, blocks).values)
 
 
 def _pairs():
@@ -49,7 +36,7 @@ def _pairs():
     pairs += [(random_separable(rng, 14), random_permutation(rng, 14)) for _ in range(3)]
     pairs += [(random_separable(rng, 28), random_separable(rng, 5)) for _ in range(3)]
     pairs.append((random_separable(rng, 5), random_separable(rng, 28)))
-    pairs += [(_prime_inflation(rng, 9), _prime_inflation(rng, 9)) for _ in range(6)]
+    pairs += [(prime_inflation(rng, 9), prime_inflation(rng, 9)) for _ in range(6)]
     return pairs
 
 

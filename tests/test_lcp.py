@@ -9,6 +9,8 @@ from collections import Counter
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     all_common_pattern_values,
@@ -17,6 +19,7 @@ from helpers import (
     assert_valid_result,
     evaluated_cells,
     materialized_cells,
+    prime_inflation,
     random_permutation,
     random_separable,
     separating_trees_of,
@@ -279,6 +282,15 @@ class TestTableProperties:
         table = DpTable(tree, parse_permutation("1 2"))
         with pytest.raises(ValueError):
             table.cell(other.root, 1, 2, 1, 2)
+        # A leaf of another tree: read from tau, it would place a point outside the guide.
+        table = DpTable(other, parse_permutation("1 2 3"))
+        leaves = [n for n in decomposition_tree(parse_permutation("3 1 4 2 5")).walk() if n.is_leaf]
+        with pytest.raises(ValueError):
+            table.cell(leaves[3], 1, 1, 1, 1)
+        with pytest.raises(ValueError):
+            table.reconstruct(leaves[3], 1, 1, 1, 1)
+        own = [n for n in table.tree.walk() if n.is_leaf]
+        assert [table.cell(leaf, 1, 1, 1, 1) for leaf in own] == [1, 1]
 
     def test_cell_upper_bound_and_monotonicity(self):
         rng = random.Random(17)
@@ -675,11 +687,15 @@ class TestCellCounts:
         assert occ_tau.positions == (1, 5, 6, 7, 8)
 
     def test_arity_seven_pair_entries(self):
-        """Reading leaf children through the table, the pair stored 773 entries plain, 903 canonical."""
+        """The pair stores 187 entries plain and 225 canonical.
+
+        Reading leaf children through the table, it stored 773 and 903; with
+        the plain walk replaying each scan, 246 and 293.
+        """
         sigma = parse_permutation("9 7 4 8 3 5 2 1 6")
         tau = parse_permutation("5 2 4 1 8 3 6 7 9")
-        assert self._cells(sigma, tau, "general") <= 773 // 3
-        assert self._cells(sigma, tau, "general", canonical=True) <= 903 // 3
+        assert self._cells(sigma, tau, "general") <= 187
+        assert self._cells(sigma, tau, "general", canonical=True) <= 225
 
     def test_small_guide_large_target_canonical(self):
         """Tied sub-boxes share their tight key, so the canonical walk resolves each once.
@@ -789,10 +805,11 @@ class TestBoundEntries:
 class TestPositionCuts:
     """The prime scans' depth-first walk over position cuts.
 
-    It must yield exactly the tuples, in the same order, that the full
-    lexicographic enumeration keeps under the same check, once the
-    enumeration drops each tuple that repeats the one before it: a tuple
-    with a cut h_k > h_{k-1} at which ``upto`` did not rise.
+    The walk is given the window's rows: i, then one past each point's
+    position.  It must yield exactly the tuples, in the same order, that the
+    full lexicographic enumeration over positions keeps under the same
+    check, once the enumeration drops each tuple that repeats the one before
+    it: a tuple with a cut h_k > h_{k-1} at which ``upto`` did not rise.
     """
 
     @staticmethod
@@ -823,6 +840,12 @@ class TestPositionCuts:
             caps = [min(sizes[k], upto[cuts[k + 1] - i] - upto[cuts[k] - i]) for k in range(d)]
             yield cuts, caps
 
+    @staticmethod
+    def _rows(i, upto):
+        """The rows and the end cut the walk takes: i, then i + p wherever ``upto`` rises."""
+        hs = [i] + [i + p for p in range(1, len(upto)) if upto[p] > upto[p - 1]]
+        return hs, i + len(upto) - 1
+
     def test_fixed_floor_matches_full_enumeration(self):
         rng = random.Random(16)
         kept = 0
@@ -831,7 +854,8 @@ class TestPositionCuts:
                 i, sizes, upto = self._draw(rng, d)
                 floor = rng.randint(-1, sum(sizes))
                 want = [t for t in self._enumerate(i, sizes, upto) if sum(t[1]) > floor]
-                assert list(_position_cuts(i, sizes, upto, lambda: floor)) == want, (sizes, upto, floor)
+                got = list(_position_cuts(*self._rows(i, upto), sizes, lambda: floor))
+                assert got == want, (sizes, upto, floor)
                 kept += len(want)
         assert kept > 1000
 
@@ -851,7 +875,7 @@ class TestPositionCuts:
                         want.append((cuts, caps))
                         floor = raise_floor(floor, cuts, caps)
                 got, floor = [], 0
-                for cuts, caps in _position_cuts(i, sizes, upto, lambda: floor):
+                for cuts, caps in _position_cuts(*self._rows(i, upto), sizes, lambda: floor):
                     got.append((cuts, caps))
                     floor = raise_floor(floor, cuts, caps)
                 assert got == want, (sizes, upto)
@@ -1219,6 +1243,14 @@ def _inverse(p: Permutation) -> Permutation:
     return Permutation(tuple(inv))
 
 
+def _symmetries(p: Permutation) -> list[Permutation]:
+    """``p`` under the eight symmetries, each a composition of the three above, in a fixed order."""
+    images = [p]
+    for f in (_reverse, _complement, _inverse):
+        images += [f(q) for q in images]
+    return images
+
+
 def _pairs_past_oracle(seed: int, count: int):
     """Fixed (small, big) pairs: small of size 5-6 with a prime node, big separable of size 13-30.
 
@@ -1233,6 +1265,47 @@ def _pairs_past_oracle(seed: int, count: int):
         if lcp_plan(small, small).prime_arity:
             pairs.append((small, random_separable(rng, rng.randint(13, 30))))
     return pairs
+
+
+class TestLargePairProperties:
+    """Properties on pairs where both inputs have 9-14 points, past the oracle's reach.
+
+    ``TestMetamorphic`` pairs a small input with a large one; here each
+    example builds both inputs from a drawn seed with the seeded generators.
+    """
+
+    @staticmethod
+    def _assert_symmetric_and_invariant(sigma, tau, want):
+        """lcp(tau, sigma) and lcp under each symmetry applied to both inputs have length ``want``."""
+        pairs = [(tau, sigma), *zip(_symmetries(sigma), _symmetries(tau))]
+        for s, t in pairs:
+            result = lcp(s, t)
+            assert result.length == want, (str(s), str(t))
+            assert_valid_result(s, t, result)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_separable_against_random(self, seed):
+        rng = random.Random(seed)
+        sigma = random_separable(rng, rng.randint(9, 14))
+        tau = random_permutation(rng, rng.randint(9, 14))
+        results = [lcp(sigma, tau, algo) for algo in ("auto", "separable", "general")]
+        want = results[0].length
+        for result in results:
+            assert result.length == want
+            assert_valid_result(sigma, tau, result)
+        self._assert_symmetric_and_invariant(sigma, tau, want)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_prime_inflation_against_random(self, seed):
+        """``general`` guides with the inflation, so its prime scan runs whatever ``auto`` picks."""
+        rng = random.Random(seed)
+        sigma = prime_inflation(rng, rng.randint(9, 14))
+        tau = random_permutation(rng, rng.randint(9, 14))
+        want = lcp(sigma, tau).length
+        assert lcp(sigma, tau, "general").length == want
+        self._assert_symmetric_and_invariant(sigma, tau, want)
 
 
 class TestMetamorphic:
