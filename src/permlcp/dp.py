@@ -41,11 +41,12 @@ rows by the points' rank in position order, and columns from one sorted
 list of their values.  A linear scan counts each child's points as it
 goes, and a leaf child's length is its point count, so it asks no leaf
 box; a prime scan takes a leaf child's length from a flag its value cuts
-set.  A scan skips a split whose children's point counts cannot beat the
-best so far, and stops when the best meets the cell's own count; a linear
-scan reads only the one run of rows whose bound can beat the best (see
+set.  A scan reads no child whose point counts, with the other children's,
+cannot let its split beat the best so far; a linear scan reads only the one
+run of rows whose bound can beat the best (see
 :meth:`DpTable._linear_cell`), and a prime scan drops a whole prefix of
-position cuts that cannot (see :func:`_position_cuts`).  Every scan also
+position cuts that cannot (see :func:`_position_cuts`).  No bound exceeds
+the cell's own count, so a best that meets it stops all reads.  Every scan also
 skips a split that an earlier split already beats.  A cell never shrinks when its
 window grows, so along a scan axis one child's length never decreases and
 the other's never increases; a split whose growing child did not grow past
@@ -429,7 +430,6 @@ class DpTable:
             if i <= p <= j:
                 cols.append(v + 1)
                 sides.append(p if positive else -p)
-        cap = min(k_low + k_high, P)
         tie = 0 if ties is None else 1
         S = self._S
         # seen[c]: for a + node, the low length last read in column c.
@@ -497,8 +497,6 @@ class DpTable:
                         ties.append(((i, h, j + 1), (a, c, b + 1)))
                         continue
                     best, split = u + v, h * S + c
-                    if best == cap:
-                        return best, split
         return best, split
 
     def _prime_cell(
@@ -506,22 +504,22 @@ class DpTable:
     ):
         """Scan a prime cell for (best, split), or with ``ties`` for the splits reaching a length.
 
-        The fill starts its best at ``floor``.  Like :meth:`_linear_cell`,
-        it lists the window's rows ``hs`` and columns ``cols`` once, and
-        keeps j + 1 and b + 1 as the outer cuts.  Position cuts come from
-        :func:`_position_cuts` with the best so far as its floor, so a
-        prefix of cuts whose point counts cannot beat the best is dropped
-        whole.  The value slices' children are asked for exact lengths, at
-        floor 0, and a stored bound is read as a miss.  The split returned
-        is the last to raise the best, as its cuts (i, h_1, ..., h_{d-1}, j
-        + 1) and, in value slice order, (a, c_1, ..., c_{d-1}, b + 1);
-        ``ties`` works as in :meth:`_linear_cell`.
+        The fill starts its best at ``floor``.  Like :meth:`_linear_cell`, it
+        lists the window's rows ``hs`` and columns ``cols`` once, and keeps
+        j + 1 and b + 1 as the outer cuts.  Position cuts come from
+        :func:`_position_cuts` with the best so far as its floor, so a prefix
+        of cuts whose point counts cannot beat the best is dropped whole; once
+        the best meets the cell's own count, every prefix is.  The value
+        slices' children are asked for exact lengths, at floor 0, and a
+        stored bound is read as a miss.  The split returned is the last to
+        raise the best, as its cuts (i, h_1, ..., h_{d-1}, j + 1) and, in
+        value slice order, (a, c_1, ..., c_{d-1}, b + 1); ``ties`` works as
+        in :meth:`_linear_cell`.
         """
         hs = [i] + [h for h in range(i + 1, j + 2) if a <= self._tauv[h - 2] <= b]
         cols = [a] + [v + 1 for v in range(a, b + 1) if i <= self._pos[v - 1] <= j]
         sizes = [c.span.width for c in node.children]
         d = len(sizes)
-        cap = min(sum(sizes), len(hs) - 1)
         order = sorted(range(d), key=node.label.values.__getitem__)
         path = [0] * d  # column 0, then the columns of c_1..c_{d-1} as they are made
         tie = 0 if ties is None else 1
@@ -533,14 +531,12 @@ class DpTable:
             for t in range(d - 1, -1, -1):
                 suffix_caps[t] = suffix_caps[t + 1] + pos_caps[order[t]]
             best = yield from self._prime_values(
-                node, order, cuts, cols, suffix_caps, 1, path, 0, b, cap, best, found, tie
+                node, order, cuts, cols, suffix_caps, 1, path, 0, b, best, found, tie
             )
-            if best == cap:
-                break
         return best, None if tie or not found else found[-1]
 
     def _prime_values(
-        self, node, order, cuts, cols, suffix_caps, t, path, partial, b, cap, best, found, tie
+        self, node, order, cuts, cols, suffix_caps, t, path, partial, b, best, found, tie
     ):
         """Scan the value cuts of a prime cell from slice t (1-based) on, in lexicographic order.
 
@@ -548,22 +544,26 @@ class DpTable:
         ``cols`` and the columns of the cuts made so far, so value slice t
         starts at column z0 = ``path[t - 1]``, and ``order[t - 1]`` is the
         child taking it; ``partial`` is the length of slices 1..t-1.  For t
-        < d the cut ct runs over ``cols`` from z0 on; the last slice ends at
-        b.  Returns the new best as soon as it meets ``cap``.  ``held`` says
-        whether a value c_prev..ct-1 sits at a position p_lo..p_hi: a leaf
-        child's length is ``held``, and an internal child is asked only when
-        it holds, since a slice with no point is 0.  The later slices hold
-        at most the window values from ct on, and only lose values as ct
-        grows, so a ct whose total does not exceed the previous ct's cannot
-        win, and its later slices are not scanned; in tie mode (``tie`` 1)
-        only a total below the previous one is.  A split beating ``best``
-        goes to ``found``, and outside tie mode raises the best.
+        < d the cut ct runs over ``cols`` from z0 on, as column z; the last
+        slice ends at b, as the last column.  ``held`` says whether a value
+        c_prev..ct-1 sits at a position p_lo..p_hi: a leaf child's length is
+        ``held``.  An internal child is read only when it holds, since a
+        slice with no point is 0, and when ``partial``, its bound (its width
+        or its z - z0 window values c_prev..ct-1) and the later slices'
+        (their position caps or the window values from ct on) can beat
+        ``best``.  The later slices only lose values as ct grows, so a ct
+        whose total does not exceed the last read ct's cannot win, and its
+        later slices are not scanned; in tie mode (``tie`` 1) only a total
+        below that one is.  A split beating ``best`` goes to ``found``, and
+        outside tie mode raises the best.
         """
         d = len(order)
         z0 = path[t - 1]
         c_prev = cols[z0]
         k = order[t - 1]
         child = node.children[k]
+        # The child's width, the later slices' position caps and the last column.
+        width, rest, end = child.span.width, suffix_caps[t], len(cols) - 1
         p_lo, p_hi = cuts[k], cuts[k + 1] - 1
         table = self._tables.get(child)  # None for a leaf
         S = self._S
@@ -571,11 +571,13 @@ class DpTable:
         last = -1
         pos = self._pos
         held = t == d and any(p_lo <= p <= p_hi for p in pos[c_prev - 1 : b])
-        for z, ct in enumerate(cols[z0:], z0) if t < d else ((z0, b + 1),):
+        for z, ct in enumerate(cols[z0:], z0) if t < d else ((end, b + 1),):
             if z > z0:  # column z adds the window value ct - 1
                 held = held or p_lo <= pos[ct - 2] <= p_hi
             if table is None or not held:
                 total = partial + held
+            elif partial + (z - z0 if z - z0 < width else width) + min(rest, end - z) <= best:
+                continue  # the child's bound and the later slices' cannot beat the best
             else:
                 got = table.get(base + ct)
                 if got is None or got < 0:
@@ -588,14 +590,12 @@ class DpTable:
                         best = total
             elif total > last:
                 last = total - tie
-                if total + min(suffix_caps[t], len(cols) - 1 - z) > best:
+                if total + (end - z if end - z < rest else rest) > best:
                     path[t] = z
                     best = yield from self._prime_values(
-                        node, order, cuts, cols, suffix_caps, t + 1, path, total, b, cap, best,
-                        found, tie,
+                        node, order, cuts, cols, suffix_caps, t + 1, path, total, b, best, found,
+                        tie,
                     )
-                    if best == cap:
-                        return best
         return best
 
     def _boxes(self, node: DecompNode, cuts: tuple) -> list[tuple | None]:
