@@ -91,7 +91,11 @@ its children for exact lengths.  :meth:`DpTable.cell`, ``root_cell`` and
 
 :func:`lcp` is the single entry point.  The separable and the general
 algorithm are this one program: :func:`lcp_plan` picks the guiding tree,
-and a tree with no prime node is the separable case.  The table has O(m^4)
+and a tree with no prime node is the separable case.  Before its walk,
+:func:`lcp` asks the root at floor min(|sigma|, |tau|) - 1 whenever the
+smaller input may occur in the larger, which makes the fill the pattern
+involvement program of Bose, Buss and Lubiw (IPL 1998) and stores on a
+miss only bounds that the walk rescans.  The table has O(m^4)
 cells for a target of size m, and a node of arity d scans O(m^(2d - 2))
 splits per cell, so under ``auto`` the plan predicts each input's cost as
 a guide, the sum of m^(2d + 2) over its internal nodes, and takes the
@@ -100,6 +104,7 @@ cheaper one.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -775,6 +780,45 @@ def lcp_plan(sigma: Permutation, tau: Permutation, algo: str = "auto") -> LcpPla
     return LcpPlan(guided_by, expand_tree(chosen), arity, algorithm, cost_sigma, cost_tau)
 
 
+def _monotone(values) -> tuple[int, int]:
+    """The lengths of a longest increasing and a longest decreasing subsequence of ``values``.
+
+    One patience-sorting pass: ``up[k]`` is the least last value of an
+    increasing run of length k + 1 so far, and ``down[k]`` the same for
+    decreasing runs, with values negated.
+
+    >>> _monotone((2, 4, 1, 3, 5))
+    (3, 2)
+    """
+    up: list[int] = []
+    down: list[int] = []
+    for v in values:
+        k = bisect_left(up, v)
+        if k < len(up):
+            up[k] = v
+        else:
+            up.append(v)
+        k = bisect_left(down, -v)
+        if k < len(down):
+            down[k] = -v
+        else:
+            down.append(-v)
+    return len(up), len(down)
+
+
+def _may_contain(small: Permutation, large: Permutation) -> bool:
+    """False only when ``small`` cannot occur in ``large``, whose size is at least its own.
+
+    At equal sizes it occurs only when the two are equal.  Otherwise an
+    occurrence carries the smaller input's longest increasing and longest
+    decreasing subsequences into the larger one, so neither may be longer
+    than the larger one's.
+    """
+    if small.n == large.n:
+        return small == large
+    return all(s <= t for s, t in zip(_monotone(small.values), _monotone(large.values)))
+
+
 def lcp(
     sigma: Permutation,
     tau: Permutation,
@@ -788,6 +832,10 @@ def lcp(
     other input then yields the pattern and both occurrences.  ``algo`` may
     also be the plan :func:`lcp_plan` already made for these two inputs;
     a plan whose guiding tree is not of the guide it names raises ValueError.
+    No common pattern is longer than the cap min(|sigma|, |tau|), so when
+    :func:`_may_contain` allows the smaller input to occur in the larger,
+    the root is first asked at floor cap - 1; on a miss it holds the bound
+    "at most cap - 1", which the walk rescans at floor 0.
 
     >>> from permlcp import parse_permutation
     >>> lcp(parse_permutation("2 4 1 3"), parse_permutation("1 3 2 4")).length
@@ -799,7 +847,10 @@ def lcp(
         raise ValueError("the plan was made for inputs of other sizes")
     if plan is algo and tree_to_permutation(plan.tree) != guide:
         raise ValueError("the plan was made for other inputs")
-    pattern, occ_guide, occ_target = DpTable(plan.tree, target).reconstruct(canonical=canonical)
+    table = DpTable(plan.tree, target)
+    if not plan.tree.root.is_leaf and _may_contain(*sorted((guide, target), key=len)):
+        table._cell(plan.tree.root, 1, target.n, 1, target.n, min(guide.n, target.n) - 1)
+    pattern, occ_guide, occ_target = table.reconstruct(canonical=canonical)
     if plan.guided_by == "sigma":
         return LcpResult(pattern, occ_guide, occ_target, plan.algorithm)
     return LcpResult(pattern, occ_target, occ_guide, plan.algorithm)

@@ -6,7 +6,7 @@ import sys
 import tracemalloc
 import weakref
 from collections import Counter
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -41,8 +41,9 @@ from permlcp import (
     normalize,
     parse_permutation,
     tree_from_nested,
+    tree_to_permutation,
 )
-from permlcp.dp import _position_cuts, _ranks
+from permlcp.dp import _may_contain, _monotone, _position_cuts, _ranks
 from permlcp.oracle import oracle_lcp
 
 
@@ -535,6 +536,19 @@ def oracle_cell(sigma, tau, node, i, j, a, b) -> int:
     return len(oracle_lcp(Permutation(block.values), Permutation(window.values)))
 
 
+def capture_tables(monkeypatch):
+    """A list to which each table ``lcp`` builds is added, with its root entries as its walk starts."""
+    built = []
+    reconstruct = DpTable.reconstruct
+
+    def capture(table, *args, **kwargs):
+        built.append((table, dict(table._tables.get(table.tree.root, {}))))
+        return reconstruct(table, *args, **kwargs)
+
+    monkeypatch.setattr(DpTable, "reconstruct", capture)
+    return built
+
+
 class TestCellsMatchOracle:
     def test_every_materialized_cell_is_exact(self):
         """Each exact entry, whatever the fill's bounds skipped, equals the oracle's length.
@@ -563,6 +577,54 @@ class TestCellsMatchOracle:
                     bounds += 1
                 checked += 1
         assert checked > 8000 and bounds > 0
+
+    @pytest.mark.parametrize("canonical", [False, True])
+    def test_cap_try_leaves_every_cell_exact(self, monkeypatch, canonical):
+        """After ``lcp`` asks the root for the cap, every entry its walk leaves agrees with the oracle.
+
+        The pairs come in three kinds: a pattern of its host, where the try
+        hits; a pattern the host lacks though ``_may_contain`` allows it,
+        where the try misses and the walk rescans; and self-pairs.  The root
+        entry the walk starts from shows which way the try went.
+        """
+        built = capture_tables(monkeypatch)
+        rng = random.Random(31)
+        present, absent = [], []
+        for _ in range(200):  # a fixed draw, so a guard that refuses every pair fails below
+            host = random_permutation(rng, rng.randint(7, 12))
+            size = rng.randint(3, 6)
+            if len(present) < 24:
+                positions = sorted(rng.sample(range(host.n), size))
+                present.append((Permutation(normalize([host.values[p] for p in positions]).values), host))
+            pattern = random_permutation(rng, size)
+            if len(absent) < 24 and _may_contain(pattern, host) and find_occurrence(host, pattern) is None:
+                absent.append((pattern, host))
+        selves = [(s, s) for s in (random_separable(rng, 10), random_permutation(rng, 9))]
+        selves += [(s, s) for s in (random_permutation(rng, 8) for _ in range(20))
+                   if lcp_plan(s, s).prime_arity][:4]
+        checked = Counter()
+        for kind, pairs in (("present", present), ("absent", absent), ("self", selves)):
+            for k, (small, large) in enumerate(pairs):
+                sigma, tau = (small, large) if k % 2 else (large, small)
+                built.clear()
+                result = lcp(sigma, tau, canonical=canonical)
+                assert result.length == len(oracle_lcp(sigma, tau))
+                ((table, root),) = built
+                cap = min(sigma.n, tau.n)
+                assert list(root.values()) == ([-cap] if kind == "absent" else [cap]), (kind, str(sigma), str(tau))
+                guide = tree_to_permutation(table.tree)
+                for node, i, j, a, b, entry in materialized_cells(table):
+                    want = oracle_cell(guide, table.tau, node, i, j, a, b)
+                    where = (kind, str(sigma), str(tau), node.span, (i, j, a, b))
+                    if entry >= 0:
+                        assert entry == want, where
+                    else:
+                        assert -1 - entry >= want, where
+                        checked["bound"] += 1
+                    checked[kind] += 1
+        assert len(absent) == 24 and len(selves) == 6
+        assert checked["present"] > 100 and checked["absent"] > 500 and checked["self"] > 0
+        assert checked["bound"] > 100
 
 
 class TestCellCounts:
@@ -745,6 +807,75 @@ class TestCellCounts:
         pattern, _, _ = table.reconstruct()
         assert len(pattern) == 400
         assert sum(1 for _ in materialized_cells(table)) <= 40_500
+
+    def test_chain_of_600_self_pair_through_lcp(self, monkeypatch):
+        """``lcp`` asks the root for the cap first, so the self-pair stores at most one entry per node.
+
+        A 599-deep guide against itself.  Filled from floor 0, the walk stored
+        90,299 entries plain.
+        """
+        chain = alternating_chain(600)
+        built = capture_tables(monkeypatch)
+        for canonical in (False, True):
+            assert lcp(chain, chain, canonical=canonical).length == 600
+            table, root = built.pop()
+            assert list(root.values()) == [600]
+            assert sum(1 for _ in materialized_cells(table)) <= 600
+
+    def test_hopeless_cap_try_is_skipped(self, monkeypatch):
+        """A pattern 1 2 3 (+) pi against a skew sum of blocks of size at most 3, as in ``unequal``.
+
+        The host has no increasing run of 4, so ``_may_contain`` refuses the
+        pair and ``lcp`` stores exactly the entries of a fill without the try.
+        """
+        rng = random.Random(33)
+        built = capture_tables(monkeypatch)
+        for _ in range(4):
+            host = random_separable(rng, rng.randint(1, 3))
+            while host.n < 24:
+                host = Permutation(concat_minus(host, random_separable(rng, rng.randint(1, 3))).values)
+            pattern = Permutation(concat_plus((1, 2, 3), random_separable(rng, rng.randint(1, 2))).values)
+            assert not _may_contain(pattern, host)
+            for sigma, tau in ((pattern, host), (host, pattern)):
+                built.clear()
+                plan = lcp_plan(sigma, tau)
+                assert lcp(sigma, tau, plan).length < pattern.n
+                table = built[0][0]
+                plain = DpTable(plan.tree, tau if plan.guided_by == "sigma" else sigma)
+                plain.reconstruct()
+                assert set(materialized_cells(table)) == set(materialized_cells(plain))
+
+
+class TestCapGuard:
+    """``_may_contain`` refuses a pair only when the smaller input cannot occur in the larger."""
+
+    @staticmethod
+    def _longest(values, ordered):
+        return max(
+            k for k in range(len(values) + 1)
+            if any(ordered(c) for c in combinations(values, k))
+        )
+
+    def test_monotone_matches_brute_force(self):
+        for n in range(1, 8):
+            for perm in all_permutations(n):
+                up = self._longest(perm.values, lambda c: list(c) == sorted(c))
+                down = self._longest(perm.values, lambda c: list(c) == sorted(c, reverse=True))
+                assert _monotone(perm.values) == (up, down), str(perm)
+
+    def test_guard_never_refuses_a_present_pattern(self):
+        """Over all patterns of size <= 4 and hosts of size <= 7, each host's patterns found by enumeration."""
+        for n in range(1, 8):
+            for host in all_permutations(n):
+                found = {
+                    tuple(sorted(c).index(v) + 1 for v in c)
+                    for k in range(1, min(n, 4) + 1)
+                    for c in combinations(host.values, k)
+                }
+                for values in found:
+                    assert _may_contain(Permutation(values), host), (values, str(host))
+        refused = [("1 2", "2 1"), ("1 2 3", "3 4 1 2"), ("3 2 1", "2 3 1 4"), ("2 1 3", "1 3 2")]
+        assert not any(_may_contain(*map(parse_permutation, pair)) for pair in refused)
 
 
 class TestBoundEntries:
