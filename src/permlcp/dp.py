@@ -115,7 +115,6 @@ from .decomposition import (
     NotSeparableError,
     decomposition_tree,
     expand_tree,
-    max_prime_arity,
     tree_to_permutation,
 )
 from .perms import Occurrence, Pattern, Permutation, normalize
@@ -245,15 +244,19 @@ class DpTable:
         # Per binary linear node, from its first scan on (see _linear_cell).
         self._linear: dict[DecompNode, tuple] = {}
         self._nodes: set[DecompNode] = set()  # the guide's nodes, leaves included
-        for node in tree.walk():
-            if node.kind == "linear" and node.arity != 2:
-                raise ValueError(
-                    "guiding tree must be expanded: found a linear node of "
-                    f"arity {node.arity}"
-                )
-            self._nodes.add(node)
-            if not node.is_leaf:
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            kind = node.kind
+            if kind != "leaf":
+                if kind == "linear" and len(node.children) != 2:
+                    raise ValueError(
+                        "guiding tree must be expanded: found a linear node of "
+                        f"arity {len(node.children)}"
+                    )
                 self._tables[node], self._splits[node] = {}, {}
+            self._nodes.add(node)
+            stack.extend(node.children)
 
     def cell(self, node: DecompNode, i: int, j: int, a: int, b: int) -> int:
         """The length M(node, i, j, a, b); ranges must satisfy 1 <= i <= j <= n, 1 <= a <= b <= n."""
@@ -727,25 +730,34 @@ class LcpPlan:
     cost_tau: int | None  # with tau guiding; None when that tree is never built
 
 
-def _guide_cost(tree: DecompTree, m: int) -> int:
-    """Worst-case split reads of the fill when ``tree`` guides a target of size ``m``.
+def _guide_cost(tree: DecompTree, m: int) -> tuple[int, int]:
+    """Worst-case split reads when ``tree`` guides a target of size ``m``, and its max prime arity.
 
-    The sum over the internal nodes of the expanded tree of m^(2d + 2): a
-    node of arity d (2 for a binary linear node) has O(m^4) cells, and each
-    scans O(m^(2d - 2)) splits.  A linear node of arity k expands into k - 1
-    binary nodes, so the unexpanded tree gives the same sum.
+    The cost is the sum over the internal nodes of the expanded tree of
+    m^(2d + 2): a node of arity d (2 for a binary linear node) has O(m^4)
+    cells, and each scans O(m^(2d - 2)) splits.  A linear node of arity k
+    expands into k - 1 binary nodes, so the unexpanded tree gives the same
+    sum.  The arity is 0 for a tree without a prime node.  One pass over
+    the tree gives both.
 
     >>> from permlcp import parse_permutation
     >>> _guide_cost(decomposition_tree(parse_permutation("2 4 1 3 5")), 3)
-    59778
+    (59778, 4)
     """
-    cost = 0
-    for node in tree.walk():
-        if node.kind == "linear":
-            cost += (node.arity - 1) * m**6
-        elif node.kind == "prime":
-            cost += m ** (2 * node.arity + 2)
-    return cost
+    links = prime = arity = 0  # child links below linear nodes, prime nodes' sum, largest arity
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        kind = node.kind
+        if kind == "linear":
+            links += len(node.children) - 1
+        elif kind == "prime":
+            d = len(node.children)
+            prime += m ** (2 * d + 2)
+            if d > arity:
+                arity = d
+        stack.extend(node.children)
+    return links * m**6 + prime, arity
 
 
 def lcp_plan(sigma: Permutation, tau: Permutation, algo: str = "auto") -> LcpPlan:
@@ -766,14 +778,13 @@ def lcp_plan(sigma: Permutation, tau: Permutation, algo: str = "auto") -> LcpPla
     if algo not in ("auto", "separable", "general"):
         raise ValueError(f"unknown algo {algo!r}")
     guided_by, chosen = "sigma", decomposition_tree(sigma)
-    arity = max_prime_arity(chosen)
+    cost_sigma, arity = _guide_cost(chosen, tau.n)
     if algo == "separable" and arity:
         raise NotSeparableError(f"{sigma} is not separable")
-    cost_sigma, cost_tau = _guide_cost(chosen, tau.n), None
+    cost_tau = None
     if algo == "auto":
         t_tau = decomposition_tree(tau)
-        d_tau = max_prime_arity(t_tau)
-        cost_tau = _guide_cost(t_tau, sigma.n)
+        cost_tau, d_tau = _guide_cost(t_tau, sigma.n)
         if (cost_tau, d_tau, tau.n) < (cost_sigma, arity, sigma.n):
             guided_by, chosen, arity = "tau", t_tau, d_tau
     algorithm = "general" if algo == "general" or arity else "separable"

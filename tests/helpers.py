@@ -7,6 +7,7 @@ from itertools import combinations, permutations
 
 from permlcp import (
     IntervalSpan,
+    NotSeparableError,
     Pattern,
     Permutation,
     concat_minus,
@@ -160,6 +161,38 @@ def assert_valid_result(sigma: Permutation, tau: Permutation, result) -> None:
         result.pattern.values,
         result.occ_tau.positions,
     )
+
+
+def plan_by_formula(sigma: Permutation, tau: Permutation, algo: str) -> tuple:
+    """(guided_by, algorithm, prime_arity, cost_sigma, cost_tau) by lcp_plan's written rule.
+
+    A guide's cost is the sum over the nodes of its unexpanded tree of
+    (arity - 1) * m^6 per linear node and m^(2d + 2) per prime node of
+    arity d, where m is the other input's size.  ``auto`` takes tau when
+    (cost, max prime arity, size) is smaller for it.  Raises
+    NotSeparableError for ``separable`` with a prime sigma.
+    """
+
+    def cost(guide: Permutation, m: int) -> int:
+        total = 0
+        for node in decomposition_tree(guide).walk():
+            if node.kind == "linear":
+                total += (node.arity - 1) * m**6
+            elif node.kind == "prime":
+                total += m ** (2 * node.arity + 2)
+        return total
+
+    arity = max_prime_arity(decomposition_tree(sigma))
+    if algo == "separable" and arity:
+        raise NotSeparableError(f"{sigma} is not separable")
+    guided_by, cost_sigma, cost_tau = "sigma", cost(sigma, tau.n), None
+    if algo == "auto":
+        d_tau = max_prime_arity(decomposition_tree(tau))
+        cost_tau = cost(tau, sigma.n)
+        if (cost_tau, d_tau, tau.n) < (cost_sigma, arity, sigma.n):
+            guided_by, arity = "tau", d_tau
+    algorithm = "general" if algo == "general" or arity else "separable"
+    return guided_by, algorithm, arity, cost_sigma, cost_tau
 
 
 def materialized_cells(table):

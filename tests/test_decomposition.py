@@ -1,7 +1,9 @@
 """Common intervals, strong intervals, tree construction and expansion."""
 
+import copy
 import hashlib
 import json
+import pickle
 import random
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from helpers import (
     all_permutations,
     alternating_chain,
+    common_intervals_by_rescan,
     overlaps,
     random_permutation,
     random_separable,
@@ -64,11 +67,71 @@ class TestIntervalSpan:
         with pytest.raises(ValueError):
             IntervalSpan(0, 1)
 
+    def test_compares_and_hashes_by_value(self):
+        a, b = IntervalSpan(2, 5), IntervalSpan(2, 5)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != IntervalSpan(2, 4) and a != (2, 5)
+        sigma = parse_permutation("5 1 10 9 6 7 8 11 2 4 3")
+        spans = common_intervals(sigma)
+        assert spans | frozenset(common_intervals_by_rescan(sigma)) == spans
+        assert IntervalSpan(3, 7) in spans and IntervalSpan(2, 3) not in spans
+
+    def test_read_only(self):
+        span = IntervalSpan(2, 5)
+        with pytest.raises(AttributeError):
+            span.lo = 1
+        with pytest.raises(AttributeError):
+            del span.hi
+        with pytest.raises(AttributeError):
+            span.extra = 0
+        assert (span.lo, span.hi, span.width, str(span)) == (2, 5, 4, "2-5")
+
+    def test_pickles_and_copies_equal(self):
+        span = IntervalSpan(3, 7)
+        for protocol in (pickle.DEFAULT_PROTOCOL, pickle.HIGHEST_PROTOCOL):
+            assert pickle.loads(pickle.dumps(span, protocol)) == span
+        assert copy.copy(span) == span and copy.deepcopy(span) == span
+
     def test_overlap_is_proper_crossing(self):
         assert overlaps(IntervalSpan(1, 3), IntervalSpan(3, 4))
         assert overlaps(IntervalSpan(3, 4), IntervalSpan(1, 3))
         assert not overlaps(IntervalSpan(1, 3), IntervalSpan(2, 3))  # nested
         assert not overlaps(IntervalSpan(1, 2), IntervalSpan(3, 4))  # disjoint
+
+
+class TestDecompNode:
+    def test_nodes_compare_and_hash_by_identity(self):
+        sigma = parse_permutation("2 4 1 3 5 7 6")
+        first, second = decomposition_tree(sigma).root, decomposition_tree(sigma).root
+        assert first == first and first != second
+        seen = {first: 1, second: 2}
+        assert (seen[first], seen[second], len(seen)) == (1, 2, 2)
+        assert not hasattr(first, "__dict__")
+
+    def test_repr_shows_the_node_alone(self):
+        tree = decomposition_tree(parse_permutation("2 4 1 3 5 7 6"))
+        prime, linear = tree.root.children[0], tree.root.children[2]
+        assert repr(prime) == "<DecompNode prime label=(2, 4, 1, 3) span=1-4 value_range=(1, 4) arity=4>"
+        assert repr(linear) == "<DecompNode linear sign='-' span=6-7 value_range=(6, 7) arity=2>"
+        assert repr(linear.children[0]) == "<DecompNode leaf span=6-6 value_range=(7, 7) arity=0>"
+        assert repr(tree) == (
+            "DecompTree(root=<DecompNode linear sign='+' span=1-7 value_range=(1, 7) arity=3>, "
+            "source_size=7, expanded=False)"
+        )
+
+    def test_repr_of_a_3000_deep_chain_is_short(self):
+        tree = decomposition_tree(alternating_chain(3000))
+        assert len(repr(tree.root)) < 200
+        assert len(repr(tree)) < 200
+
+    def test_tree_pickles_and_copies_equal(self):
+        tree = decomposition_tree(parse_permutation("2 4 1 3 5 7 6"))
+        want = tree_to_dict(tree)
+        for protocol in (pickle.DEFAULT_PROTOCOL, pickle.HIGHEST_PROTOCOL):
+            assert tree_to_dict(pickle.loads(pickle.dumps(tree, protocol))) == want
+        assert tree_to_dict(copy.copy(tree)) == want
+        assert tree_to_dict(copy.deepcopy(tree)) == want
+        assert tree_to_dict(DecompTree(copy.copy(tree.root), 7, False)) == want
 
 
 class TestCommonIntervals:

@@ -4,6 +4,7 @@ import doctest
 from pathlib import Path
 
 import permlcp.algebra
+import permlcp.decomposition
 import permlcp.dp
 import permlcp.perms
 
@@ -15,6 +16,11 @@ def test_perms_doctests():
 
 def test_algebra_doctests():
     result = doctest.testmod(permlcp.algebra)
+    assert result.failed == 0 and result.attempted > 0
+
+
+def test_decomposition_doctests():
+    result = doctest.testmod(permlcp.decomposition)
     assert result.failed == 0 and result.attempted > 0
 
 

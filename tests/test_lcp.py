@@ -19,6 +19,7 @@ from helpers import (
     assert_valid_result,
     evaluated_cells,
     materialized_cells,
+    plan_by_formula,
     prime_inflation,
     random_permutation,
     random_separable,
@@ -41,6 +42,7 @@ from permlcp import (
     normalize,
     parse_permutation,
     tree_from_nested,
+    tree_to_dict,
     tree_to_permutation,
 )
 from permlcp.dp import _may_contain, _monotone, _position_cuts, _ranks
@@ -216,6 +218,36 @@ class TestDispatch:
         for algo in ("general", "separable"):
             plan = lcp_plan(separable, prime, algo)
             assert (plan.guided_by, plan.cost_sigma, plan.cost_tau) == ("sigma", 2 * 5**6, None)
+
+    def test_plan_matches_its_formula(self):
+        """240 seeded pairs of sizes 1-30 under all three algos, against a walk over each tree."""
+        rng = random.Random(32)
+
+        def draw(n):
+            makers = [random_separable, random_permutation]
+            if n >= 5:  # an inflated simple permutation takes 4 or 5 points
+                makers.append(prime_inflation)
+            return rng.choice(makers)(rng, n)
+
+        pairs = [(draw(rng.randint(1, 30)), draw(rng.randint(1, 30))) for _ in range(240)]
+        seen = Counter()
+        for sigma, tau in pairs:
+            for algo in ("auto", "separable", "general"):
+                try:
+                    want = plan_by_formula(sigma, tau, algo)
+                except NotSeparableError:
+                    with pytest.raises(NotSeparableError):
+                        lcp_plan(sigma, tau, algo)
+                    seen[algo, "refused"] += 1
+                    continue
+                plan = lcp_plan(sigma, tau, algo)
+                got = plan.guided_by, plan.algorithm, plan.prime_arity, plan.cost_sigma, plan.cost_tau
+                assert got == want, (sigma.values, tau.values, algo)
+                guide = sigma if plan.guided_by == "sigma" else tau
+                assert tree_to_dict(plan.tree) == tree_to_dict(expand_tree(decomposition_tree(guide)))
+                seen[algo, plan.guided_by, plan.algorithm] += 1
+        # Every outcome the rule has occurs: both guides and both algorithms under auto.
+        assert len(seen) == 7 and min(seen.values()) >= 20, seen
 
     def test_auto_guides_with_the_longer_separable_input(self):
         short = parse_permutation("2 1 3")
