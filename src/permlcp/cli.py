@@ -56,7 +56,7 @@ def cmd_lcp(args: argparse.Namespace) -> tuple[int, dict, str]:
             f"cost grows like n^(2*{arity}-2), this may be very slow",
             file=sys.stderr,
         )
-    result = lcp(sigma, tau, plan, canonical=args.canonical)
+    result = lcp(sigma, tau, args.algo, canonical=args.canonical)
     fields = {
         "pattern": result.pattern,
         "length": result.length,

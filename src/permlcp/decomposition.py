@@ -92,7 +92,9 @@ class DecompNode:
     A node is read-only by contract: nothing writes its fields after it is
     built, and subtrees are shared between a tree and its expansion.
     Nodes compare and hash by identity (trees can be large and are never
-    deduplicated); use :func:`tree_to_dict` for structural comparison.  The
+    deduplicated); use :func:`tree_to_dict` for structural comparison, on
+    trees less deep than the recursion limit: ``==`` between two of its
+    results recurses, as ``pickle`` and ``copy.deepcopy`` of a node do.  The
     repr shows the node alone, not its subtree:
 
     >>> from permlcp import parse_permutation

@@ -1,105 +1,94 @@
 """Tree-guided dynamic programs for the longest common pattern.
 
-The table M(V, i, j, a, b) holds, for a node V of the guiding tree and a
-window of the target permutation (positions i..j, values a..b), the length
-of a longest common pattern between the sub-permutation under V and that
-window; it stores lengths, and the split that set each one.  Linear nodes combine the two child tables
-over a split position h and a split value c; prime nodes of arity d slice
-both windows into d weakly increasing pieces, matching position slices to
-value slices through the node's simple-permutation label.  A binary linear
-node is the d = 2 case, with ranks (1, 2) for + and (2, 1) for -.
+``lcp`` is the single entry point; a guide with no prime node is the
+separable case.  Each rule of the fill is stated once, below; a function's
+docstring gives only its contract and the mechanics local to it.
 
-Cells are evaluated top-down and memoized, so only states reachable from the
-root query are ever touched.  The evaluation does not recurse: each cell's
-scan is a generator that yields the child box it finds missing and is sent
-that box's length, and one loop keeps the scans waiting on an explicit
-stack, so a guide of any depth fills within the interpreter's recursion
-limit.
+1. Table and recurrence.  M(V, i, j, a, b) is the length of a longest
+   common pattern between the sub-permutation under node V of the guiding
+   tree and the window of the target tau at positions i..j and values a..b.
+   A linear node combines its two children over a split position h and a
+   split value c; a prime node of arity d slices both windows into d weakly
+   increasing pieces, matched through its simple-permutation label.  A
+   binary linear node is the d = 2 case, with ranks (1, 2) for + and (2, 1)
+   for -.  A box with no target point is 0 and a leaf box holding one is 1,
+   both read from tau, so only internal nodes have table entries.
 
-Each scan reads the splits in one fixed order: position cuts in
-lexicographic order, then value cuts in lexicographic order (for a linear
-node, h ascending then c ascending).  Beside each exact length the fill
-keeps the split that last raised the cell's best, which is the first split
-in that order to reach the length.  The plain witness walks these stored
-splits down from the root, so it is reproducible and runs no scan.  With
-``canonical=True`` the lexicographically smallest pattern of maximal length
-is kept instead, over every split that reaches each length, which the same
-scan lists in its tie mode.  The scan order runs over the expanded guide,
-so the way :func:`expand_tree` binarizes a linear node can pick another
-plain witness among ties; no length and no canonical pattern depends on it.
+2. Fill.  Cells are evaluated top-down and memoized, so only boxes reachable
+   from the root query are touched.  The fill does not recurse: an internal
+   cell's scan is a generator that yields each child box it finds missing,
+   as (node, i, j, a, b, floor), and is sent that box's length; one loop
+   keeps the waiting scans on an explicit stack, so a guide of any depth
+   fills within the interpreter's recursion limit.
 
-No cell is longer than the number of target points (p, tau(p)) in its box:
-a box with no point is 0 and a leaf box is 1 when it holds one, read from
-tau.  The table finds a box's points from tau and its inverse alone,
-walking in from the box's edges, so it holds nothing that grows as the
-square of the target.  Each internal cell is the best sum of child cells
-over all splits, and depends only on the points in its box.  So a scan cuts
-only at i or a, or just after a window point: a cut moved past a position
-or a value holding none repeats the split one step before it (Ibarra, IPL
-1997).  Both scans list their cuts from the window's points themselves:
-rows by the points' rank in position order, and columns from one sorted
-list of their values.  A linear scan counts each child's points as it
-goes, and a leaf child's length is its point count, so it asks no leaf
-box; a prime scan takes a leaf child's length from a flag its value cuts
-set.  A scan reads no child whose point counts, with the other children's,
-cannot let its split beat the best so far; a linear scan reads only the one
-run of rows whose bound can beat the best (see
-:meth:`DpTable._linear_cell`), and a prime scan drops a whole prefix of
-position cuts that cannot (see :func:`_position_cuts`).  No bound exceeds
-the cell's own count, so a best that meets it stops all reads.  Every scan also
-skips a split that an earlier split already beats.  A cell never shrinks when its
-window grows, so along a scan axis one child's length never decreases and
-the other's never increases; a split whose growing child did not grow past
-what an earlier split read is at most as long as that split.  For a linear
-node the growing child is the one taking the low values, and for a + node
-it also grows with h; for a prime node, a value cut that adds nothing to
-the slices before it leaves less to the slices after it.  So a skipped
-split can only tie, every cell value stays the one the full scan gives, and
-so does the first split in scan order that reaches it, which is the plain
-witness.  A tied split can carry a smaller pattern, so the tie mode keeps
-the bounds, with the best fixed one below the length, but skips only a
-split that an earlier one strictly beats.
-The tests check every materialized cell against the brute-force oracle.
+3. Scan order and plain witness.  A scan reads its splits in one fixed
+   order: position cuts in lexicographic order, then value cuts in
+   lexicographic order (h, then c, for a linear node).  Beside each exact
+   length the table keeps the split that last raised the cell's best, the
+   first in that order to reach the length.  The plain witness walks these
+   splits down from the root, so it is reproducible and runs no scan.  The
+   order runs over the expanded guide, so how ``expand_tree`` binarizes a
+   linear node can pick another plain witness among ties; no length and no
+   canonical pattern depends on it.
 
-Since an internal cell depends only on its box's points, it is scanned and
-stored under its *tight box*: the first and last position and the lowest
-and highest value of those points.  A box asked for under another key
-whose tight box is already stored gets the value under its own key too, as
-an alias, so later reads of that key hit at once.  The tight scan lists the
-same splits as the scan of the box asked for, with the same child point
-sets in the same order, so the lengths, the plain witness and the
-canonical pick do not change; the witness walks read tight keys only.
+4. Tie mode and canonical walk.  With ``canonical=True`` the witness is the
+   lexicographically smallest pattern of maximal length.  Each box on the
+   walk lists the splits reaching its length with its own scan in tie mode:
+   the best stays one below the length, each split beating it is recorded,
+   and a dominance skip drops only a split an earlier one strictly beats.
 
-A split can beat the best so far only if each child beats what the other
-leaves it: the low child ``best - m_high``, where m_high bounds the high
-child, and the high child ``best - u``.  So a linear scan asks each child
-box with that *floor*, and the child's own scan starts its best there.  A
-box that beats its floor comes back with its exact length; one that does
-not comes back with the floor, which bounds it, and its table entry holds
-the bound ``-1 - ub`` ("at most ub") in place of a length.  A later read at
-a floor of at least ub takes the bound as it is; one at a lower floor scans
-the box again.  A split that beats the best has both children above their
-floors, so both come back exact, and the best rises through the same
-splits as with every child exact.  A bound can stand in for an exact
-length in the dominance skips below too: the split that read it could not
-beat the best, and a split it dominates has a high child no longer than
-that split's bound on it.  The tie mode starts its best one below the
-cell's length, so it reads the children at floors no lower than the fill
-did.  A prime scan starts at its own floor, but asks
-its children for exact lengths.  :meth:`DpTable.cell`, ``root_cell`` and
-``reconstruct`` ask at floor 0, so callers only ever see exact lengths.
+5. Point-count bound (Ibarra, IPL 1997).  No cell is longer than the target
+   points in its box, found from tau and its inverse alone, so the table
+   holds nothing that grows as the square of the target.  A cell depends
+   only on its box's points, so a cut moved past a position or a value
+   holding none repeats the split before it: scans cut only at i or a or
+   just after a window point, as rows (the points in position order) and
+   columns (their sorted values).  A scan reads no child whose bound, the
+   smaller of its width and its points, with the other children's cannot
+   let the split beat the best so far; no bound exceeds the cell's own, so a
+   best that meets it stops all reads.  A child with no point (0) or a leaf
+   child (its point count) is never asked for.
 
-:func:`lcp` is the single entry point.  The separable and the general
-algorithm are this one program: :func:`lcp_plan` picks the guiding tree,
-and a tree with no prime node is the separable case.  Before its walk,
-:func:`lcp` asks the root at floor min(|sigma|, |tau|) - 1 whenever the
-smaller input may occur in the larger, which makes the fill the pattern
-involvement program of Bose, Buss and Lubiw (IPL 1998) and stores on a
-miss only bounds that the walk rescans.  The table has O(m^4)
-cells for a target of size m, and a node of arity d scans O(m^(2d - 2))
-splits per cell, so under ``auto`` the plan predicts each input's cost as
-a guide, the sum of m^(2d + 2) over its internal nodes, and takes the
-cheaper one.
+6. Dominance skip.  A cell never shrinks when its window grows, so along a
+   scan axis one child's length never decreases and the other's never
+   increases.  A split whose growing child did not grow past what an
+   earlier split read is at most as long as that split, and is skipped.
+   For a linear node the growing child takes the low values, and for a +
+   node it also grows with h; for a prime node, a value cut that adds
+   nothing to the slices before it leaves less to the slices after it.  A
+   skipped split can only tie, so every length, and the first split in scan
+   order to reach it, is the one the full scan gives.
+
+7. Tight keys and aliases.  An internal box is scanned and stored under its
+   tight box, the first and last position and the lowest and highest value
+   of its points, whose scan lists the same splits with the same child point
+   sets in the same order.  The key asked for then holds the tight entry as
+   an alias, so later reads hit at once; walks read tight keys only.
+
+8. Floors and bound entries.  A split beats the best only if each child
+   beats what the other leaves it: the low child ``best - m_high``, with
+   m_high the high child's bound, and the high child ``best - u``.  A linear
+   scan asks each child at that floor, where the child's scan starts its
+   best.  A box that does not beat its floor comes back as the floor and is
+   stored as the bound ``-1 - ub``, "at most ub"; a read at a lower floor
+   scans it again.  A split that beats the best has both children exact, so
+   the best rises through the same splits as with every child exact, and a
+   bound may stand in for a length in a dominance skip.  Tie mode reads at
+   floors no lower than the fill did.  A prime scan starts at its own floor
+   but asks its children for exact lengths; the public reads ask at floor
+   0, so callers see exact lengths only.
+
+9. Cap try and cost model.  No common pattern is longer than the cap
+   min(|sigma|, |tau|).  When ``_may_contain`` allows the smaller input to
+   occur in the larger, ``lcp`` first asks the root at floor cap - 1, which
+   makes the fill the pattern involvement program of Bose, Buss and Lubiw
+   (IPL 1998); a miss stores the root's bound "at most cap - 1", and the
+   walk rescans it at floor 0, reusing the exact entries the try stored.
+   The table has O(m^4) cells for a target of size m, and a node of arity d
+   scans O(m^(2d - 2)) splits per cell, so a guide's predicted cost is the
+   sum of m^(2d + 2) over its expanded tree's internal nodes (d = 2 for a
+   binary linear node): the guide of smaller max prime arity mostly wins,
+   and between equal arities the longer input.
 """
 
 from __future__ import annotations
@@ -115,7 +104,6 @@ from .decomposition import (
     NotSeparableError,
     decomposition_tree,
     expand_tree,
-    tree_to_permutation,
 )
 from .perms import Occurrence, Pattern, Permutation, normalize
 
@@ -130,20 +118,14 @@ def _ranks(node: DecompNode) -> tuple[int, ...]:
 def _position_cuts(hs: list[int], end: int, sizes: list[int], floor):
     """Yield (cuts, caps) for each position-cut tuple whose caps add up to more than ``floor()``.
 
-    The children of a node take position slices of the window i..j in
-    order.  The cuts are rows, as in a linear scan: ``hs`` is i, then one
-    past each window point's position, and ``end`` is j + 1.  Rows x_1 <=
-    ... <= x_{d-1} give ``cuts`` (i, hs[x_1], ..., hs[x_{d-1}], end); slice
-    k holds positions cuts[k]..cuts[k + 1] - 1 and x_{k+1} - x_k points
-    (x_0 = 0, x_d = P), and ``caps[k]`` is the smaller of that and
-    ``sizes[k]``.  The tuples come in lexicographic order, built depth
-    first one cut at a time.  A prefix x_1..x_k is dropped when the caps of
-    the slices it closes plus the smaller of the later slices' sizes and
-    the P - x_k points left cannot exceed the floor, since no tuple under
-    it can; when the last slice it closes is already full, a later x_k only
-    lowers that bound, so the level ends.  ``floor`` is called at every
-    check and may only grow, so this yields exactly the tuples that pass
-    the check when their turn comes.
+    ``hs`` is the window's rows (i, then one past each point's position) and
+    ``end`` is j + 1.  Rows x_1 <= ... <= x_{d-1} give ``cuts`` (i, hs[x_1],
+    ..., end), so slice k holds x_{k+1} - x_k points (x_0 = 0, x_d = P), and
+    ``caps[k]`` is the smaller of that and ``sizes[k]``.  Tuples come in
+    lexicographic order, built depth first.  A prefix is dropped when the caps
+    it closes, plus the smaller of the later slices' sizes and the points
+    left, cannot exceed the floor; when its last slice is full, later x_k only
+    lower that sum, so the level ends.  ``floor`` may only grow.
     """
     d = len(sizes)
     total = len(hs) - 1
@@ -199,32 +181,11 @@ class LcpResult:
 class DpTable:
     """Memoized table of lengths M(V, i, j, a, b) for one guiding tree and one target.
 
-    The guiding tree must be in expanded form (all linear nodes binary);
-    prime nodes keep their arity.  Cells are computed on demand through
-    :meth:`cell` and cached for the lifetime of the table, and
-    :meth:`reconstruct` rebuilds a witness for any cell.  The scans and
-    :meth:`cell` read a leaf's length from tau, so the table holds only tau,
-    its inverse and, per internal node, a dict of entries and one of the
-    splits that set them (see :meth:`_cell`): a scan counts
-    its box's target points from tau itself, and no cell exceeds that
-    count, so it bounds every cell and every child of a split.
-    The dominance skips that cut each cell's scan short drop only
-    splits that can at most tie one read earlier, so they change no cell
-    value and no plain witness; the canonical walk runs the scans in tie
-    mode, which skips only strictly beaten splits and lists every tied one.
-    An internal box with points is evaluated under its tight box (see
-    :meth:`_tight`), and the key it was asked for holds an alias of that
-    entry once it exists; empty boxes keep the key asked for.
-
-    An entry is an exact length (>= 0) or, for an internal box asked at a
-    floor it did not beat, the bound ``-1 - ub``: the length is at most ub
-    (see :meth:`_cell`).  :meth:`cell` reads through a bound, so it always
-    returns the exact length.
-
-    The fill keeps its own stack instead of Python's: an internal cell's
-    scan is a generator that yields each child box missing from the table
-    and resumes with its length, so the depth of the guide costs list
-    entries, not interpreter frames.
+    The tree must be expanded: every linear node binary.  Per internal node
+    the table holds a dict of entries, exact lengths (>= 0) or bounds ``-1 -
+    ub``, and one of the splits that set the exact ones, under packed (i, j,
+    a, b) keys.  :meth:`cell` fills on demand and returns exact lengths, and
+    :meth:`reconstruct` rebuilds a witness for any cell.
     """
 
     def __init__(self, tree: DecompTree, tau: Permutation) -> None:
@@ -259,33 +220,27 @@ class DpTable:
             stack.extend(node.children)
 
     def cell(self, node: DecompNode, i: int, j: int, a: int, b: int) -> int:
-        """The length M(node, i, j, a, b); ranges must satisfy 1 <= i <= j <= n, 1 <= a <= b <= n."""
+        """The exact length M(node, i, j, a, b), 1 <= i <= j <= n and 1 <= a <= b <= n."""
         if not (1 <= i <= j <= self.n and 1 <= a <= b <= self.n):
             raise ValueError(f"cell ranges out of bounds: i={i} j={j} a={a} b={b}")
         if node not in self._nodes:
             raise ValueError("node does not belong to this table's guiding tree")
-        if node.is_leaf:  # 1 when the box holds a target point, else 0
-            return 0 if self._tight(i, j, a, b) is None else 1
-        return self._cell(node, i, j, a, b)
+        if self._tight(i, j, a, b) is None:
+            return 0
+        return 1 if node.is_leaf else self._cell(node, i, j, a, b)
 
     def root_cell(self) -> int:
         return self.cell(self.tree.root, 1, self.n, 1, self.n)
 
     def _cell(self, node: DecompNode, i: int, j: int, a: int, b: int, floor: int = 0) -> int:
-        """The cell's length when it exceeds ``floor``, else a bound on it of at most ``floor``.
+        """A box's length if above ``floor``, else a bound of at most ``floor``.
 
-        An entry that answers the floor returns at once: an exact length, or
-        a bound whose ub is at most the floor.  Otherwise the internal node's box is
-        narrowed by :meth:`_tight`: one with no point is stored as 0, and
-        one with points is read under its tight box.  When that entry
-        answers the floor, it is stored under the box's own key too, as an
-        alias.  Otherwise the tight box starts its scan at the floor, which
-        waits on a stack as (scan, table, splits, key, floor) while the
-        boxes it yields with their floors are evaluated the same way.  A
-        scan's best is stored under the tight key only: when it beat the
-        floor, as the exact length, with the split that set it in
-        ``splits``; when not, as the bound "at most floor".  It is then sent
-        to the scan below it.
+        The box must hold a point.  An entry under its own key that answers the
+        floor returns at once; otherwise an answering tight entry is stored under
+        it as an alias, or the tight box is scanned.  Waiting scans sit on the
+        stack as (scan, table, splits, key, floor); a finished scan's best is
+        stored under its tight key, exact with its split or as the bound, and sent
+        to the scan below.
         """
         S = self._S
         idx = ((i * S + j) * S + a) * S + b
@@ -295,21 +250,18 @@ class DpTable:
             return length if length >= 0 else -1 - length
         stack = []
         while True:
-            if (box := self._tight(i, j, a, b)) is None:
-                length = table[idx] = 0
+            i, j, a, b = self._tight(i, j, a, b)
+            key = ((i * S + j) * S + a) * S + b
+            length = table.get(key)
+            if length is None or length < -1 - floor:
+                fill = self._linear_cell if node.kind == "linear" else self._prime_cell
+                scan = fill(node, i, j, a, b, floor)
+                stack.append((scan, table, self._splits[node], key, floor))
+                length = None  # a just-started scan takes no value
             else:
-                i, j, a, b = box
-                key = ((i * S + j) * S + a) * S + b
-                length = table.get(key)
-                if length is None or length < -1 - floor:
-                    fill = self._linear_cell if node.kind == "linear" else self._prime_cell
-                    scan = fill(node, i, j, a, b, floor)
-                    stack.append((scan, table, self._splits[node], key, floor))
-                    length = None  # a just-started scan takes no value
-                else:
-                    table[idx] = length  # the alias: the raw key of a stored tight box
-                    if length < 0:
-                        length = -1 - length
+                table[idx] = length  # the alias: the raw key of a stored tight box
+                if length < 0:
+                    length = -1 - length
             while stack:
                 scan, table, splits, idx, floor = stack[-1]
                 try:
@@ -332,18 +284,14 @@ class DpTable:
         try:
             while True:
                 node, i, j, a, b, floor = scan.send(length)
-                box = self._tight(i, j, a, b)
-                length = 0 if box is None else self._cell(node, *box, floor)
+                length = self._cell(node, *self._tight(i, j, a, b), floor)
         except StopIteration as done:
             return done.value
 
     def _tight(self, i: int, j: int, a: int, b: int) -> tuple[int, int, int, int] | None:
-        """The tight box of the box's target points: their outermost positions and values, or None.
+        """The tight box of the box's target points, or None when it holds none.
 
-        That is their first and last position and their lowest and highest
-        value, found by walking in from each edge over tau and its inverse.
-        A box with no point, empty ranges j = i - 1 and b = a - 1 included,
-        gives None.
+        Walks in from each edge over tau and its inverse; j = i - 1 or b = a - 1 is empty.
         """
         tauv, pos = self._tauv, self._pos
         lo = i
@@ -364,54 +312,23 @@ class DpTable:
     ):
         """Scan a linear cell for (best, split), or with ``ties`` for the splits reaching a length.
 
-        Like every scan, this is a generator: it yields each child box
-        missing from the table, as (node, i, j, a, b, floor), is sent what
-        :meth:`_cell` returns for it at that floor, and returns its result.
-        The fill starts its best at ``floor`` and returns the best it
-        reached with the split (h, c) that last raised it, packed as ``h *
-        S + c``, or None.  The low child is asked at the floor ``best -
-        m_high`` and the high one at ``best - u``, both at least 0, and a
-        stored bound at or below that floor is read as it is: either way a
-        child that cannot let the split beat the best comes back as a
-        bound, and a bound read for u also feeds the dominance skips below.
-        A leaf child is never asked: its length is its point count, 0 or 1.
+        A generator: it yields each missing child box and is sent what
+        :meth:`_cell` returns for it.  It returns the best reached from ``floor``
+        and the split (h, c) that last raised it, as ``h * S + c``, or None; with a
+        ``ties`` list it appends the cuts ((i, h, j + 1), (a, c, b + 1)) of every
+        split beating ``floor`` and returns (floor, None).
 
-        A split (h, c) gives positions i..h-1 to the left child and h..j to
-        the right one, and values a..c-1 to the low child (the left one for
-        +, the right one for -) and c..b to the high one.  The scan walks
-        the window's P points, not its positions and values: row x is the
-        cut h with x window points on its left (h = i for x = 0, else one
-        past the x-th point's position), and the columns are c = a and one
-        past each window value, in order.  A cut moved past a position or a
-        value without a window point repeats the split before it, so these
-        are all the splits there are to read.  Each child is bounded by its
-        span's width and by its points, so with k_left and k_right the
-        children's widths, row x is bounded by ``min(k_left, x) +
-        min(k_right, P - x)``: the bound rises by one per row, stays at the
-        cell's cap, then falls by one per row.  A split's length is at most
-        its row's bound, so once a row on the rise passes the best, the best
-        stays below the bound of each later row until the fall: the rows
-        that can beat the best form one run.  The scan starts at the first
-        row whose bound ``x + k_right`` passes the best and stops at the
-        first row after it that fails.  Along a row, the children's points
-        below c and from c on are counted one column at a time.
-
-        The low child's length u(h, c) never decreases in c and the high
-        child's never increases; for a + node the same holds in h.  u is
-        read first.  The split is skipped when u does not exceed the largest
-        u read at a split (h', c') before it whose high child is at least
-        as long: one with h' = h for a - node, h' <= h and c' <= c for a +
-        node.  Then it is no longer than that split, or than the bound that
-        skipped it.  A split whose bounds cannot beat the best is not read,
-        and the row ends at the first one whose high bound plus the low
-        child's row bound cannot: later columns only lower the high bound.
-        The high child is not read when u plus its bound cannot beat the
-        best.  With a ``ties`` list (tie mode), called at a floor one below
-        the cell's length, the scan appends the cuts ((i, h, j + 1), (a, c,
-        b + 1)) of every split that beats the floor and returns (floor,
-        None): the best stays at the floor, and ``top`` holds the u read less
-        one, so only a split that u strictly beats is skipped, and the row
-        break on ``top`` never fires.
+        Split (h, c) gives positions i..h-1 to the left child and values a..c-1 to
+        the low child (left for +, right for -).  Row x is the cut h with x of the
+        window's P points on its left, and each child's points are counted one
+        column at a time.  Row x is bounded by ``min(k_left, x) + min(k_right, P -
+        x)``, with k the children's widths, which rises by one per row, levels off
+        and falls, so the rows that can beat the best form one run, from the first
+        whose ``x + k_right`` passes it.  A row ends at the first column whose high
+        bound plus the low child's row bound cannot beat the best.  ``top`` is the
+        largest low length read (less one in tie mode) at a split whose high child
+        is at least as long: in the same row for a - node, and for a + node at h'
+        <= h and c' <= c, through ``seen``.
         """
         facts = self._linear.get(node)
         if facts is None:  # the node's first scan
@@ -512,17 +429,10 @@ class DpTable:
     ):
         """Scan a prime cell for (best, split), or with ``ties`` for the splits reaching a length.
 
-        The fill starts its best at ``floor``.  Like :meth:`_linear_cell`, it
-        lists the window's rows ``hs`` and columns ``cols`` once, and keeps
-        j + 1 and b + 1 as the outer cuts.  Position cuts come from
-        :func:`_position_cuts` with the best so far as its floor, so a prefix
-        of cuts whose point counts cannot beat the best is dropped whole; once
-        the best meets the cell's own count, every prefix is.  The value
-        slices' children are asked for exact lengths, at floor 0, and a
-        stored bound is read as a miss.  The split returned is the last to
-        raise the best, as its cuts (i, h_1, ..., h_{d-1}, j + 1) and, in
-        value slice order, (a, c_1, ..., c_{d-1}, b + 1); ``ties`` works as
-        in :meth:`_linear_cell`.
+        A generator like :meth:`_linear_cell`, with the same rows, columns and
+        ``ties``: :func:`_position_cuts`, at the best so far, gives the position
+        cuts (i, h_1, ..., h_{d-1}, j + 1), and :meth:`_prime_values` the value
+        cuts, in value slice order (a, c_1, ..., c_{d-1}, b + 1).
         """
         hs = [i] + [h for h in range(i + 1, j + 2) if a <= self._tauv[h - 2] <= b]
         cols = [a] + [v + 1 for v in range(a, b + 1) if i <= self._pos[v - 1] <= j]
@@ -546,24 +456,17 @@ class DpTable:
     def _prime_values(
         self, node, order, cuts, cols, suffix_caps, t, path, partial, b, best, found, tie
     ):
-        """Scan the value cuts of a prime cell from slice t (1-based) on, in lexicographic order.
+        """Scan the value cuts of a prime cell from value slice t (1-based) on, and return the best.
 
-        A generator, as the scans are.  ``path[:t]`` holds column 0 of
-        ``cols`` and the columns of the cuts made so far, so value slice t
-        starts at column z0 = ``path[t - 1]``, and ``order[t - 1]`` is the
-        child taking it; ``partial`` is the length of slices 1..t-1.  For t
-        < d the cut ct runs over ``cols`` from z0 on, as column z; the last
-        slice ends at b, as the last column.  ``held`` says whether a value
-        c_prev..ct-1 sits at a position p_lo..p_hi: a leaf child's length is
-        ``held``.  An internal child is read only when it holds, since a
-        slice with no point is 0, and when ``partial``, its bound (its width
-        or its z - z0 window values c_prev..ct-1) and the later slices'
-        (their position caps or the window values from ct on) can beat
-        ``best``.  The later slices only lose values as ct grows, so a ct
-        whose total does not exceed the last read ct's cannot win, and its
-        later slices are not scanned; in tie mode (``tie`` 1) only a total
-        below that one is.  A split beating ``best`` goes to ``found``, and
-        outside tie mode raises the best.
+        ``path[:t]`` holds the columns of the cuts made so far, so slice t starts
+        at column z0 = ``path[t - 1]`` and goes to child ``order[t - 1]``;
+        ``partial`` is the length of slices 1..t-1.  ``held``, a leaf child's
+        length, says whether the slice holds a point of the child's position slice.
+        An internal child is read only when it holds and its bound, min(width, z -
+        z0), with the later slices' ``suffix_caps`` or columns left can beat
+        ``best``.  A cut whose total does not pass ``last``, the largest so far
+        (less one in tie mode), is not extended.  A split beating ``best`` goes to
+        ``found`` and, outside tie mode, raises it.
         """
         d = len(order)
         z0 = path[t - 1]
@@ -607,12 +510,9 @@ class DpTable:
         return best
 
     def _boxes(self, node: DecompNode, cuts: tuple) -> list[tuple | None]:
-        """The child boxes (child, i, j, a, b) of the split a scan gave as ``cuts``.
+        """The tight child boxes (child, i, j, a, b) of the split ``cuts``, None for an empty one.
 
-        Child k takes position slice k and the value slice of its rank, as
-        its tight box, so tied splits whose children hold the same points
-        give the same boxes.  A box with no target point, the only kind of
-        length 0, is None.
+        So tied splits whose children hold the same points give the same boxes.
         """
         pos, val = cuts
         split: list[tuple | None] = []
@@ -633,14 +533,11 @@ class DpTable:
     ) -> tuple[Pattern, Occurrence, Occurrence]:
         """Rebuild (pattern, occurrence in the tree's permutation, occurrence in tau).
 
-        Give all of the cell's node, i, j, a and b, or none of them for the
-        root cell; anything else raises ValueError.  Walks down from the
-        cell's tight box: each internal box takes the split the fill stored
-        with its length, the first to reach it, or with ``canonical`` the
-        split of lexicographically smallest pattern (the first on ties);
-        each leaf, a tight box too, adds the point at its first position.
-        Raises RuntimeError when the stored lengths do not rebuild to a
-        pattern of the cell's length common to both sides.
+        Give all of the cell's node, i, j, a and b, or none of them for the root
+        cell; anything else raises ValueError.  The walk takes each box's stored
+        split, or with ``canonical`` the split of smallest pattern (the first on
+        ties); each leaf box adds the point at its first position.  Raises
+        RuntimeError when the lengths do not rebuild to a common pattern.
         """
         box = (node, i, j, a, b)
         if box.count(None) == 5:
@@ -682,9 +579,8 @@ class DpTable:
     def _resolve(self, box: tuple) -> dict[tuple, tuple]:
         """Map ``box``, and every box under its splits that reach its length, to (pattern, split).
 
-        A box's pattern is the smallest, over its splits that reach its
-        length, of the children's patterns concatenated by the node's ranks;
-        ties go to the first split.  Leaves have the pattern 1.
+        The pattern is the smallest concatenation of the children's by the node's
+        ranks over those splits, the first split on ties.
         """
         memo: dict[tuple, tuple] = {}
         stack: list[tuple[tuple, list | None]] = [(box, None)]
@@ -731,14 +627,9 @@ class LcpPlan:
 
 
 def _guide_cost(tree: DecompTree, m: int) -> tuple[int, int]:
-    """Worst-case split reads when ``tree`` guides a target of size ``m``, and its max prime arity.
+    """The predicted cost of ``tree`` guiding a target of size ``m``, and its max prime arity.
 
-    The cost is the sum over the internal nodes of the expanded tree of
-    m^(2d + 2): a node of arity d (2 for a binary linear node) has O(m^4)
-    cells, and each scans O(m^(2d - 2)) splits.  A linear node of arity k
-    expands into k - 1 binary nodes, so the unexpanded tree gives the same
-    sum.  The arity is 0 for a tree without a prime node.  One pass over
-    the tree gives both.
+    A linear node of arity k expands into k - 1 binary nodes, so the unexpanded tree will do.
 
     >>> from permlcp import parse_permutation
     >>> _guide_cost(decomposition_tree(parse_permutation("2 4 1 3 5")), 3)
@@ -763,17 +654,10 @@ def _guide_cost(tree: DecompTree, m: int) -> tuple[int, int]:
 def lcp_plan(sigma: Permutation, tau: Permutation, algo: str = "auto") -> LcpPlan:
     """Pick the guiding tree for ``algo``: auto, separable or general.
 
-    ``separable`` and ``general`` guide with sigma, and ``separable`` rejects
-    a sigma with prime structure; they predict sigma's cost only.  ``auto``
-    guides with the input that predicts fewer split reads, which is sound
-    because the common-pattern relation is symmetric.  A guide's cost is
-    the sum, over the internal nodes of its expanded tree, of m^(2d + 2),
-    where m is the other input's size and d the node's arity (2 for a
-    binary linear node).  The model holds the arity comparison: with both
-    inputs of size n the guide of smaller max prime arity wins, and with
-    equal arities the longer input mostly guides, since the table grows
-    with the target's size.  Equal costs go to the smaller max prime
-    arity, then to the shorter input, then to sigma.
+    ``separable`` and ``general`` guide with sigma and predict its cost only;
+    ``separable`` rejects a sigma with a prime node.  ``auto`` guides with the
+    cheaper input, sound as the common-pattern relation is symmetric; equal
+    costs go to the smaller max prime arity, the shorter input, then sigma.
     """
     if algo not in ("auto", "separable", "general"):
         raise ValueError(f"unknown algo {algo!r}")
@@ -792,11 +676,7 @@ def lcp_plan(sigma: Permutation, tau: Permutation, algo: str = "auto") -> LcpPla
 
 
 def _monotone(values) -> tuple[int, int]:
-    """The lengths of a longest increasing and a longest decreasing subsequence of ``values``.
-
-    One patience-sorting pass: ``up[k]`` is the least last value of an
-    increasing run of length k + 1 so far, and ``down[k]`` the same for
-    decreasing runs, with values negated.
+    """Lengths of a longest increasing and a longest decreasing subsequence, by patience sorting.
 
     >>> _monotone((2, 4, 1, 3, 5))
     (3, 2)
@@ -821,9 +701,8 @@ def _may_contain(small: Permutation, large: Permutation) -> bool:
     """False only when ``small`` cannot occur in ``large``, whose size is at least its own.
 
     At equal sizes it occurs only when the two are equal.  Otherwise an
-    occurrence carries the smaller input's longest increasing and longest
-    decreasing subsequences into the larger one, so neither may be longer
-    than the larger one's.
+    occurrence carries its longest increasing and decreasing subsequences into
+    ``large``, so neither may be longer than ``large``'s.
     """
     if small.n == large.n:
         return small == large
@@ -833,31 +712,21 @@ def _may_contain(small: Permutation, large: Permutation) -> bool:
 def lcp(
     sigma: Permutation,
     tau: Permutation,
-    algo: str | LcpPlan = "auto",
+    algo: str = "auto",
     *,
     canonical: bool = False,
 ) -> LcpResult:
     """A longest common pattern of ``sigma`` and ``tau``, with one occurrence in each.
 
     :func:`lcp_plan` picks the guiding tree for ``algo``; one table over the
-    other input then yields the pattern and both occurrences.  ``algo`` may
-    also be the plan :func:`lcp_plan` already made for these two inputs;
-    a plan whose guiding tree is not of the guide it names raises ValueError.
-    No common pattern is longer than the cap min(|sigma|, |tau|), so when
-    :func:`_may_contain` allows the smaller input to occur in the larger,
-    the root is first asked at floor cap - 1; on a miss it holds the bound
-    "at most cap - 1", which the walk rescans at floor 0.
+    other input, after the cap try, yields the pattern and both occurrences.
 
     >>> from permlcp import parse_permutation
     >>> lcp(parse_permutation("2 4 1 3"), parse_permutation("1 3 2 4")).length
     3
     """
-    plan = algo if isinstance(algo, LcpPlan) else lcp_plan(sigma, tau, algo)
+    plan = lcp_plan(sigma, tau, algo)
     guide, target = (sigma, tau) if plan.guided_by == "sigma" else (tau, sigma)
-    if plan.tree.source_size != guide.n:
-        raise ValueError("the plan was made for inputs of other sizes")
-    if plan is algo and tree_to_permutation(plan.tree) != guide:
-        raise ValueError("the plan was made for other inputs")
     table = DpTable(plan.tree, target)
     if not plan.tree.root.is_leaf and _may_contain(*sorted((guide, target), key=len)):
         table._cell(plan.tree.root, 1, target.n, 1, target.n, min(guide.n, target.n) - 1)

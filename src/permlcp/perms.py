@@ -168,23 +168,21 @@ def find_occurrence(host: PermLike, pi: PermLike) -> Occurrence | None:
     """Find one occurrence of pattern ``pi`` in ``host``, or None.
 
     Backtracking over position choices, pruned by the value window forced by
-    the already-matched prefix.  The empty pattern occurs everywhere with the
-    empty position list.  Returned positions are the lexicographically least
-    occurrence, which makes results reproducible.
+    the already-matched prefix, on a list of chosen positions rather than the
+    call stack, so a pattern of any length fits the recursion limit.  The
+    empty pattern occurs everywhere with the empty position list.  Returned
+    positions are the lexicographically least occurrence, which makes
+    results reproducible.
     """
     hvals = _as_values(host)
     pvals = _as_values(pi)
     k, n = len(pvals), len(hvals)
-    if k == 0:
-        return Occurrence(())
     if k > n:
         return None
 
-    chosen: list[int] = []
-
-    def extend(t: int, start: int) -> bool:
-        if t == k:
-            return True
+    chosen: list[int] = []  # host indices matched to pattern entries 0..t-1
+    start = 0  # the first host index to try for entry t
+    while (t := len(chosen)) < k:
         lo, hi = 0, n + 1
         for s in range(t):
             if pvals[s] < pvals[t]:
@@ -198,14 +196,13 @@ def find_occurrence(host: PermLike, pi: PermLike) -> Occurrence | None:
         for pos in range(start, n - (k - t) + 1):
             if lo < hvals[pos] < hi:
                 chosen.append(pos)
-                if extend(t + 1, pos + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    if extend(0, 0):
-        return Occurrence(tuple(p + 1 for p in chosen))
-    return None
+                start = pos + 1
+                break
+        else:
+            if not chosen:
+                return None
+            start = chosen.pop() + 1
+    return Occurrence(tuple(p + 1 for p in chosen))
 
 
 def avoids(host: PermLike, pi: PermLike) -> bool:

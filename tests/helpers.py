@@ -226,11 +226,10 @@ def tight_box(tau: Permutation, i: int, j: int, a: int, b: int):
 def evaluated_cells(table):
     """The cells of ``materialized_cells`` that the fill evaluated, without the aliases.
 
-    A box with target points is evaluated under its tight box; its other
-    keys are aliases of that entry.  Empty boxes are stored under the key
-    they were asked for.
+    A box is evaluated under its tight box, and its other keys are aliases
+    of that entry.  A box with no point is never stored.
     """
     for cell in materialized_cells(table):
         node, i, j, a, b, _ = cell
-        if tight_box(table.tau, i, j, a, b) in (None, (i, j, a, b)):
+        if tight_box(table.tau, i, j, a, b) == (i, j, a, b):
             yield cell

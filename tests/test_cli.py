@@ -15,7 +15,7 @@ from helpers import (
     common_intervals_by_rescan,
     random_separable,
 )
-from permlcp import lcp_plan, normalize, parse_permutation
+from permlcp import normalize, parse_permutation
 from permlcp.cli import main
 from permlcp.oracle import oracle_is_simple, oracle_lcp, oracle_separable
 
@@ -112,21 +112,6 @@ class TestLcpCommand:
         assert code == 3
         assert out == ""
         assert err == "error: RuntimeError: the stored lengths do not rebuild to a common pattern\n"
-
-
-    def test_plans_once(self, capsys, monkeypatch):
-        lcp_module = sys.modules[lcp_plan.__module__]
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return lcp_plan(*args)
-
-        monkeypatch.setattr(lcp_module, "lcp_plan", counted)
-        monkeypatch.setattr("permlcp.cli.lcp_plan", counted)
-        code, out, _ = run(capsys, "lcp", "2 4 1 3", "1 3 2 4 5")
-        assert code == 0 and "length: 3" in out
-        assert len(calls) == 1
 
 
 class TestPlanCommand:

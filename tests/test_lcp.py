@@ -255,20 +255,11 @@ class TestDispatch:
         assert lcp_plan(short, longer).guided_by == "tau"
         assert lcp_plan(longer, short).guided_by == "sigma"
 
-    def test_plan_runs_as_given(self):
+    def test_plan_is_not_an_algo(self):
         sigma = parse_permutation("2 4 1 3")
         tau = parse_permutation("1 3 2 4 5")
-        plan = lcp_plan(sigma, tau)
-        assert lcp(sigma, tau, plan) == lcp(sigma, tau)
-        with pytest.raises(ValueError, match="other sizes"):
-            lcp(tau, sigma, plan)
-
-    def test_plan_for_other_inputs_of_the_same_sizes_raises(self):
-        sigma = parse_permutation("2 4 1 3")
-        plan = lcp_plan(parse_permutation("1 2 3 4"), sigma, "separable")
-        with pytest.raises(ValueError, match="other inputs"):
-            lcp(sigma, sigma, plan)
-        assert lcp(sigma, sigma).length == 4
+        with pytest.raises(ValueError, match="unknown algo"):
+            lcp(sigma, tau, lcp_plan(sigma, tau))
 
     def test_auto_swaps_occurrences_back(self):
         sigma = parse_permutation("2 4 1 3")  # prime, so tau below guides
@@ -324,6 +315,19 @@ class TestTableProperties:
             table.reconstruct(leaves[3], 1, 1, 1, 1)
         own = [n for n in table.tree.walk() if n.is_leaf]
         assert [table.cell(leaf, 1, 1, 1, 1) for leaf in own] == [1, 1]
+
+    def test_empty_box_is_0_and_stores_nothing(self):
+        """``cell`` answers a box with no target point 0 for every node kind, and stores nothing."""
+        tree = expand_tree(decomposition_tree(parse_permutation("2 4 1 3 5")))
+        table = DpTable(tree, parse_permutation("6 4 2 5 3 1"))
+        table.reconstruct(canonical=True)
+        before = set(materialized_cells(table))
+        nodes = {node.kind: node for node in tree.walk()}
+        assert sorted(nodes) == ["leaf", "linear", "prime"]
+        for node in nodes.values():
+            for box in ((4, 5, 1, 2), (1, 3, 1, 1), (6, 6, 2, 6)):
+                assert table.cell(node, *box) == 0, (node.kind, box)
+        assert set(materialized_cells(table)) == before
 
     def test_cell_upper_bound_and_monotonicity(self):
         rng = random.Random(17)
@@ -870,10 +874,9 @@ class TestCellCounts:
             assert not _may_contain(pattern, host)
             for sigma, tau in ((pattern, host), (host, pattern)):
                 built.clear()
-                plan = lcp_plan(sigma, tau)
-                assert lcp(sigma, tau, plan).length < pattern.n
+                assert lcp(sigma, tau).length < pattern.n
                 table = built[0][0]
-                plain = DpTable(plan.tree, tau if plan.guided_by == "sigma" else sigma)
+                plain = DpTable(table.tree, table.tau)
                 plain.reconstruct()
                 assert set(materialized_cells(table)) == set(materialized_cells(plain))
 
@@ -1050,7 +1053,8 @@ class TestTightKeys:
 
     Its tight box is the first and last position and the lowest and highest
     value of those points.  The key it was asked for then holds an alias of
-    the tight entry, stored once that entry exists.
+    the tight entry, stored once that entry exists.  A box with no point is
+    never stored: ``DpTable.cell`` answers it 0.
     """
 
     def test_aliases_equal_their_tight_entry(self):
@@ -1078,7 +1082,7 @@ class TestTightKeys:
                 stored = {cell[:5]: cell[5] for cell in materialized_cells(table)}
                 for (node, i, j, a, b), length in stored.items():
                     tight = tight_box(tau, i, j, a, b)
-                    if tight in (None, (i, j, a, b)):
+                    if tight == (i, j, a, b):
                         continue
                     where = (str(sigma), str(tau), (i, j, a, b))
                     held = stored.get((node, *tight))

@@ -1,5 +1,7 @@
 """Core types, parsing, normalization and involvement search."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -110,10 +112,15 @@ class TestFindOccurrence:
         assert occ.positions == ()
         assert not avoids(host, Pattern(()))
 
+    def test_long_pattern_does_not_recurse(self):
+        occ = find_occurrence(range(1, 3001), range(1, 1500))
+        assert occ.positions == tuple(range(1, 1500))
+
     def test_pattern_longer_than_host(self):
         assert find_occurrence(Permutation((1,)), Pattern((1, 2))) is None
 
     def test_exhaustive_agreement_small(self):
+        """Every occurrence found is the lexicographically least one."""
         for host in all_permutations(4):
             for k in range(5):
                 for pat_perm in all_permutations(k) if k else [None]:
@@ -121,10 +128,15 @@ class TestFindOccurrence:
                     got = find_occurrence(host, pat)
                     want = contains_by_enumeration(host.values, pat.values)
                     assert (got is not None) == want
-                    if got is not None:
-                        assert normalize(
-                            tuple(host.values[p - 1] for p in got)
-                        ).values == pat.values
+                    least = min(
+                        (
+                            tuple(p for p, _ in c)
+                            for c in combinations(enumerate(host.values, 1), k)
+                            if normalize(tuple(v for _, v in c)).values == pat.values
+                        ),
+                        default=None,
+                    )
+                    assert (None if got is None else got.positions) == least
 
     @given(
         st.integers(1, 8).flatmap(
