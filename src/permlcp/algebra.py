@@ -8,7 +8,7 @@ permutation.  Every result is again a valid pattern.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .perms import Pattern, PermLike, _as_values
 

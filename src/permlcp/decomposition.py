@@ -17,21 +17,14 @@ stack.  Expansion builds only the binary nodes and the copies of the nodes
 above them, so an expanded tree shares every other subtree with its
 source.  Every walk over a tree keeps its own stack, so a tree of any depth
 stays within Python's recursion limit.
-
-:class:`DecompNode` and :class:`IntervalSpan` are hand-written ``__slots__``
-classes, not frozen dataclasses, because every query builds one of each per
-tree node: a frozen dataclass sets each field through
-``object.__setattr__``, which made a leaf node cost 0.97 us to build
-against 0.20 us, and a span 0.48 us against 0.30 us (Python 3.11, x86-64).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
-from .perms import Pattern, Permutation, normalize
+from .perms import Pattern, Permutation, Record, normalize
 
 
 class NotSeparableError(ValueError):
@@ -94,8 +87,9 @@ class DecompNode:
     Nodes compare and hash by identity (trees can be large and are never
     deduplicated); use :func:`tree_to_dict` for structural comparison, on
     trees less deep than the recursion limit: ``==`` between two of its
-    results recurses, as ``pickle`` and ``copy.deepcopy`` of a node do.  The
-    repr shows the node alone, not its subtree:
+    results recurses.  ``pickle`` and ``copy.deepcopy`` of a bare node
+    recurse too, once per level; a :class:`DecompTree` pickles and copies
+    at any depth.  The repr shows the node alone, not its subtree:
 
     >>> from permlcp import parse_permutation
     >>> decomposition_tree(parse_permutation("2 4 1 3 5")).root
@@ -152,19 +146,59 @@ class DecompNode:
             stack.extend(node.children[::-1])
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class DecompTree:
+class DecompTree(Record):
     """A decomposition tree over a permutation of size ``source_size``.
 
-    ``expanded`` records whether linear nodes have been binarized.
+    ``expanded`` records whether linear nodes have been binarized.  Trees
+    compare and hash by identity, as their nodes do.  A tree pickles as a
+    flat postorder list of its nodes, so ``pickle`` and ``copy.deepcopy``
+    take a tree of any depth; ``copy.copy`` shares the root.
     """
 
-    root: DecompNode
-    source_size: int
-    expanded: bool
+    __slots__ = ("root", "source_size", "expanded")
+
+    def __init__(self, root: DecompNode, source_size: int, expanded: bool) -> None:
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "source_size", source_size)
+        object.__setattr__(self, "expanded", expanded)
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __reduce__(self):
+        # Reversed, an order that pushes each node's children in order puts
+        # every node after its subtree, children left to right.
+        nodes = []
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            span, children = node.span, node.children
+            nodes.append(
+                (node.kind, span.lo, span.hi, node.value_range, len(children), node.sign,
+                 node.label)
+            )
+            stack.extend(children)
+        nodes.reverse()
+        return _tree_from_postorder, (nodes, self.source_size, self.expanded)
+
+    def __copy__(self) -> DecompTree:
+        return DecompTree(self.root, self.source_size, self.expanded)
 
     def walk(self) -> Iterator[DecompNode]:
         return self.root.walk()
+
+
+def _tree_from_postorder(nodes: list[tuple], source_size: int, expanded: bool) -> DecompTree:
+    """The tree ``DecompTree.__reduce__`` flattened, each node built from the top of a stack."""
+    built: list[DecompNode] = []
+    for kind, lo, hi, value_range, arity, sign, label in nodes:
+        children = ()
+        if arity:
+            children = tuple(built[-arity:])
+            del built[-arity:]
+        built.append(DecompNode(kind, IntervalSpan(lo, hi), value_range, children, sign, label))
+    (root,) = built
+    return DecompTree(root, source_size, expanded)
 
 
 def common_intervals(sigma: Permutation) -> frozenset[IntervalSpan]:

@@ -94,7 +94,6 @@ docstring gives only its contract and the mechanics local to it.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .algebra import concat_rho
@@ -105,7 +104,7 @@ from .decomposition import (
     decomposition_tree,
     expand_tree,
 )
-from .perms import Occurrence, Pattern, Permutation, normalize
+from .perms import Occurrence, Pattern, Permutation, Record, normalize
 
 
 def _ranks(node: DecompNode) -> tuple[int, ...]:
@@ -164,14 +163,18 @@ def _position_cuts(hs: list[int], end: int, sizes: list[int], floor):
             yield tuple(cuts), caps.copy()
 
 
-@dataclass(frozen=True, slots=True)
-class LcpResult:
+class LcpResult(Record):
     """A longest common pattern with one occurrence in each input."""
 
-    pattern: Pattern
-    occ_sigma: Occurrence
-    occ_tau: Occurrence
-    algorithm: str
+    __slots__ = ("pattern", "occ_sigma", "occ_tau", "algorithm")
+
+    def __init__(
+        self, pattern: Pattern, occ_sigma: Occurrence, occ_tau: Occurrence, algorithm: str
+    ) -> None:
+        object.__setattr__(self, "pattern", pattern)
+        object.__setattr__(self, "occ_sigma", occ_sigma)
+        object.__setattr__(self, "occ_tau", occ_tau)
+        object.__setattr__(self, "algorithm", algorithm)
 
     @property
     def length(self) -> int:
@@ -614,16 +617,26 @@ class DpTable:
         return memo
 
 
-@dataclass(frozen=True, slots=True)
-class LcpPlan:
+class LcpPlan(Record):
     """Which input guides the dynamic program, and what each choice is predicted to cost."""
 
-    guided_by: str  # "sigma" | "tau"
-    tree: DecompTree  # expanded guiding tree
-    prime_arity: int
-    algorithm: str  # "separable" | "general"
-    cost_sigma: int | None  # predicted split reads with sigma guiding
-    cost_tau: int | None  # with tau guiding; None when that tree is never built
+    __slots__ = ("guided_by", "tree", "prime_arity", "algorithm", "cost_sigma", "cost_tau")
+
+    def __init__(
+        self,
+        guided_by: str,  # "sigma" | "tau"
+        tree: DecompTree,  # expanded guiding tree
+        prime_arity: int,
+        algorithm: str,  # "separable" | "general"
+        cost_sigma: int | None,  # predicted split reads with sigma guiding
+        cost_tau: int | None,  # with tau guiding; None when that tree is never built
+    ) -> None:
+        object.__setattr__(self, "guided_by", guided_by)
+        object.__setattr__(self, "tree", tree)
+        object.__setattr__(self, "prime_arity", prime_arity)
+        object.__setattr__(self, "algorithm", algorithm)
+        object.__setattr__(self, "cost_sigma", cost_sigma)
+        object.__setattr__(self, "cost_tau", cost_tau)
 
 
 def _guide_cost(tree: DecompTree, m: int) -> tuple[int, int]:

@@ -13,8 +13,7 @@ inputs only; the polynomial algorithms live in :mod:`permlcp.dp`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from collections.abc import Iterator, Sequence
 
 
 class PermutationError(ValueError):
@@ -35,21 +34,69 @@ def _check_one_line(values: tuple[int, ...]) -> None:
         seen[v] = True
 
 
-@dataclass(frozen=True, slots=True)
-class Permutation:
+class Record:
+    """Base of the package's read-only records: fields in ``__slots__``, compared by value.
+
+    A subclass lists its fields in ``__slots__`` and sets each one once in
+    ``__init__`` through ``object.__setattr__``; after that, assigning or
+    deleting a field raises ``AttributeError``.  Equality, hashing and
+    pickling work from the tuple of field values, so an unpickled record is
+    built, and checked, by its constructor; equality with any other class
+    is ``NotImplemented``.  The repr is ``Name(field=value, ...)``.
+
+    The records are written by hand, not as frozen dataclasses: importing
+    :mod:`dataclasses` loads ``inspect``, ``ast`` and ``dis``, 8.3-8.9 ms of
+    every start-up of the CLI, and each decorated class cost another 0.9 ms
+    (Python 3.11).  A record sets its fields through ``object.__setattr__``,
+    as a frozen dataclass does, which is cheap for the few records a query
+    builds.  :class:`DecompNode` and :class:`IntervalSpan` are not records:
+    every query builds one of each per tree node, and set that way a leaf
+    node cost 0.97 us to build against 0.20 us, and a span 0.48 us against
+    0.30 us (Python 3.11, x86-64), so they set their slots directly.
+    """
+
+    __slots__ = ()
+
+    def _field_values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r} of a read-only {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r} of a read-only {type(self).__name__}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._field_values() == other._field_values()
+
+    def __hash__(self) -> int:
+        return hash(self._field_values())
+
+    def __reduce__(self):
+        return self.__class__, self._field_values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Permutation(Record):
     """A permutation of {1..n}, n >= 1, in one-line notation.
 
     >>> str(Permutation((3, 1, 2)))
     '3 1 2'
     """
 
-    values: tuple[int, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(self.values))
-        if not self.values:
+    def __init__(self, values: tuple[int, ...]) -> None:
+        values = tuple(values)
+        if not values:
             raise PermutationError("empty input: a permutation has size >= 1")
-        _check_one_line(self.values)
+        _check_one_line(values)
+        object.__setattr__(self, "values", values)
 
     @property
     def n(self) -> int:
@@ -65,19 +112,19 @@ class Permutation:
         return " ".join(map(str, self.values))
 
 
-@dataclass(frozen=True, slots=True)
-class Pattern:
+class Pattern(Record):
     """A normalized permutation used as a pattern value; may be empty.
 
     >>> Pattern(()).length
     0
     """
 
-    values: tuple[int, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(self.values))
-        _check_one_line(self.values)
+    def __init__(self, values: tuple[int, ...]) -> None:
+        values = tuple(values)
+        _check_one_line(values)
+        object.__setattr__(self, "values", values)
 
     @property
     def length(self) -> int:
@@ -93,21 +140,21 @@ class Pattern:
         return " ".join(map(str, self.values)) if self.values else "<empty>"
 
 
-@dataclass(frozen=True, slots=True)
-class Occurrence:
+class Occurrence(Record):
     """Strictly increasing 1-based positions into a host permutation."""
 
-    positions: tuple[int, ...]
+    __slots__ = ("positions",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "positions", tuple(self.positions))
+    def __init__(self, positions: tuple[int, ...]) -> None:
+        positions = tuple(positions)
         prev = 0
-        for p in self.positions:
+        for p in positions:
             if not isinstance(p, int) or p <= prev:
                 raise PermutationError(
-                    f"positions must be strictly increasing and >= 1, got {self.positions}"
+                    f"positions must be strictly increasing and >= 1, got {positions}"
                 )
             prev = p
+        object.__setattr__(self, "positions", positions)
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -119,7 +166,7 @@ class Occurrence:
         return " ".join(map(str, self.positions))
 
 
-PermLike = Union[Permutation, Pattern, Sequence[int]]
+PermLike = Permutation | Pattern | Sequence[int]
 
 
 def _as_values(x: PermLike) -> tuple[int, ...]:

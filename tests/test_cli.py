@@ -368,6 +368,19 @@ class TestParserBehaviour:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_import_loads_no_dataclasses_or_typing(self):
+        """Without site, which may load typing itself, the import set is the package's own."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import permlcp.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'typing'} & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_missing_subcommand_is_systemexit_2(self):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -603,6 +603,21 @@ class TestDeepTrees:
         assert tree_to_permutation(tree).values == sigma.values
         assert tree_to_permutation(expanded).values == sigma.values
 
+    def test_chain_of_3000_pickles_and_copies(self):
+        """A tree pickles flat, so neither pickle nor deepcopy recurses once per level."""
+        sigma = alternating_chain(3000)
+        for tree in (decomposition_tree(sigma), expand_tree(decomposition_tree(sigma))):
+            text = tree_to_text(tree)
+            copies = [pickle.loads(pickle.dumps(tree, p)) for p in (0, pickle.HIGHEST_PROTOCOL)]
+            copies.append(copy.deepcopy(tree))
+            for again in copies:
+                assert again.root is not tree.root
+                assert (again.source_size, again.expanded) == (tree.source_size, tree.expanded)
+                assert tree_to_permutation(again) == sigma
+                assert tree_to_text(again) == text
+            shallow = copy.copy(tree)
+            assert shallow is not tree and shallow.root is tree.root
+
 
 class TestEachNodeBuiltOnce:
     """Every DecompNode the builders make is counted through a subclass put in its place."""
