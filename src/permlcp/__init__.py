@@ -2,11 +2,11 @@
 
 Exact longest-common-pattern computation guided by decomposition trees:
 polynomial when one input is separable or has bounded prime-node arity.
-The brute-force oracles that the tests check it against live in
-:mod:`permlcp.oracle`, which this package does not import.
+Its names from :mod:`permlcp.dp` and :mod:`permlcp.algebra` import their
+module on first use (PEP 562), so ``permlcp tree`` and ``check`` never compile
+the DP.  The tests' brute-force :mod:`permlcp.oracle` is never imported here.
 """
 
-from .algebra import concat_minus, concat_plus, concat_rho
 from .decomposition import (
     DecompNode,
     DecompTree,
@@ -23,7 +23,6 @@ from .decomposition import (
     tree_to_permutation,
     tree_to_text,
 )
-from .dp import DpTable, LcpPlan, LcpResult, lcp, lcp_plan
 from .perms import (
     Occurrence,
     Pattern,
@@ -69,3 +68,19 @@ __all__ = [
     "lcp",
     "lcp_plan",
 ]
+
+_DEFERRED = dict.fromkeys(("dp", "DpTable", "LcpPlan", "LcpResult", "lcp", "lcp_plan"), "dp")
+_DEFERRED |= dict.fromkeys(("algebra", "concat_plus", "concat_minus", "concat_rho"), "algebra")
+
+
+def __getattr__(name: str):
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # Given a fromlist, __import__ returns the submodule, not the package.
+    module = __import__(f"{__name__}.{_DEFERRED[name]}", fromlist=[name])
+    value = globals()[name] = module if name == _DEFERRED[name] else getattr(module, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_DEFERRED})

@@ -13,6 +13,8 @@ never changes an exit code.  Diagnostics go to stderr.
 Exit codes: 0 ok/true, 1 predicate false, 2 input error, 3 algorithm
 precondition violated, a JSON tree nested past the recursion limit or an
 internal fault.  Every error is reported as one ``error:`` line on stderr.
+Only ``lcp``, ``plan`` and ``contains`` import :mod:`permlcp.dp` (the DP),
+when they run, so this module, ``tree`` and ``check`` never compile it.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .decomposition import (
     tree_to_dot,
     tree_to_text,
 )
-from .dp import lcp, lcp_plan
 from .perms import Occurrence, Pattern, find_occurrence, parse_permutation
 
 # Prime arity at which the per-cell cost n^(2d-2) starts to hurt.
@@ -46,6 +47,7 @@ def _text(fields: dict) -> str:
 
 
 def cmd_lcp(args: argparse.Namespace) -> tuple[int, dict, str]:
+    from .dp import lcp, lcp_plan
     sigma = parse_permutation(args.sigma)
     tau = parse_permutation(args.tau)
     plan = lcp_plan(sigma, tau, args.algo)
@@ -79,6 +81,7 @@ def _cost(value: int | None) -> int | str | None:
 
 
 def cmd_plan(args: argparse.Namespace) -> tuple[int, dict, str]:
+    from .dp import lcp_plan
     plan = lcp_plan(parse_permutation(args.sigma), parse_permutation(args.tau), args.algo)
     fields = {
         "guided_by": plan.guided_by,
@@ -149,6 +152,7 @@ def cmd_check(args: argparse.Namespace) -> tuple[int, dict, str]:
 
 
 def cmd_contains(args: argparse.Namespace) -> tuple[int, dict, str]:
+    from .dp import lcp
     pattern = parse_permutation(args.pattern)
     sigma = parse_permutation(args.sigma)
     result = lcp(pattern, sigma, "auto")

@@ -20,6 +20,8 @@ from permlcp.cli import main
 from permlcp.oracle import oracle_is_simple, oracle_lcp, oracle_separable
 
 SIGMA11 = "5 1 10 9 6 7 8 11 2 4 3"
+# Only lcp, plan and contains load these: the DP and the algebra it imports.
+DP_MODULES = {"permlcp.dp", "permlcp.algebra"}
 
 
 def run(capsys, *argv):
@@ -35,6 +37,19 @@ def run_python(*args):
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
+def run_without_site(code):
+    """A fresh ``python -S`` that puts this checkout's src on sys.path, then runs code.
+
+    Without site, which may import modules itself, ``sys.modules`` holds only
+    what the interpreter and the code loaded.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = f"import sys; sys.path.insert(0, {src!r}); {code}"
+    return subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
     )
 
 
@@ -107,7 +122,7 @@ class TestLcpCommand:
         def broken(*args, **kwargs):
             raise RuntimeError("the stored lengths do not rebuild to a common pattern")
 
-        monkeypatch.setattr("permlcp.cli.lcp", broken)
+        monkeypatch.setattr("permlcp.dp.lcp", broken)  # cmd_lcp imports it when it runs
         code, out, err = run(capsys, "lcp", "2 4 1 3", "1 3 2 4")
         assert code == 3
         assert out == ""
@@ -369,17 +384,34 @@ class TestParserBehaviour:
         assert proc.stdout.strip() == "False"
 
     def test_import_loads_no_dataclasses_or_typing(self):
-        """Without site, which may load typing itself, the import set is the package's own."""
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        code = (
-            f"import sys; sys.path.insert(0, {src!r}); import permlcp.cli; "
+        proc = run_without_site(
+            "import permlcp.cli; "
             "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'typing'} & set(sys.modules)))"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize(
+        "code",
+        [
+            "import permlcp.cli",
+            "from permlcp.cli import main; main(['tree', '2 4 1 3', '--format', 'json'])",
+            "from permlcp.cli import main; main(['check', '2 4 1 3', '--separable'])",
+        ],
+        ids=["import", "tree", "check"],
+    )
+    def test_leaves_the_dp_unloaded(self, code):
+        proc = run_without_site(f"{code}; print(sorted({DP_MODULES!r} & set(sys.modules)))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
+    def test_lcp_loads_the_dp(self):
+        proc = run_without_site(
+            "from permlcp.cli import main; main(['lcp', '2 4 1 3', '1 3 2 4']); "
+            f"print(sorted({DP_MODULES!r} & set(sys.modules)))"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == str(sorted(DP_MODULES))
 
     def test_missing_subcommand_is_systemexit_2(self):
         with pytest.raises(SystemExit) as exc:
