@@ -47,7 +47,7 @@ def _text(fields: dict) -> str:
 
 
 def cmd_lcp(args: argparse.Namespace) -> tuple[int, dict, str]:
-    from .dp import lcp, lcp_plan
+    from .dp import _solve, lcp_plan
     sigma = parse_permutation(args.sigma)
     tau = parse_permutation(args.tau)
     plan = lcp_plan(sigma, tau, args.algo)
@@ -58,7 +58,7 @@ def cmd_lcp(args: argparse.Namespace) -> tuple[int, dict, str]:
             f"cost grows like n^(2*{arity}-2), this may be very slow",
             file=sys.stderr,
         )
-    result = lcp(sigma, tau, args.algo, canonical=args.canonical)
+    result = _solve(plan, sigma, tau, args.canonical)
     fields = {
         "pattern": result.pattern,
         "length": result.length,

@@ -26,10 +26,17 @@ docstring gives only its contract and the mechanics local to it.
    lexicographic order (h, then c, for a linear node).  Beside each exact
    length the table keeps the split that last raised the cell's best, the
    first in that order to reach the length.  The plain witness walks these
-   splits down from the root, so it is reproducible and runs no scan.  The
-   order runs over the expanded guide, so how ``expand_tree`` binarizes a
-   linear node can pick another plain witness among ties; no length and no
-   canonical pattern depends on it.
+   splits down from the root, so it is reproducible and runs no scan.  A
+   box of one or two points that no scan stored (rule 5) has no split, and
+   the walk places its points where the first split in scan order to reach
+   its length would.  At length 1 a linear node's children[1] takes them,
+   at a - node only the lower-valued one.  At length 2 children[1] takes
+   both if it contains their pattern; else, if the pattern is the node's
+   own (1 2 at +, 2 1 at -), the first-position point goes left and the
+   other right; else children[0] takes both.  A prime node tries its splits
+   in scan order.  The order runs over the expanded guide, so how
+   ``expand_tree`` binarizes a linear node can pick another plain witness
+   among ties; no length and no canonical pattern depends on it.
 
 4. Tie mode and canonical walk.  With ``canonical=True`` the witness is the
    lexicographically smallest pattern of maximal length.  Each box on the
@@ -46,8 +53,14 @@ docstring gives only its contract and the mechanics local to it.
    columns (their sorted values).  A scan reads no child whose bound, the
    smaller of its width and its points, with the other children's cannot
    let the split beat the best so far; no bound exceeds the cell's own, so a
-   best that meets it stops all reads.  A child with no point (0) or a leaf
-   child (its point count) is never asked for.
+   best that meets it stops all reads.  A box of k <= 2 points has a known
+   length: k when the node contains the points' pattern, else 1.  A node
+   contains 1 2 unless its leaves fall and 2 1 unless they rise, so the
+   table keeps two flags per node, set children first: a leaf has neither,
+   a prime node both, a + node 1 2, and 2 1 if a child has it, and a - node
+   the mirror case.  A linear scan takes a child's bound as its length when
+   the bound is below 2, and a child of two points from the flags, so it
+   asks for neither; a prime scan reads a leaf child from tau.
 
 6. Dominance skip.  A cell never shrinks when its window grows, so along a
    scan axis one child's length never decreases and the other's never
@@ -94,7 +107,7 @@ docstring gives only its contract and the mechanics local to it.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import accumulate
+from itertools import accumulate, combinations_with_replacement
 
 from .algebra import concat_rho
 from .decomposition import (
@@ -207,7 +220,7 @@ class DpTable:
         self._splits: dict[DecompNode, dict[int, int | tuple]] = {}
         # Per binary linear node, from its first scan on (see _linear_cell).
         self._linear: dict[DecompNode, tuple] = {}
-        self._nodes: set[DecompNode] = set()  # the guide's nodes, leaves included
+        preorder = []
         stack = [tree.root]
         while stack:
             node = stack.pop()
@@ -219,14 +232,24 @@ class DpTable:
                         f"arity {len(node.children)}"
                     )
                 self._tables[node], self._splits[node] = {}, {}
-            self._nodes.add(node)
+            preorder.append(node)
             stack.extend(node.children)
+        # Per node of the guide, leaves included: 2 if it contains 1 2, plus 1
+        # if it contains 2 1 (rule 5), children first.
+        flags = self._flags = {}
+        for node in reversed(preorder):
+            kind = node.kind
+            if kind == "linear":
+                left, right = node.children
+                flags[node] = flags[left] | flags[right] | (2 if node.sign == "+" else 1)
+            else:
+                flags[node] = 3 if kind == "prime" else 0
 
     def cell(self, node: DecompNode, i: int, j: int, a: int, b: int) -> int:
         """The exact length M(node, i, j, a, b), 1 <= i <= j <= n and 1 <= a <= b <= n."""
         if not (1 <= i <= j <= self.n and 1 <= a <= b <= self.n):
             raise ValueError(f"cell ranges out of bounds: i={i} j={j} a={a} b={b}")
-        if node not in self._nodes:
+        if node not in self._flags:
             raise ValueError("node does not belong to this table's guiding tree")
         if self._tight(i, j, a, b) is None:
             return 0
@@ -328,20 +351,25 @@ class DpTable:
         x)``, with k the children's widths, which rises by one per row, levels off
         and falls, so the rows that can beat the best form one run, from the first
         whose ``x + k_right`` passes it.  A row ends at the first column whose high
-        bound plus the low child's row bound cannot beat the best.  ``top`` is the
-        largest low length read (less one in tie mode) at a split whose high child
-        is at least as long: in the same row for a - node, and for a + node at h'
-        <= h and c' <= c, through ``seen``.
+        bound plus the low child's row bound cannot beat the best.  A child of two
+        points takes its length from its flags (rule 5).  The low child's points
+        are the last two low-side columns read; the high child's are the row's
+        last two high-side columns, found from the end of ``sides`` at its first
+        such read.  Their pattern rises when the first side is below the second at
+        a + node, and above it at a - node, whose sides are negated.  ``top`` is
+        the largest low length read (less one in tie mode) at a split whose high
+        child is at least as long: in the same row for a - node, and for a + node
+        at h' <= h and c' <= c, through ``seen``.
         """
         facts = self._linear.get(node)
         if facts is None:  # the node's first scan
             positive = node.sign == "+"
             low, high = node.children if positive else node.children[::-1]
             facts = self._linear[node] = (
-                low, high, low.span.width, high.span.width, positive, low.is_leaf, high.is_leaf,
-                self._tables.get(low), self._tables.get(high),
+                low, high, low.span.width, high.span.width, positive,
+                self._flags[low], self._flags[high], self._tables.get(low), self._tables.get(high),
             )
-        low, high, k_low, k_high, positive, low_leaf, high_leaf, low_tab, high_tab = facts
+        low, high, k_low, k_high, positive, low_flags, high_flags, low_tab, high_tab = facts
         tauv, pos = self._tauv, self._pos
         hs = [i]  # hs[x]: the cut of row x
         for h in range(i + 1, j + 2):
@@ -375,14 +403,17 @@ class DpTable:
             mk_high = P - n_low if P - n_low < k_high else k_high
             if mk_low + mk_high <= best:
                 break  # the run of rows that can beat the best is over
+            two = 0  # the high child's length while it holds two points
             low_base = ((lo_i * S + lo_j) * S + a) * S - 1  # + c: values a..c-1
             high_base = (hi_i * S + hi_j) * S * S + b  # + c * S: values c..b
             top = -1  # the largest low length (less tie) read at a split this one cannot beat
             below = 0  # the low child's points with values below c
             above = P - n_low + 1  # the high child's points from c on; column a takes the 1
+            low2 = 0  # with low1, the sides of the last two low-side columns read
             for c, side in zip(cols, sides):
                 if side < cut:
                     below += 1
+                    low1, low2 = low2, side
                 else:
                     above -= 1
                 if positive and seen[c] > top:
@@ -395,15 +426,17 @@ class DpTable:
                     if mk_low + m_high <= best:
                         break  # no later split's bound can beat the best
                     continue
-                if m_low and not low_leaf:
+                if m_low < 2:
+                    u = m_low
+                elif below == 2:
+                    u = 1 + (low_flags >> ((low1 < low2) == positive) & 1)
+                else:
                     need = best - m_high if best > m_high else 0
                     u = low_tab.get(low_base + c)
                     if u is None or u < -1 - need:
                         u = yield (low, lo_i, lo_j, a, c - 1, need)
                     elif u < 0:
                         u = -1 - u
-                else:
-                    u = m_low
                 if u <= top:
                     continue
                 top = u - tie
@@ -411,15 +444,25 @@ class DpTable:
                     seen[c] = top
                 if u + m_high <= best:
                     continue
-                if m_high and not high_leaf:
+                if m_high < 2:
+                    v = m_high
+                elif above == 2:
+                    if not two:  # its points are the row's last two high-side columns
+                        last = P
+                        while sides[last] < cut:
+                            last -= 1
+                        first = last - 1
+                        while sides[first] < cut:
+                            first -= 1
+                        two = 1 + (high_flags >> ((sides[first] < sides[last]) == positive) & 1)
+                    v = two
+                else:
                     need = best - u if best > u else 0
                     v = high_tab.get(high_base + c * S)
                     if v is None or v < -1 - need:
                         v = yield (high, hi_i, hi_j, c, b, need)
                     elif v < 0:
                         v = -1 - v
-                else:
-                    v = m_high
                 if u + v > best:
                     if tie:
                         ties.append(((i, h, j + 1), (a, c, b + 1)))
@@ -563,8 +606,10 @@ class DpTable:
                 split = memo[box][1]
             else:
                 node, i, j, a, b = box
-                cuts = self._splits[node][((i * S + j) * S + a) * S + b]
-                if node.kind == "linear":  # packed as h * S + c
+                cuts = self._splits[node].get(((i * S + j) * S + a) * S + b)
+                if cuts is None:  # a box of one or two points, never scanned
+                    cuts = self._small_split(*box)
+                elif node.kind == "linear":  # packed as h * S + c
                     h, c = divmod(cuts, S)
                     cuts = ((i, h, j + 1), (a, c, b + 1))
                 split = self._boxes(node, cuts)
@@ -578,6 +623,43 @@ class DpTable:
             Occurrence(tuple(p for p, _, _ in hits)),
             Occurrence(tuple(h for _, _, h in hits)),
         )
+
+    def _small_split(self, node: DecompNode, i: int, j: int, a: int, b: int) -> tuple:
+        """The cuts of the first split in scan order to reach the length of a small box.
+
+        The box is an internal node's tight box of one or two points, which
+        sit at positions i and j; rule 3 gives the placement.
+        """
+        tauv, flags = self._tauv, self._flags
+        rises = tauv[i - 1] < tauv[j - 1]  # False for one point
+        if node.kind == "linear":
+            positive = node.sign == "+"
+            if i == j or not flags[node] >> rises & 1:  # length 1: all to children[1],
+                h, c = i, a if positive else a + 1  # at a - node the lower point only
+            elif flags[node.children[1]] >> rises & 1:  # both to children[1]
+                h, c = i, a if positive else b + 1
+            elif rises == positive:  # the node's own pattern: one point to each child
+                h, c = i + 1, a + 1
+            else:  # both to children[0]
+                h, c = j + 1, b + 1 if positive else a
+            return (i, h, j + 1), (a, c, b + 1)
+        # Slice k of a split takes the points of rows xs[k]..xs[k + 1] - 1 whose
+        # value ranks are in zs[r - 1]..zs[r] - 1, r the child's value slice.
+        count = 1 + (i < j)
+        hs, cols = (i, i + 1, j + 1), (a, a + 1, b + 1)  # the rows and the columns
+        ranks = ((0,), (1, 0), (0, 1))[count - 1 + rises]  # the points' value ranks, by row
+        steps = combinations_with_replacement(range(count + 1), node.arity - 1)
+        cuts = [(0, *step, count) for step in steps]
+        for xs in cuts:
+            for zs in cuts:
+                total = 0
+                for k, r in enumerate(node.label.values):
+                    held = [zs[r - 1] <= ranks[x] < zs[r] for x in range(xs[k], xs[k + 1])]
+                    total += sum(held)
+                    if held == [True, True]:  # a child holding both lacking their pattern adds 1
+                        total -= not flags[node.children[k]] >> rises & 1
+                if total == count:  # a prime node contains both patterns
+                    return tuple(hs[x] for x in xs), tuple(cols[z] for z in zs)
 
     def _resolve(self, box: tuple) -> dict[tuple, tuple]:
         """Map ``box``, and every box under its splits that reach its length, to (pattern, split).
@@ -738,7 +820,11 @@ def lcp(
     >>> lcp(parse_permutation("2 4 1 3"), parse_permutation("1 3 2 4")).length
     3
     """
-    plan = lcp_plan(sigma, tau, algo)
+    return _solve(lcp_plan(sigma, tau, algo), sigma, tau, canonical)
+
+
+def _solve(plan: LcpPlan, sigma: Permutation, tau: Permutation, canonical: bool) -> LcpResult:
+    """The :func:`lcp` answer of ``plan``, which :func:`lcp_plan` made for sigma and tau."""
     guide, target = (sigma, tau) if plan.guided_by == "sigma" else (tau, sigma)
     table = DpTable(plan.tree, target)
     if not plan.tree.root.is_leaf and _may_contain(*sorted((guide, target), key=len)):

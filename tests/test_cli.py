@@ -118,11 +118,22 @@ class TestLcpCommand:
         assert out == ""
         assert "warning" in err  # diagnostics stay on stderr
 
+    def test_plans_once(self, capsys, monkeypatch):
+        """The plan that decides the arity warning is the one the command solves."""
+        import permlcp.dp
+
+        built = []
+        build = permlcp.dp.decomposition_tree
+        monkeypatch.setattr(permlcp.dp, "decomposition_tree", lambda p: built.append(p) or build(p))
+        code, out, _ = run(capsys, "lcp", "2 4 1 3", "1 3 2 4")
+        assert code == 0 and "length: 3" in out
+        assert sorted(map(str, built)) == ["1 3 2 4", "2 4 1 3"]
+
     def test_internal_error_exits_3_without_traceback(self, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("the stored lengths do not rebuild to a common pattern")
 
-        monkeypatch.setattr("permlcp.dp.lcp", broken)  # cmd_lcp imports it when it runs
+        monkeypatch.setattr("permlcp.dp.DpTable.reconstruct", broken)
         code, out, err = run(capsys, "lcp", "2 4 1 3", "1 3 2 4")
         assert code == 3
         assert out == ""

@@ -85,6 +85,7 @@ class TestIntervalSpan:
         with pytest.raises(AttributeError):
             span.extra = 0
         assert (span.lo, span.hi, span.width, str(span)) == (2, 5, 4, "2-5")
+        assert repr(span) == "IntervalSpan(lo=2, hi=5)"
 
     def test_pickles_and_copies_equal(self):
         span = IntervalSpan(3, 7)
@@ -118,6 +119,12 @@ class TestDecompNode:
             "DecompTree(root=<DecompNode linear sign='+' span=1-7 value_range=(1, 7) arity=3>, "
             "source_size=7, expanded=False)"
         )
+
+    def test_leaf_value_only_on_leaves(self):
+        root = decomposition_tree(parse_permutation("2 1 3")).root
+        assert [c.leaf_value for c in root.children[0].children] == [2, 1]
+        with pytest.raises(ValueError, match="leaf_value on internal node"):
+            root.leaf_value
 
     def test_repr_of_a_3000_deep_chain_is_short(self):
         tree = decomposition_tree(alternating_chain(3000))
@@ -489,6 +496,8 @@ class TestTreeFromNested:
             tree_from_nested(((2, 1), 2, 1))  # and any two children
         with pytest.raises(Exception):
             tree_from_nested(("+", 1, 1))  # duplicate leaf value
+        with pytest.raises(ValueError, match="at least 2 children"):
+            tree_from_nested(("+", 1))
 
 
 class TestExports:

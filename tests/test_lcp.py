@@ -598,9 +598,11 @@ class TestCellsMatchOracle:
             sigma = random_permutation(rng, rng.randint(5, 10))
             if lcp_plan(sigma, sigma).prime_arity:
                 guides.append(sigma)
+        pairs = [(sigma, random_permutation(rng, rng.randint(7, 12))) for sigma in guides]
+        more = random.Random(36)  # its own seed, so the pairs above keep their draws
+        pairs += [(random_separable(more, 12), random_permutation(more, 12)) for _ in range(4)]
         checked = bounds = 0
-        for sigma in guides:
-            tau = random_permutation(rng, rng.randint(7, 12))
+        for sigma, tau in pairs:
             table = DpTable(lcp_plan(sigma, tau, "general").tree, tau)
             table.reconstruct(canonical=True)
             for node, i, j, a, b, entry in materialized_cells(table):
@@ -697,14 +699,15 @@ class TestCellCounts:
     def test_separable_twenty_pair_stores_no_leaf_entry(self):
         """A linear scan takes a leaf child's length from its point count and stores no entry for it.
 
-        Reading leaf children through the table, the plain walk stored the
-        same 637 linear entries and 49 leaf entries besides.
+        It answers a child of two points from the flags too.  Reading those
+        through the table, the plain walk stored 637 linear entries; reading
+        leaf children through it as well, 49 leaf entries besides.
         """
         sigma, tau = self._smoke_pair()
         table = DpTable(lcp_plan(sigma, tau, "separable").tree, tau)
         table.reconstruct()
         kinds = Counter(cell[0].kind for cell in materialized_cells(table))
-        assert kinds == {"linear": 637}
+        assert kinds == {"linear": 452}
 
     def test_prime_guides_store_no_leaf_entry(self):
         """A prime scan reads a leaf child's length from tau, so no walk stores a leaf entry.
@@ -785,16 +788,18 @@ class TestCellCounts:
         assert occ_tau.positions == (1, 5, 6, 7, 8)
 
     def test_arity_seven_pair_entries(self):
-        """The pair stores 83 entries plain and 121 canonical.
+        """The pair stores 80 entries plain and 118 canonical.
 
-        Reading leaf children through the table, it stored 773 and 903; with
-        the plain walk replaying each scan, 246 and 293; reading an internal
-        child of a value slice before bounding it, 187 and 225.
+        Reading linear nodes' children of one or two points through the
+        table, it stored 83 and 121; reading leaf children through it, 773
+        and 903; with the plain walk replaying each scan, 246 and 293;
+        reading an internal child of a value slice before bounding it, 187
+        and 225.
         """
         sigma = parse_permutation("9 7 4 8 3 5 2 1 6")
         tau = parse_permutation("5 2 4 1 8 3 6 7 9")
-        assert self._cells(sigma, tau, "general") <= 83
-        assert self._cells(sigma, tau, "general", canonical=True) <= 121
+        assert self._cells(sigma, tau, "general") <= 80
+        assert self._cells(sigma, tau, "general", canonical=True) <= 118
 
     def test_small_guide_large_target_canonical(self):
         """Tied sub-boxes share their tight key, so the canonical walk resolves each once.
@@ -1173,9 +1178,11 @@ class TestTieMode:
                 rng.shuffle(blocks)
                 join = rng.choice((concat_plus, concat_minus))
                 guides.append(Permutation(join(*blocks).values))
+        pairs = [(sigma, random_permutation(rng, rng.randint(3, 7))) for sigma in guides]
+        more = random.Random(36)  # its own seed, so the pairs above keep their draws
+        pairs += [(random_separable(more, 7), random_permutation(more, 7)) for _ in range(20)]
         signs, arities, checked, stored = set(), set(), 0, 0
-        for sigma in guides:
-            tau = random_permutation(rng, rng.randint(3, 7))
+        for sigma, tau in pairs:
             table = DpTable(lcp_plan(sigma, tau, "general").tree, tau)
             table.reconstruct()
             S = table._S
@@ -1204,6 +1211,87 @@ class TestTieMode:
                 checked += 1
         assert signs >= {"+", "-"} and arities >= {2, 4, 5}
         assert checked > 500 and stored > 400
+
+
+class TestSmallBoxes:
+    """A box of one or two points is answered from its point count and two flags per node.
+
+    A linear scan reads such a child from the flags, so the table stores no
+    entry for it, and the plain walk places its points where the first split
+    in scan order would (rules 3 and 5).
+    """
+
+    @staticmethod
+    def _small_boxes():
+        """Yield (sigma, table, node, box, held) for each tight box of 1 <= held <= 2 points, per node.
+
+        The guides are separable, or simple of arity 4-5 joined to a small
+        block by + or -, so prime nodes sit below the root.
+        """
+        rng = random.Random(36)
+        guides = [random_separable(rng, rng.randint(3, 8)) for _ in range(12)]
+        while len(guides) < 24:
+            simple = random_permutation(rng, rng.randint(4, 5))
+            if lcp_plan(simple, simple).prime_arity in (4, 5):
+                blocks = [simple, random_separable(rng, rng.randint(1, 2))]
+                rng.shuffle(blocks)
+                join = rng.choice((concat_plus, concat_minus))
+                guides.append(Permutation(join(*blocks).values))
+        for sigma in guides:
+            tau = random_permutation(rng, rng.randint(3, 7))
+            table = DpTable(lcp_plan(sigma, tau, "general").tree, tau)
+            points = list(enumerate(tau.values, 1))
+            boxes = []
+            for (p, v), (q, w) in combinations_with_replacement(points, 2):
+                box = (p, q, min(v, w), max(v, w))
+                held = sum(1 for x, y in points if p <= x <= q and box[2] <= y <= box[3])
+                if held == 1 + (p < q):
+                    boxes.append((box, held))
+            for node in table.tree.walk():
+                if not node.is_leaf:
+                    for box, held in boxes:
+                        yield sigma, table, node, box, held
+
+    def test_lengths_match_the_oracle(self):
+        seen = Counter()
+        for sigma, table, node, (i, j, a, b), held in self._small_boxes():
+            rises = table.tau.values[i - 1] < table.tau.values[j - 1]
+            length = held if held == 1 else 1 + (table._flags[node] >> rises & 1)
+            assert length == oracle_cell(sigma, table.tau, node, i, j, a, b), (
+                str(sigma), str(table.tau), node.span, (i, j, a, b)
+            )
+            seen[node.kind, node.sign, held, length] += 1
+        for sign in "+-":
+            assert {("linear", sign, 1, 1), ("linear", sign, 2, 1)} <= set(seen)
+            assert ("linear", sign, 2, 2) in seen
+        assert {("prime", None, 1, 1), ("prime", None, 2, 2)} <= set(seen)
+
+    def test_walk_places_as_the_first_tie(self):
+        """The walk places a box with no stored split as the first split a tie-mode scan lists."""
+        arities, checked = set(), 0
+        for sigma, table, node, box, _ in self._small_boxes():
+            length = table.cell(node, *box)
+            scan = table._linear_cell if node.kind == "linear" else table._prime_cell
+            ties = []
+            table._run(scan(node, *box, length - 1, ties))
+            where = (str(sigma), str(table.tau), node.span, box)
+            assert table._small_split(node, *box) == ties[0], where
+            arities.add(node.arity)
+            checked += 1
+        assert arities >= {2, 4, 5} and checked > 1000
+
+    def test_linear_scans_store_no_small_box(self):
+        """No linear node's child is asked for a box of fewer than three points."""
+        rng = random.Random(37)
+        for _ in range(12):
+            sigma, tau = random_separable(rng, 10), random_permutation(rng, 10)
+            table = DpTable(lcp_plan(sigma, tau, "separable").tree, tau)
+            table.reconstruct()
+            for node, i, j, a, b, _ in materialized_cells(table):
+                if node is not table.tree.root:
+                    box = table._tight(i, j, a, b)
+                    held = sum(1 for v in tau.values[box[0] - 1 : box[1]] if box[2] <= v <= box[3])
+                    assert held > 2, (str(sigma), str(tau), node.span, box)
 
 
 class TestTightBoxes:
