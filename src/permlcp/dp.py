@@ -26,15 +26,16 @@ docstring gives only its contract and the mechanics local to it.
    lexicographic order (h, then c, for a linear node).  Beside each exact
    length the table keeps the split that last raised the cell's best, the
    first in that order to reach the length.  The plain witness walks these
-   splits down from the root, so it is reproducible and runs no scan.  A
+   splits down from the root, so it is reproducible and stores nothing.  A
    box of one or two points that no scan stored (rule 5) has no split, and
    the walk places its points where the first split in scan order to reach
    its length would.  At length 1 a linear node's children[1] takes them,
    at a - node only the lower-valued one.  At length 2 children[1] takes
    both if it contains their pattern; else, if the pattern is the node's
    own (1 2 at +, 2 1 at -), the first-position point goes left and the
-   other right; else children[0] takes both.  A prime node tries its splits
-   in scan order.  The order runs over the expanded guide, so how
+   other right; else children[0] takes both.  At a prime node it is the
+   first split the box's own scan lists in tie mode (rule 4), the one scan
+   the walk runs.  The order runs over the expanded guide, so how
    ``expand_tree`` binarizes a linear node can pick another plain witness
    among ties; no length and no canonical pattern depends on it.
 
@@ -60,7 +61,9 @@ docstring gives only its contract and the mechanics local to it.
    a prime node both, a + node 1 2, and 2 1 if a child has it, and a - node
    the mirror case.  A linear scan takes a child's bound as its length when
    the bound is below 2, and a child of two points from the flags, so it
-   asks for neither; a prime scan reads a leaf child from tau.
+   asks for neither; ``cell``, tie scans and the canonical walk read every
+   box of at most two points so.  A prime fill scan reads a leaf child from
+   tau, and scans and stores its other children of one or two points.
 
 6. Dominance skip.  A cell never shrinks when its window grows, so along a
    scan axis one child's length never decreases and the other's never
@@ -107,7 +110,7 @@ docstring gives only its contract and the mechanics local to it.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import accumulate, combinations_with_replacement
+from itertools import accumulate
 
 from .algebra import concat_rho
 from .decomposition import (
@@ -251,12 +254,22 @@ class DpTable:
             raise ValueError(f"cell ranges out of bounds: i={i} j={j} a={a} b={b}")
         if node not in self._flags:
             raise ValueError("node does not belong to this table's guiding tree")
-        if self._tight(i, j, a, b) is None:
-            return 0
-        return 1 if node.is_leaf else self._cell(node, i, j, a, b)
+        return self._length(node, i, j, a, b)
 
     def root_cell(self) -> int:
         return self.cell(self.tree.root, 1, self.n, 1, self.n)
+
+    def _length(self, node: DecompNode, i: int, j: int, a: int, b: int, floor: int = 0) -> int:
+        """Read a box as :meth:`_cell` does, but one of at most two points as rule 5 says."""
+        tauv, held = self._tauv, []
+        for p in range(i - 1, j):
+            if a <= tauv[p] <= b:
+                if len(held) == 2 and not node.is_leaf:
+                    return self._cell(node, i, j, a, b, floor)  # a third point
+                held.append(tauv[p])
+        if len(held) < 2:
+            return len(held)
+        return 1 + (self._flags[node] >> (held[0] < held[1]) & 1)  # a leaf's flags are 0
 
     def _cell(self, node: DecompNode, i: int, j: int, a: int, b: int, floor: int = 0) -> int:
         """A box's length if above ``floor``, else a bound of at most ``floor``.
@@ -305,12 +318,12 @@ class DpTable:
             idx = ((i * S + j) * S + a) * S + b
 
     def _run(self, scan):
-        """Drive a tie-mode scan to its end, reading each box it yields under its tight key."""
+        """Drive a tie-mode scan to its end, reading each box it yields through :meth:`_length`."""
         length = None
         try:
             while True:
                 node, i, j, a, b, floor = scan.send(length)
-                length = self._cell(node, *self._tight(i, j, a, b), floor)
+                length = self._length(node, *self._tight(i, j, a, b), floor)
         except StopIteration as done:
             return done.value
 
@@ -607,7 +620,7 @@ class DpTable:
             else:
                 node, i, j, a, b = box
                 cuts = self._splits[node].get(((i * S + j) * S + a) * S + b)
-                if cuts is None:  # a box of one or two points, never scanned
+                if cuts is None:  # a box of one or two points, never stored
                     cuts = self._small_split(*box)
                 elif node.kind == "linear":  # packed as h * S + c
                     h, c = divmod(cuts, S)
@@ -630,36 +643,22 @@ class DpTable:
         The box is an internal node's tight box of one or two points, which
         sit at positions i and j; rule 3 gives the placement.
         """
+        if node.kind == "prime":
+            ties: list[tuple] = []
+            self._run(self._prime_cell(node, i, j, a, b, self._length(node, i, j, a, b) - 1, ties))
+            return ties[0]
         tauv, flags = self._tauv, self._flags
         rises = tauv[i - 1] < tauv[j - 1]  # False for one point
-        if node.kind == "linear":
-            positive = node.sign == "+"
-            if i == j or not flags[node] >> rises & 1:  # length 1: all to children[1],
-                h, c = i, a if positive else a + 1  # at a - node the lower point only
-            elif flags[node.children[1]] >> rises & 1:  # both to children[1]
-                h, c = i, a if positive else b + 1
-            elif rises == positive:  # the node's own pattern: one point to each child
-                h, c = i + 1, a + 1
-            else:  # both to children[0]
-                h, c = j + 1, b + 1 if positive else a
-            return (i, h, j + 1), (a, c, b + 1)
-        # Slice k of a split takes the points of rows xs[k]..xs[k + 1] - 1 whose
-        # value ranks are in zs[r - 1]..zs[r] - 1, r the child's value slice.
-        count = 1 + (i < j)
-        hs, cols = (i, i + 1, j + 1), (a, a + 1, b + 1)  # the rows and the columns
-        ranks = ((0,), (1, 0), (0, 1))[count - 1 + rises]  # the points' value ranks, by row
-        steps = combinations_with_replacement(range(count + 1), node.arity - 1)
-        cuts = [(0, *step, count) for step in steps]
-        for xs in cuts:
-            for zs in cuts:
-                total = 0
-                for k, r in enumerate(node.label.values):
-                    held = [zs[r - 1] <= ranks[x] < zs[r] for x in range(xs[k], xs[k + 1])]
-                    total += sum(held)
-                    if held == [True, True]:  # a child holding both lacking their pattern adds 1
-                        total -= not flags[node.children[k]] >> rises & 1
-                if total == count:  # a prime node contains both patterns
-                    return tuple(hs[x] for x in xs), tuple(cols[z] for z in zs)
+        positive = node.sign == "+"
+        if i == j or not flags[node] >> rises & 1:  # length 1: all to children[1],
+            h, c = i, a if positive else a + 1  # at a - node the lower point only
+        elif flags[node.children[1]] >> rises & 1:  # both to children[1]
+            h, c = i, a if positive else b + 1
+        elif rises == positive:  # the node's own pattern: one point to each child
+            h, c = i + 1, a + 1
+        else:  # both to children[0]
+            h, c = j + 1, b + 1 if positive else a
+        return (i, h, j + 1), (a, c, b + 1)
 
     def _resolve(self, box: tuple) -> dict[tuple, tuple]:
         """Map ``box``, and every box under its splits that reach its length, to (pattern, split).
@@ -680,7 +679,7 @@ class DpTable:
             if splits is None:
                 ties: list[tuple] = []
                 scan = self._linear_cell if node.kind == "linear" else self._prime_cell
-                self._run(scan(*top, self._cell(*top) - 1, ties))
+                self._run(scan(*top, self._length(*top) - 1, ties))
                 if not ties:
                     raise RuntimeError("no split reaches the stored length")
                 splits = [self._boxes(node, cuts) for cuts in ties]
@@ -827,8 +826,8 @@ def _solve(plan: LcpPlan, sigma: Permutation, tau: Permutation, canonical: bool)
     """The :func:`lcp` answer of ``plan``, which :func:`lcp_plan` made for sigma and tau."""
     guide, target = (sigma, tau) if plan.guided_by == "sigma" else (tau, sigma)
     table = DpTable(plan.tree, target)
-    if not plan.tree.root.is_leaf and _may_contain(*sorted((guide, target), key=len)):
-        table._cell(plan.tree.root, 1, target.n, 1, target.n, min(guide.n, target.n) - 1)
+    if _may_contain(*sorted((guide, target), key=len)):
+        table._length(plan.tree.root, 1, target.n, 1, target.n, min(guide.n, target.n) - 1)
     pattern, occ_guide, occ_target = table.reconstruct(canonical=canonical)
     if plan.guided_by == "sigma":
         return LcpResult(pattern, occ_guide, occ_target, plan.algorithm)

@@ -386,8 +386,14 @@ class TestTableProperties:
             if lcp_plan(sigma, sigma).prime_arity in (4, 5):
                 pairs.append((sigma, random_permutation(rng, rng.randint(4, 8))))
 
-        def no_scan(*args):
-            raise AssertionError("the plain walk ran a scan")
+        scans = []  # (scan, tie mode, points in the box) of each scan the walk runs
+
+        def recorder(scan):
+            def record(node, i, j, a, b, floor=0, ties=None):
+                held = sum(1 for v in tau.values[i - 1 : j] if a <= v <= b)
+                scans.append((scan.__name__, ties is not None, held))
+                return scan(node, i, j, a, b, floor, ties)
+            return record
 
         for sigma, tau in pairs:
             tree = lcp_plan(sigma, tau, "general").tree
@@ -395,9 +401,14 @@ class TestTableProperties:
             table.root_cell()
             memos = {id(m): m for m in table._tables.values()}.values()
             before = sum(map(len, memos))
-            table._linear_cell = table._prime_cell = no_scan  # the walk reads the stored splits
+            table._linear_cell = recorder(table._linear_cell)
+            table._prime_cell = recorder(table._prime_cell)
             assert table.reconstruct() == DpTable(tree, tau).reconstruct()
             assert sum(map(len, memos)) == before
+        # The walk reads the stored splits, and places an unstored prime box by its tie scan.
+        assert scans and all(
+            name == "_prime_cell" and tie and held <= 2 for name, tie, held in scans
+        ), scans
 
     def test_table_freed_without_cycle_collector(self):
         tau = parse_permutation("3 1 4 2 5")
@@ -1281,17 +1292,26 @@ class TestSmallBoxes:
         assert arities >= {2, 4, 5} and checked > 1000
 
     def test_linear_scans_store_no_small_box(self):
-        """No linear node's child is asked for a box of fewer than three points."""
+        """No linear scan, and no walk, plain or canonical, stores a box of fewer than three points."""
         rng = random.Random(37)
         for _ in range(12):
             sigma, tau = random_separable(rng, 10), random_permutation(rng, 10)
-            table = DpTable(lcp_plan(sigma, tau, "separable").tree, tau)
-            table.reconstruct()
-            for node, i, j, a, b, _ in materialized_cells(table):
-                if node is not table.tree.root:
-                    box = table._tight(i, j, a, b)
-                    held = sum(1 for v in tau.values[box[0] - 1 : box[1]] if box[2] <= v <= box[3])
-                    assert held > 2, (str(sigma), str(tau), node.span, box)
+            for canonical in (False, True):
+                table = DpTable(lcp_plan(sigma, tau, "separable").tree, tau)
+                table.reconstruct(canonical=canonical)
+                for node, i, j, a, b, _ in materialized_cells(table):
+                    if node is not table.tree.root:
+                        box = table._tight(i, j, a, b)
+                        held = sum(1 for v in tau.values[box[0] - 1 : box[1]] if box[2] <= v <= box[3])
+                        assert held > 2, (str(sigma), str(tau), canonical, node.span, box)
+
+    def test_cell_reads_a_two_point_box_from_the_flags(self):
+        """``cell`` answers a box of two points from the node's flags, and stores nothing."""
+        tree = expand_tree(decomposition_tree(parse_permutation("2 1 3")))
+        table = DpTable(tree, parse_permutation("1 2 3"))
+        assert table.cell(table.tree.root, 1, 2, 1, 2) == 2  # the + root contains 1 2
+        assert table.cell(table.tree.root.children[0], 1, 2, 1, 2) == 1  # the - child does not
+        assert list(materialized_cells(table)) == []
 
 
 class TestTightBoxes:
