@@ -15,7 +15,8 @@ The tree is built in one left-to-right stack pass that builds each node
 once: a linear node grows its child list in place while it is open on the
 stack.  Expansion builds only the binary nodes and the copies of the nodes
 above them, so an expanded tree shares every other subtree with its
-source.  Every walk over a tree keeps its own stack, so a tree of any depth
+source.  Every walk over a tree keeps its own stack, and the bottom-up
+passes share one children-first list of the nodes, so a tree of any depth
 stays within Python's recursion limit.
 """
 
@@ -31,11 +32,8 @@ class NotSeparableError(ValueError):
     """A separable-only operation was given a permutation with prime structure."""
 
 
-class IntervalSpan:
-    """Inclusive 1-based position interval [lo, hi]; read-only.
-
-    Spans compare and hash by value, so they can live in sets.
-    """
+class IntervalSpan(Record):
+    """Inclusive 1-based position interval [lo, hi]; a record, so spans can live in sets."""
 
     __slots__ = ("lo", "hi")
 
@@ -45,26 +43,6 @@ class IntervalSpan:
         _set_lo(self, lo)
         _set_hi(self, hi)
 
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of a read-only IntervalSpan")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of a read-only IntervalSpan")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.lo == other.lo and self.hi == other.hi
-
-    def __hash__(self) -> int:
-        return hash((self.lo, self.hi))
-
-    def __reduce__(self):
-        return IntervalSpan, (self.lo, self.hi)
-
-    def __repr__(self) -> str:
-        return f"IntervalSpan(lo={self.lo!r}, hi={self.hi!r})"
-
     @property
     def width(self) -> int:
         return self.hi - self.lo + 1
@@ -73,7 +51,7 @@ class IntervalSpan:
         return f"{self.lo}-{self.hi}"
 
 
-# The slots' own setters, which IntervalSpan.__setattr__ does not see.
+# The slots' own setters, which Record.__setattr__ does not see.
 _set_lo, _set_hi = IntervalSpan.lo.__set__, IntervalSpan.hi.__set__
 
 
@@ -87,9 +65,9 @@ class DecompNode:
     Nodes compare and hash by identity (trees can be large and are never
     deduplicated); use :func:`tree_to_dict` for structural comparison, on
     trees less deep than the recursion limit: ``==`` between two of its
-    results recurses.  ``pickle`` and ``copy.deepcopy`` of a bare node
-    recurse too, once per level; a :class:`DecompTree` pickles and copies
-    at any depth.  The repr shows the node alone, not its subtree:
+    results recurses.  A node pickles as a flat postorder list of its
+    subtree, so ``pickle`` and ``copy`` take a node, or a tree, of any
+    depth.  The repr shows the node alone, not its subtree:
 
     >>> from permlcp import parse_permutation
     >>> decomposition_tree(parse_permutation("2 4 1 3 5")).root
@@ -145,14 +123,44 @@ class DecompNode:
             yield node
             stack.extend(node.children[::-1])
 
+    def __reduce__(self):
+        nodes = [
+            (n.kind, n.span.lo, n.span.hi, n.value_range, len(n.children), n.sign, n.label)
+            for n in _postorder(self)
+        ]
+        return _from_postorder, (nodes,)
+
+
+def _postorder(root: DecompNode) -> list[DecompNode]:
+    """The nodes under ``root``, each after its subtree, children left to right."""
+    # Reversed: a preorder that visits each node's children last first.
+    order, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(node.children)
+    return order[::-1]
+
+
+def _from_postorder(nodes: list[tuple]) -> DecompNode:
+    """The subtree ``DecompNode.__reduce__`` flattened, each node built from the top of a stack."""
+    built: list[DecompNode] = []
+    for kind, lo, hi, value_range, arity, sign, label in nodes:
+        children = ()
+        if arity:
+            children = tuple(built[-arity:])
+            del built[-arity:]
+        built.append(DecompNode(kind, IntervalSpan(lo, hi), value_range, children, sign, label))
+    (root,) = built
+    return root
+
 
 class DecompTree(Record):
     """A decomposition tree over a permutation of size ``source_size``.
 
     ``expanded`` records whether linear nodes have been binarized.  Trees
-    compare and hash by identity, as their nodes do.  A tree pickles as a
-    flat postorder list of its nodes, so ``pickle`` and ``copy.deepcopy``
-    take a tree of any depth; ``copy.copy`` shares the root.
+    compare and hash by identity, as their nodes do; ``copy.copy`` shares
+    the root.
     """
 
     __slots__ = ("root", "source_size", "expanded")
@@ -165,40 +173,8 @@ class DecompTree(Record):
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __reduce__(self):
-        # Reversed, an order that pushes each node's children in order puts
-        # every node after its subtree, children left to right.
-        nodes = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            span, children = node.span, node.children
-            nodes.append(
-                (node.kind, span.lo, span.hi, node.value_range, len(children), node.sign,
-                 node.label)
-            )
-            stack.extend(children)
-        nodes.reverse()
-        return _tree_from_postorder, (nodes, self.source_size, self.expanded)
-
-    def __copy__(self) -> DecompTree:
-        return DecompTree(self.root, self.source_size, self.expanded)
-
     def walk(self) -> Iterator[DecompNode]:
         return self.root.walk()
-
-
-def _tree_from_postorder(nodes: list[tuple], source_size: int, expanded: bool) -> DecompTree:
-    """The tree ``DecompTree.__reduce__`` flattened, each node built from the top of a stack."""
-    built: list[DecompNode] = []
-    for kind, lo, hi, value_range, arity, sign, label in nodes:
-        children = ()
-        if arity:
-            children = tuple(built[-arity:])
-            del built[-arity:]
-        built.append(DecompNode(kind, IntervalSpan(lo, hi), value_range, children, sign, label))
-    (root,) = built
-    return DecompTree(root, source_size, expanded)
 
 
 def common_intervals(sigma: Permutation) -> frozenset[IntervalSpan]:
@@ -331,16 +307,9 @@ def expand_tree(tree: DecompTree) -> DecompTree:
     """
     if tree.expanded:
         raise ValueError("tree is already expanded")
-    # Children pushed in order pop last first, so reversed, the order puts
-    # each node after its subtree with its last child's result on top.
-    order = []
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        stack.extend(node.children)
+    # In postorder, a node's children's results are the top of the stack.
     results: list[DecompNode] = []
-    for node in reversed(order):
+    for node in _postorder(tree.root):
         d = len(node.children)
         if not d:
             results.append(node)
@@ -385,9 +354,9 @@ def tree_to_permutation(tree: DecompTree) -> Permutation:
     then top down, give each node's children consecutive blocks of values
     in the order their sign or label ranks them.
     """
-    order = list(tree.walk())
+    order = _postorder(tree.root)
     size: dict[DecompNode, int] = {}
-    for node in reversed(order):
+    for node in order:
         if node.is_leaf:
             size[node] = 1
             continue
@@ -405,7 +374,7 @@ def tree_to_permutation(tree: DecompTree) -> Permutation:
         size[node] = sum(size[child] for child in node.children)
     low = {tree.root: 0}
     values = []
-    for node in order:  # preorder meets the leaves left to right
+    for node in reversed(order):  # parents first, leaves right to left
         base = low[node]
         if node.is_leaf:
             values.append(base + 1)
@@ -419,7 +388,7 @@ def tree_to_permutation(tree: DecompTree) -> Permutation:
         for child in children:
             low[child] = base
             base += size[child]
-    return Permutation(tuple(values))
+    return Permutation(tuple(values[::-1]))
 
 
 def tree_from_nested(spec) -> DecompTree:
@@ -435,16 +404,24 @@ def tree_from_nested(spec) -> DecompTree:
     constructing alternative separating trees, which are not unique.
     """
     next_pos = 0
-
-    def build(s) -> DecompNode:
-        nonlocal next_pos
-        if isinstance(s, int):
-            next_pos += 1
-            return DecompNode("leaf", IntervalSpan(next_pos, next_pos), (s, s))
-        head, children_spec = s[0], s[1:]
-        if len(children_spec) < 2:
-            raise ValueError("internal node needs at least 2 children")
-        children = tuple(build(c) for c in children_spec)
+    # Frames: (head, children's specs, children built); the bottom one holds the root.
+    stack = [(None, (spec,), [])]
+    while True:
+        head, specs, children = stack[-1]
+        if len(children) < len(specs):
+            s = specs[len(children)]
+            if isinstance(s, int):
+                next_pos += 1
+                children.append(DecompNode("leaf", IntervalSpan(next_pos, next_pos), (s, s)))
+            else:
+                head, children_spec = s[0], s[1:]
+                if len(children_spec) < 2:
+                    raise ValueError("internal node needs at least 2 children")
+                stack.append((head, children_spec, []))
+            continue
+        stack.pop()
+        if not stack:
+            break
         span = IntervalSpan(children[0].span.lo, children[-1].span.hi)
         lo = min(c.value_range[0] for c in children)
         hi = max(c.value_range[1] for c in children)
@@ -457,17 +434,16 @@ def tree_from_nested(spec) -> DecompTree:
                 raise ValueError(
                     f"children value ranges are not {'increasing' if head == '+' else 'decreasing'}"
                 )
-            return DecompNode("linear", span, (lo, hi), children, sign=head)
-        if order.values != tuple(head) or order.values in (up, up[::-1]):
+            node = DecompNode("linear", span, (lo, hi), tuple(children), sign=head)
+        elif order.values != tuple(head) or order.values in (up, up[::-1]):
             raise ValueError(f"prime label {head} is monotone or not the children's value order")
-        return DecompNode("prime", span, (lo, hi), children, label=order)
-
-    root = build(spec)
+        else:
+            node = DecompNode("prime", span, (lo, hi), tuple(children), label=order)
+        stack[-1][2].append(node)
+    (root,) = children
     leaves = tuple(n.leaf_value for n in root.walk() if n.is_leaf)
     Permutation(leaves)  # validates the leaf decoration
-    expanded = all(
-        n.kind != "linear" or n.arity == 2 for n in root.walk()
-    )
+    expanded = all(n.kind != "linear" or n.arity == 2 for n in root.walk())
     return DecompTree(root, len(leaves), expanded=expanded)
 
 

@@ -117,6 +117,7 @@ from .decomposition import (
     DecompNode,
     DecompTree,
     NotSeparableError,
+    _postorder,
     decomposition_tree,
     expand_tree,
 )
@@ -223,30 +224,23 @@ class DpTable:
         self._splits: dict[DecompNode, dict[int, int | tuple]] = {}
         # Per binary linear node, from its first scan on (see _linear_cell).
         self._linear: dict[DecompNode, tuple] = {}
-        preorder = []
-        stack = [tree.root]
-        while stack:
-            node = stack.pop()
-            kind = node.kind
-            if kind != "leaf":
-                if kind == "linear" and len(node.children) != 2:
-                    raise ValueError(
-                        "guiding tree must be expanded: found a linear node of "
-                        f"arity {len(node.children)}"
-                    )
-                self._tables[node], self._splits[node] = {}, {}
-            preorder.append(node)
-            stack.extend(node.children)
         # Per node of the guide, leaves included: 2 if it contains 1 2, plus 1
         # if it contains 2 1 (rule 5), children first.
         flags = self._flags = {}
-        for node in reversed(preorder):
-            kind = node.kind
+        for node in _postorder(tree.root):
+            kind, children = node.kind, node.children
             if kind == "linear":
-                left, right = node.children
+                if len(children) != 2:
+                    raise ValueError(
+                        "guiding tree must be expanded: found a linear node of "
+                        f"arity {len(children)}"
+                    )
+                left, right = children
                 flags[node] = flags[left] | flags[right] | (2 if node.sign == "+" else 1)
             else:
                 flags[node] = 3 if kind == "prime" else 0
+            if kind != "leaf":
+                self._tables[node], self._splits[node] = {}, {}
 
     def cell(self, node: DecompNode, i: int, j: int, a: int, b: int) -> int:
         """The exact length M(node, i, j, a, b), 1 <= i <= j <= n and 1 <= a <= b <= n."""
@@ -730,18 +724,14 @@ def _guide_cost(tree: DecompTree, m: int) -> tuple[int, int]:
     (59778, 4)
     """
     links = prime = arity = 0  # child links below linear nodes, prime nodes' sum, largest arity
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
+    for node in _postorder(tree.root):
         kind = node.kind
         if kind == "linear":
             links += len(node.children) - 1
         elif kind == "prime":
             d = len(node.children)
             prime += m ** (2 * d + 2)
-            if d > arity:
-                arity = d
-        stack.extend(node.children)
+            arity = max(arity, d)
     return links * m**6 + prime, arity
 
 

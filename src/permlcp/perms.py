@@ -48,11 +48,11 @@ class Record:
     :mod:`dataclasses` loads ``inspect``, ``ast`` and ``dis``, 8.3-8.9 ms of
     every start-up of the CLI, and each decorated class cost another 0.9 ms
     (Python 3.11).  A record sets its fields through ``object.__setattr__``,
-    as a frozen dataclass does, which is cheap for the few records a query
-    builds.  :class:`DecompNode` and :class:`IntervalSpan` are not records:
-    every query builds one of each per tree node, and set that way a leaf
-    node cost 0.97 us to build against 0.20 us, and a span 0.48 us against
-    0.30 us (Python 3.11, x86-64), so they set their slots directly.
+    as a frozen dataclass does, or through its slots' own setters.
+    :class:`DecompNode` is the one value type that is not a record: a tree
+    builds one per node, and set that way a leaf node cost 0.97 us to build
+    against 0.20 us (Python 3.11, x86-64), so nodes set their slots
+    directly, compare by identity and pickle their subtree flat.
     """
 
     __slots__ = ()
@@ -149,7 +149,7 @@ class Occurrence(Record):
         positions = tuple(positions)
         prev = 0
         for p in positions:
-            if not isinstance(p, int) or p <= prev:
+            if not isinstance(p, int) or isinstance(p, bool) or p <= prev:
                 raise PermutationError(
                     f"positions must be strictly increasing and >= 1, got {positions}"
                 )

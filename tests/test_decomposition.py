@@ -613,19 +613,33 @@ class TestDeepTrees:
         assert tree_to_permutation(expanded).values == sigma.values
 
     def test_chain_of_3000_pickles_and_copies(self):
-        """A tree pickles flat, so neither pickle nor deepcopy recurses once per level."""
+        """A node pickles flat, so neither pickle nor deepcopy of a tree or node recurses."""
         sigma = alternating_chain(3000)
-        for tree in (decomposition_tree(sigma), expand_tree(decomposition_tree(sigma))):
-            text = tree_to_text(tree)
-            copies = [pickle.loads(pickle.dumps(tree, p)) for p in (0, pickle.HIGHEST_PROTOCOL)]
-            copies.append(copy.deepcopy(tree))
+        tree = decomposition_tree(sigma)
+        for host in (tree, expand_tree(tree), tree.root):
+            copies = [pickle.loads(pickle.dumps(host, p)) for p in (0, pickle.HIGHEST_PROTOCOL)]
+            copies.append(copy.deepcopy(host))
+            if isinstance(host, DecompTree):
+                shallow = copy.copy(host)
+                assert shallow is not host and shallow.root is host.root
+            else:  # a bare node, read as the root of the tree it came from
+                assert all(type(again) is DecompNode for again in copies)
+                copies = [DecompTree(again, tree.source_size, tree.expanded) for again in copies]
+                host = tree
+            text = tree_to_text(host)
             for again in copies:
-                assert again.root is not tree.root
-                assert (again.source_size, again.expanded) == (tree.source_size, tree.expanded)
+                assert again.root is not host.root
+                assert (again.source_size, again.expanded) == (host.source_size, host.expanded)
                 assert tree_to_permutation(again) == sigma
                 assert tree_to_text(again) == text
-            shallow = copy.copy(tree)
-            assert shallow is not tree and shallow.root is tree.root
+
+    def test_nested_spec_3000_deep_round_trips(self):
+        spec = 1
+        for v in range(2, 3001):
+            spec = ("+", spec, v)
+        tree = tree_from_nested(spec)
+        assert (tree.source_size, tree.expanded) == (3000, True)
+        assert tree_to_permutation(tree).values == tuple(range(1, 3001))
 
 
 class TestEachNodeBuiltOnce:

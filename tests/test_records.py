@@ -1,4 +1,4 @@
-"""The six public records: read-only, compared by value (trees by identity), pickled whole."""
+"""The seven public records: read-only, compared by value (trees by identity), pickled whole."""
 
 import copy
 import pickle
@@ -7,6 +7,7 @@ import pytest
 
 from permlcp import (
     DecompTree,
+    IntervalSpan,
     LcpPlan,
     LcpResult,
     Occurrence,
@@ -36,6 +37,7 @@ RECORDS = {
         ("positions",),
         "Occurrence(positions=(1, 4))",
     ),
+    IntervalSpan: (lambda: IntervalSpan(2, 5), ("lo", "hi"), "IntervalSpan(lo=2, hi=5)"),
     DecompTree: (
         _tree,
         ("root", "source_size", "expanded"),
@@ -141,7 +143,7 @@ def test_pickles_and_copies(kind):
 INVALID = {
     Permutation: [(), (1, 1), (1, 3), (0,), (True,)],
     Pattern: [(1, 1), (2,), (1, "2")],
-    Occurrence: [(0,), (2, 2), (3, 1), (1.0,)],
+    Occurrence: [(0,), (2, 2), (3, 1), (1.0,), (True,)],
 }
 validated = pytest.mark.parametrize("kind", list(INVALID), ids=lambda kind: kind.__name__)
 
