@@ -23,19 +23,28 @@ docstring gives only its contract and the mechanics local to it.
 
 3. Scan order and plain witness.  A scan reads its splits in one fixed
    order: position cuts in lexicographic order, then value cuts in
-   lexicographic order (h, then c, for a linear node).  Beside each exact
-   length the table keeps the split that last raised the cell's best, the
-   first in that order to reach the length.  The plain witness walks these
-   splits down from the root, so it is reproducible and stores nothing.  A
-   box of one or two points that no scan stored (rule 5) has no split, and
-   the walk places its points where the first split in scan order to reach
-   its length would.  At length 1 a linear node's children[1] takes them,
-   at a - node only the lower-valued one.  At length 2 children[1] takes
-   both if it contains their pattern; else, if the pattern is the node's
-   own (1 2 at +, 2 1 at -), the first-position point goes left and the
-   other right; else children[0] takes both.  At a prime node it is the
-   first split the box's own scan lists in tie mode (rule 4), the one scan
-   the walk runs.  The order runs over the expanded guide, so how
+   lexicographic order (h, then c, for a linear node).  The one exception
+   is a - node whose children[1], its low child, is a leaf or a prime node:
+   it reads h falling, from j + 1 to i, so that its low child grows row by
+   row as a + node's does (rule 6).  An expanded - node is a left comb, so
+   its children[1] is an original child; over a + child it keeps h rising,
+   as h falling would first ask its high child, the comb holding most of the
+   node, for every point.  Beside each exact length the table keeps the
+   split that last raised the cell's best, the first in that order to reach
+   the length.  The plain witness walks these splits down from the root, so
+   it is reproducible and stores nothing.  A box of one or two points that
+   no scan stored (rule 5) has no split, and the walk places its points
+   where the first split in scan order to reach its length would.  At a
+   linear node read with h rising, children[1] takes them at length 1, at a
+   - node only the lower-valued one; at length 2 children[1] takes both if
+   it contains their pattern; else, if the pattern is the node's own (1 2
+   at +, 2 1 at -), the first-position point goes left and the other right;
+   else children[0] takes both.  At a - node read with h falling,
+   children[0] takes them at length 1, and at length 2 if it contains their
+   pattern; else, at 2 1, the first-position point goes left and the other
+   right; else children[1] takes both.  At a prime node it is the first
+   split the box's own scan lists in tie mode (rule 4), the one scan the
+   walk runs.  The order runs over the expanded guide, so how
    ``expand_tree`` binarizes a linear node can pick another plain witness
    among ties; no length and no canonical pattern depends on it.
 
@@ -44,6 +53,8 @@ docstring gives only its contract and the mechanics local to it.
    walk lists the splits reaching its length with its own scan in tie mode:
    the best stays one below the length, each split beating it is recorded,
    and a dominance skip drops only a split an earlier one strictly beats.
+   Of the splits giving the smallest pattern the walk takes the one of
+   smallest cuts, so no scan order can move a canonical answer.
 
 5. Point-count bound (Ibarra, IPL 1997).  No cell is longer than the target
    points in its box, found from tau and its inverse alone, so the table
@@ -69,11 +80,14 @@ docstring gives only its contract and the mechanics local to it.
    scan axis one child's length never decreases and the other's never
    increases.  A split whose growing child did not grow past what an
    earlier split read is at most as long as that split, and is skipped.
-   For a linear node the growing child takes the low values, and for a +
-   node it also grows with h; for a prime node, a value cut that adds
-   nothing to the slices before it leaves less to the slices after it.  A
-   skipped split can only tie, so every length, and the first split in scan
-   order to reach it, is the one the full scan gives.
+   For a linear node the growing child takes the low values.  At a + node,
+   and at a - node read with h falling (rule 3), it also grows from row to
+   row, so the skip compares a split with those of earlier rows at the same
+   or a lower c; at any other - node it compares within the row only.  For
+   a prime node, a value cut that adds nothing to the slices before it
+   leaves less to the slices after it.  A skipped split can only tie, so
+   every length, and the first split in scan order to reach it, is the one
+   the full scan gives.
 
 7. Tight keys and aliases.  An internal box is scanned and stored under its
    tight box, the first and last position and the lowest and highest value
@@ -129,6 +143,14 @@ def _ranks(node: DecompNode) -> tuple[int, ...]:
     if node.kind == "prime":
         return node.label.values
     return (1, 2) if node.sign == "+" else (2, 1)
+
+
+def _falls(node: DecompNode) -> bool:
+    """Whether a binary linear node's scan reads its rows with h falling (rule 3).
+
+    True for a - node whose children[1], its low child, is a leaf or a prime node.
+    """
+    return node.sign == "-" and node.children[1].kind != "linear"
 
 
 def _position_cuts(hs: list[int], end: int, sizes: list[int], floor):
@@ -311,13 +333,19 @@ class DpTable:
             table = self._tables[node]
             idx = ((i * S + j) * S + a) * S + b
 
-    def _run(self, scan):
-        """Drive a tie-mode scan to its end, reading each box it yields through :meth:`_length`."""
+    def _run(self, scan, small: bool = True):
+        """Drive a tie-mode scan to its end, reading each box it yields, made tight.
+
+        A box is read through :meth:`_length`, or with ``small`` false through
+        :meth:`_cell`, which skips the point count: a linear scan yields no
+        box of fewer than three points.
+        """
+        read = self._length if small else self._cell
         length = None
         try:
             while True:
                 node, i, j, a, b, floor = scan.send(length)
-                length = self._length(node, *self._tight(i, j, a, b), floor)
+                length = read(node, *self._tight(i, j, a, b), floor)
         except StopIteration as done:
             return done.value
 
@@ -353,11 +381,13 @@ class DpTable:
 
         Split (h, c) gives positions i..h-1 to the left child and values a..c-1 to
         the low child (left for +, right for -).  Row x is the cut h with x of the
-        window's P points on its left, and each child's points are counted one
-        column at a time.  Row x is bounded by ``min(k_left, x) + min(k_right, P -
-        x)``, with k the children's widths, which rises by one per row, levels off
-        and falls, so the rows that can beat the best form one run, from the first
-        whose ``x + k_right`` passes it.  A row ends at the first column whose high
+        window's P points on its left, or on its right where h falls (rule 3), and
+        each child's points are counted one column at a time.  The child holding
+        those x points grows row by row: the low child where ``grows``, else the
+        high one.  Row x is bounded by ``min(k_grown, x) + min(k_other, P - x)``,
+        with k the children's widths, which rises by one per row, levels off and
+        falls, so the rows that can beat the best form one run, from the first
+        whose ``x + k_other`` passes it.  A row ends at the first column whose high
         bound plus the low child's row bound cannot beat the best.  A child of two
         points takes its length from its flags (rule 5).  The low child's points
         are the last two low-side columns read; the high child's are the row's
@@ -365,24 +395,27 @@ class DpTable:
         such read.  Their pattern rises when the first side is below the second at
         a + node, and above it at a - node, whose sides are negated.  ``top`` is
         the largest low length read (less one in tie mode) at a split whose high
-        child is at least as long: in the same row for a - node, and for a + node
-        at h' <= h and c' <= c, through ``seen``.
+        child is at least as long: at c' <= c in the same row, and where the low
+        child grows row by row, at the same or lower c' in earlier rows too,
+        through ``seen``.
         """
         facts = self._linear.get(node)
         if facts is None:  # the node's first scan
             positive = node.sign == "+"
             low, high = node.children if positive else node.children[::-1]
             facts = self._linear[node] = (
-                low, high, low.span.width, high.span.width, positive,
+                low, high, low.span.width, high.span.width, positive, positive or _falls(node),
                 self._flags[low], self._flags[high], self._tables.get(low), self._tables.get(high),
             )
-        low, high, k_low, k_high, positive, low_flags, high_flags, low_tab, high_tab = facts
+        low, high, k_low, k_high, positive, grows, low_flags, high_flags, low_tab, high_tab = facts
         tauv, pos = self._tauv, self._pos
-        hs = [i]  # hs[x]: the cut of row x
+        hs = [i]  # hs[x]: the cut with x window points on its left
         for h in range(i + 1, j + 2):
             if a <= tauv[h - 2] <= b:
                 hs.append(h)
         P = len(hs) - 1
+        if grows and not positive:
+            hs.reverse()  # rows with h falling: row x holds x points on the right
         # side[t] < cut: value cols[t] - 1 is in the row's low child.  Positions
         # are negated for a - node, whose low child holds positions h..j, and
         # column a adds no value, so its side is past every cut.
@@ -395,17 +428,17 @@ class DpTable:
                 sides.append(p if positive else -p)
         tie = 0 if ties is None else 1
         S = self._S
-        # seen[c]: for a + node, the low length last read in column c.
-        seen = [-1] * (b + 2) if positive else None
+        # seen[c]: where the low child grows row by row, the low length last read in column c.
+        seen = [-1] * (b + 2) if grows else None
 
         best, split = floor, None
-        k_right = k_high if positive else k_low
-        for x in range(best - k_right + 1 if best >= k_right else 0, P + 1):
+        k_other = k_high if grows else k_low  # the width of the child that shrinks row by row
+        for x in range(best - k_other + 1 if best >= k_other else 0, P + 1):
             h = hs[x]
             if positive:
                 lo_i, lo_j, hi_i, hi_j, cut, n_low = i, h - 1, h, j, h, x
             else:
-                lo_i, lo_j, hi_i, hi_j, cut, n_low = h, j, i, h - 1, 1 - h, P - x
+                lo_i, lo_j, hi_i, hi_j, cut, n_low = h, j, i, h - 1, 1 - h, x if grows else P - x
             mk_low = n_low if n_low < k_low else k_low
             mk_high = P - n_low if P - n_low < k_high else k_high
             if mk_low + mk_high <= best:
@@ -423,7 +456,7 @@ class DpTable:
                     low1, low2 = low2, side
                 else:
                     above -= 1
-                if positive and seen[c] > top:
+                if grows and seen[c] > top:
                     top = seen[c]
                 if top >= mk_low:
                     break  # every later split of the row at most ties
@@ -447,7 +480,7 @@ class DpTable:
                 if u <= top:
                     continue
                 top = u - tie
-                if positive:
+                if grows:
                     seen[c] = top
                 if u + m_high <= best:
                     continue
@@ -588,8 +621,8 @@ class DpTable:
 
         Give all of the cell's node, i, j, a and b, or none of them for the root
         cell; anything else raises ValueError.  The walk takes each box's stored
-        split, or with ``canonical`` the split of smallest pattern (the first on
-        ties); each leaf box adds the point at its first position.  Raises
+        split, or with ``canonical`` the split of smallest pattern (of smallest
+        cuts on ties); each leaf box adds the point at its first position.  Raises
         RuntimeError when the lengths do not rebuild to a common pattern.
         """
         box = (node, i, j, a, b)
@@ -615,6 +648,9 @@ class DpTable:
                 node, i, j, a, b = box
                 cuts = self._splits[node].get(((i * S + j) * S + a) * S + b)
                 if cuts is None:  # a box of one or two points, never stored
+                    if i == j and node.kind == "linear":  # one point: one child takes the box
+                        stack.append((node.children[0 if _falls(node) else 1], i, j, a, b))
+                        continue
                     cuts = self._small_split(*box)
                 elif node.kind == "linear":  # packed as h * S + c
                     h, c = divmod(cuts, S)
@@ -644,8 +680,16 @@ class DpTable:
         tauv, flags = self._tauv, self._flags
         rises = tauv[i - 1] < tauv[j - 1]  # False for one point
         positive = node.sign == "+"
-        if i == j or not flags[node] >> rises & 1:  # length 1: all to children[1],
-            h, c = i, a if positive else a + 1  # at a - node the lower point only
+        length = 2 if i < j and flags[node] >> rises & 1 else 1
+        if _falls(node):  # rows with h falling: children[0] first
+            if length == 1 or flags[node.children[0]] >> rises & 1:  # all to children[0]
+                h, c = j + 1, a
+            elif not rises:  # the node's own pattern: one point to each child
+                h, c = i + 1, a + 1
+            else:  # both to children[1]
+                h, c = i, b + 1
+        elif length == 1:  # all to children[1], at a - node the lower point only
+            h, c = i, a if positive else a + 1
         elif flags[node.children[1]] >> rises & 1:  # both to children[1]
             h, c = i, a if positive else b + 1
         elif rises == positive:  # the node's own pattern: one point to each child
@@ -658,7 +702,8 @@ class DpTable:
         """Map ``box``, and every box under its splits that reach its length, to (pattern, split).
 
         The pattern is the smallest concatenation of the children's by the node's
-        ranks over those splits, the first split on ties.
+        ranks over those splits, the split of smallest cuts on ties, so no scan
+        order can move it.
         """
         memo: dict[tuple, tuple] = {}
         stack: list[tuple[tuple, list | None]] = [(box, None)]
@@ -672,10 +717,12 @@ class DpTable:
                 continue
             if splits is None:
                 ties: list[tuple] = []
-                scan = self._linear_cell if node.kind == "linear" else self._prime_cell
-                self._run(scan(*top, self._length(*top) - 1, ties))
+                linear = node.kind == "linear"
+                scan = self._linear_cell if linear else self._prime_cell
+                self._run(scan(*top, self._length(*top) - 1, ties), small=not linear)
                 if not ties:
                     raise RuntimeError("no split reaches the stored length")
+                ties.sort()  # so the first smallest pattern has the smallest cuts
                 splits = [self._boxes(node, cuts) for cuts in ties]
             waiting = [c for s in splits for c in s if c is not None and c not in memo]
             if waiting:

@@ -17,7 +17,7 @@ import random
 from helpers import prime_inflation, random_permutation, random_separable
 from permlcp import lcp
 
-DIGEST = "b6a458342790bcbd46ea34941d4e7b9230b5b0c7698ea2fa31e2b33e745b9d66"
+DIGEST = "37ffe2799b9f01e8fb0b9b14339a8b2a2e2489343bfa8677b1a1fb42d540ee57"
 LENGTHS_AND_CANONICAL_DIGEST = "a322f82086727904edb353e94f16a0c057fe86f30e53b9d9ebedf426336bdd43"
 
 
