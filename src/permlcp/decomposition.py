@@ -38,8 +38,8 @@ class IntervalSpan(Record):
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo: int, hi: int) -> None:
-        if not 1 <= lo <= hi:
-            raise ValueError(f"invalid span [{lo}, {hi}]")
+        if lo.__class__ is not int or hi.__class__ is not int or not 1 <= lo <= hi:
+            raise ValueError(f"invalid span [{lo!r}, {hi!r}]")
         _set_lo(self, lo)
         _set_hi(self, hi)
 

@@ -32,21 +32,17 @@ docstring gives only its contract and the mechanics local to it.
    node, for every point.  Beside each exact length the table keeps the
    split that last raised the cell's best, the first in that order to reach
    the length.  The plain witness walks these splits down from the root, so
-   it is reproducible and stores nothing.  A box of one or two points that
-   no scan stored (rule 5) has no split, and the walk places its points
-   where the first split in scan order to reach its length would.  At a
-   linear node read with h rising, children[1] takes them at length 1, at a
-   - node only the lower-valued one; at length 2 children[1] takes both if
-   it contains their pattern; else, if the pattern is the node's own (1 2
-   at +, 2 1 at -), the first-position point goes left and the other right;
-   else children[0] takes both.  At a - node read with h falling,
-   children[0] takes them at length 1, and at length 2 if it contains their
-   pattern; else, at 2 1, the first-position point goes left and the other
-   right; else children[1] takes both.  At a prime node it is the first
-   split the box's own scan lists in tie mode (rule 4), the one scan the
-   walk runs.  The order runs over the expanded guide, so how
-   ``expand_tree`` binarizes a linear node can pick another plain witness
-   among ties; no length and no canonical pattern depends on it.
+   it is reproducible and stores nothing.  A box of one or two points may
+   have no stored split (rule 5); it takes its split of smallest cuts, as
+   every such box on the canonical walk does (rule 4).  At length 1 the
+   last child takes the lower-valued point, and both when its value slice
+   is the top one.  At length 2 the first-position point goes to the last
+   child k1, and the other to the last child k2 >= k1, that can take them:
+   k1 = k2 if that child contains their pattern, else k1 < k2 if the two
+   children's ranks order them as their values are ordered.  The order
+   runs over the expanded guide, so how ``expand_tree`` binarizes a linear
+   node can pick another plain witness among ties; no length and no
+   canonical pattern depends on it.
 
 4. Tie mode and canonical walk.  With ``canonical=True`` the witness is the
    lexicographically smallest pattern of maximal length.  Each box on the
@@ -54,7 +50,10 @@ docstring gives only its contract and the mechanics local to it.
    the best stays one below the length, each split beating it is recorded,
    and a dominance skip drops only a split an earlier one strictly beats.
    Of the splits giving the smallest pattern the walk takes the one of
-   smallest cuts, so no scan order can move a canonical answer.
+   smallest cuts, so no scan order can move a canonical answer.  A box of
+   at most two points has one pattern, read from its points and the node's
+   flags (rule 5), so it gets no tie scan and takes its split of smallest
+   cuts (rule 3), not one a prime fill stored.
 
 5. Point-count bound (Ibarra, IPL 1997).  No cell is longer than the target
    points in its box, found from tau and its inverse alone, so the table
@@ -143,14 +142,6 @@ def _ranks(node: DecompNode) -> tuple[int, ...]:
     if node.kind == "prime":
         return node.label.values
     return (1, 2) if node.sign == "+" else (2, 1)
-
-
-def _falls(node: DecompNode) -> bool:
-    """Whether a binary linear node's scan reads its rows with h falling (rule 3).
-
-    True for a - node whose children[1], its low child, is a leaf or a prime node.
-    """
-    return node.sign == "-" and node.children[1].kind != "linear"
 
 
 def _position_cuts(hs: list[int], end: int, sizes: list[int], floor):
@@ -404,7 +395,8 @@ class DpTable:
             positive = node.sign == "+"
             low, high = node.children if positive else node.children[::-1]
             facts = self._linear[node] = (
-                low, high, low.span.width, high.span.width, positive, positive or _falls(node),
+                low, high, low.span.width, high.span.width, positive,
+                positive or node.children[1].kind != "linear",  # or a - node read with h falling
                 self._flags[low], self._flags[high], self._tables.get(low), self._tables.get(high),
             )
         low, high, k_low, k_high, positive, grows, low_flags, high_flags, low_tab, high_tab = facts
@@ -622,8 +614,10 @@ class DpTable:
         Give all of the cell's node, i, j, a and b, or none of them for the root
         cell; anything else raises ValueError.  The walk takes each box's stored
         split, or with ``canonical`` the split of smallest pattern (of smallest
-        cuts on ties); each leaf box adds the point at its first position.  Raises
-        RuntimeError when the lengths do not rebuild to a common pattern.
+        cuts on ties); a box of one or two points without one, on the canonical
+        walk any such box, takes its split of smallest cuts.  Each leaf box adds
+        the point at its first position.  Raises RuntimeError when the lengths
+        do not rebuild to a common pattern.
         """
         box = (node, i, j, a, b)
         if box.count(None) == 5:
@@ -642,14 +636,13 @@ class DpTable:
                 # Leaf boxes on the walk are tight, so a point sits at the first position.
                 hits.append((box[0].span.lo, box[0].leaf_value, box[1]))
                 continue
-            if canonical:
-                split = memo[box][1]
-            else:
-                node, i, j, a, b = box
-                cuts = self._splits[node].get(((i * S + j) * S + a) * S + b)
-                if cuts is None:  # a box of one or two points, never stored
-                    if i == j and node.kind == "linear":  # one point: one child takes the box
-                        stack.append((node.children[0 if _falls(node) else 1], i, j, a, b))
+            node, i, j, a, b = box
+            split = memo[box][1] if canonical and box in memo else None  # small boxes have none
+            if split is None:
+                cuts = None if canonical else self._splits[node].get(((i * S + j) * S + a) * S + b)
+                if cuts is None:  # a box of one or two points
+                    if i == j:  # one point: the last child takes the box
+                        stack.append((node.children[-1], i, j, a, b))
                         continue
                     cuts = self._small_split(*box)
                 elif node.kind == "linear":  # packed as h * S + c
@@ -668,58 +661,60 @@ class DpTable:
         )
 
     def _small_split(self, node: DecompNode, i: int, j: int, a: int, b: int) -> tuple:
-        """The cuts of the first split in scan order to reach the length of a small box.
+        """The smallest cuts of a split reaching the length of a small box, placed by rule 3.
 
-        The box is an internal node's tight box of one or two points, which
-        sit at positions i and j; rule 3 gives the placement.
+        The box is an internal node's tight box of one or two points, at
+        positions i and j and values a and b, so every cut is i, i + 1 or j +
+        1, and a, a + 1 or b + 1.  The later the first point's child, then the
+        second's, the smaller the position cuts, and the children fix the
+        value cuts.
         """
-        if node.kind == "prime":
-            ties: list[tuple] = []
-            self._run(self._prime_cell(node, i, j, a, b, self._length(node, i, j, a, b) - 1, ties))
-            return ties[0]
-        tauv, flags = self._tauv, self._flags
-        rises = tauv[i - 1] < tauv[j - 1]  # False for one point
-        positive = node.sign == "+"
-        length = 2 if i < j and flags[node] >> rises & 1 else 1
-        if _falls(node):  # rows with h falling: children[0] first
-            if length == 1 or flags[node.children[0]] >> rises & 1:  # all to children[0]
-                h, c = j + 1, a
-            elif not rises:  # the node's own pattern: one point to each child
-                h, c = i + 1, a + 1
-            else:  # both to children[1]
-                h, c = i, b + 1
-        elif length == 1:  # all to children[1], at a - node the lower point only
-            h, c = i, a if positive else a + 1
-        elif flags[node.children[1]] >> rises & 1:  # both to children[1]
-            h, c = i, a if positive else b + 1
-        elif rises == positive:  # the node's own pattern: one point to each child
-            h, c = i + 1, a + 1
-        else:  # both to children[0]
-            h, c = j + 1, b + 1 if positive else a
-        return (i, h, j + 1), (a, c, b + 1)
+        ranks, flags, children = _ranks(node), self._flags, node.children
+        d = len(ranks)
+        rises = self._tauv[i - 1] < self._tauv[j - 1]  # False for one point
+        k1 = k2 = d - 1  # the children of the first and the second point
+        if i == j or not flags[node] >> rises & 1:  # length 1: the last child takes the lower point
+            lo, hi = ranks[k1], d
+        else:  # k2 falls to k1, then k1 falls by one and k2 starts again at the last child
+            while not (
+                flags[children[k1]] >> rises & 1 if k1 == k2 else (ranks[k1] < ranks[k2]) == rises
+            ):
+                k1, k2 = (k1 - 1, d - 1) if k1 == k2 else (k1, k2 - 1)
+            lo, hi = sorted((ranks[k1], ranks[k2]))
+        return (
+            (i,) * (k1 + 1) + (i + 1,) * (k2 - k1) + (j + 1,) * (d - k2),
+            (a,) * lo + (a + 1,) * (hi - lo) + (b + 1,) * (d + 1 - hi),
+        )
 
     def _resolve(self, box: tuple) -> dict[tuple, tuple]:
         """Map ``box``, and every box under its splits that reach its length, to (pattern, split).
 
         The pattern is the smallest concatenation of the children's by the node's
         ranks over those splits, the split of smallest cuts on ties, so no scan
-        order can move it.
+        order can move it.  A leaf box, and a box of one or two points, maps to
+        its one pattern and no split (rule 4).
         """
         memo: dict[tuple, tuple] = {}
         stack: list[tuple[tuple, list | None]] = [(box, None)]
+        tauv = self._tauv
         while stack:
             top, splits = stack.pop()
             if top in memo:
                 continue
-            node = top[0]
+            node, i, j, a, b = top
             if node.is_leaf:
                 memo[top] = ((1,), None)
                 continue
             if splits is None:
+                if not any(a <= v <= b for v in tauv[i : j - 1]):  # no point between i and j
+                    rises = tauv[i - 1] < tauv[j - 1]  # False for one point
+                    two = i < j and self._flags[node] >> rises & 1
+                    memo[top] = (((2, 1), (1, 2))[rises] if two else (1,), None)
+                    continue
                 ties: list[tuple] = []
                 linear = node.kind == "linear"
                 scan = self._linear_cell if linear else self._prime_cell
-                self._run(scan(*top, self._length(*top) - 1, ties), small=not linear)
+                self._run(scan(*top, self._cell(*top) - 1, ties), small=not linear)
                 if not ties:
                     raise RuntimeError("no split reaches the stored length")
                 ties.sort()  # so the first smallest pattern has the smallest cuts

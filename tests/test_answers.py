@@ -8,6 +8,10 @@ too, hashed by type and message: ``separable`` raises
 ``NotSeparableError`` on a guide with a prime node.  A change meant to keep
 every answer (a faster scan, a new skip) keeps both digests; a change meant
 to alter a plain witness records a new full digest and says why.
+
+Run as a script (``PYTHONPATH=src python tests/test_answers.py``), it prints
+the lines the full digest hashes, one per pair, algo and ``canonical``, so a
+``diff`` of two trees' outputs lists the answers a change moved.
 """
 
 import functools
@@ -17,7 +21,7 @@ import random
 from helpers import prime_inflation, random_permutation, random_separable
 from permlcp import lcp
 
-DIGEST = "37ffe2799b9f01e8fb0b9b14339a8b2a2e2489343bfa8677b1a1fb42d540ee57"
+DIGEST = "cb3143a1d5c3681eac83750601eb534dd0a842163e4a0e86a17c03da96c3c19f"
 LENGTHS_AND_CANONICAL_DIGEST = "a322f82086727904edb353e94f16a0c057fe86f30e53b9d9ebedf426336bdd43"
 
 
@@ -51,17 +55,23 @@ def _answer(sigma, tau, algo, canonical) -> tuple[str, str]:
     return text, text if canonical else f"length {r.length}"
 
 
-@functools.cache
-def answers_digests() -> tuple[str, str]:
-    """The full digest and the lengths-and-canonical digest, in one pass."""
-    full, kept = hashlib.sha256(), hashlib.sha256()
+def _lines():
+    """Yield each full answer line, and the line the second digest keeps, in hashing order."""
     for sigma, tau in _pairs():
         for algo in ("auto", "separable", "general"):
             for canonical in (False, True):
                 head = f"{sigma} / {tau} {algo} {canonical}: "
                 text, part = _answer(sigma, tau, algo, canonical)
-                full.update(f"{head}{text}\n".encode())
-                kept.update(f"{head}{part}\n".encode())
+                yield f"{head}{text}", f"{head}{part}"
+
+
+@functools.cache
+def answers_digests() -> tuple[str, str]:
+    """The full digest and the lengths-and-canonical digest, in one pass."""
+    full, kept = hashlib.sha256(), hashlib.sha256()
+    for line, part in _lines():
+        full.update(f"{line}\n".encode())
+        kept.update(f"{part}\n".encode())
     return full.hexdigest(), kept.hexdigest()
 
 
@@ -71,3 +81,8 @@ def test_answers_match_the_recorded_digest():
 
 def test_lengths_and_canonical_answers_match_their_digest():
     assert answers_digests()[1] == LENGTHS_AND_CANONICAL_DIGEST
+
+
+if __name__ == "__main__":
+    for line, _ in _lines():
+        print(line)

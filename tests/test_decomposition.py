@@ -67,6 +67,11 @@ class TestIntervalSpan:
         with pytest.raises(ValueError):
             IntervalSpan(0, 1)
 
+    @pytest.mark.parametrize("lo, hi", [(True, 2), (1.5, 2), (1, 2.0)])
+    def test_rejects_bounds_that_are_not_ints(self, lo, hi):
+        with pytest.raises(ValueError, match=rf"invalid span \[{lo!r}, {hi!r}\]"):
+            IntervalSpan(lo, hi)
+
     def test_compares_and_hashes_by_value(self):
         a, b = IntervalSpan(2, 5), IntervalSpan(2, 5)
         assert a is not b and a == b and hash(a) == hash(b)

@@ -405,10 +405,8 @@ class TestTableProperties:
             table._prime_cell = recorder(table._prime_cell)
             assert table.reconstruct() == DpTable(tree, tau).reconstruct()
             assert sum(map(len, memos)) == before
-        # The walk reads the stored splits, and places an unstored prime box by its tie scan.
-        assert scans and all(
-            name == "_prime_cell" and tie and held <= 2 for name, tie, held in scans
-        ), scans
+        # The walk reads the stored splits, and places an unstored box without a scan.
+        assert not scans, scans
 
     def test_table_freed_without_cycle_collector(self):
         tau = parse_permutation("3 1 4 2 5")
@@ -474,7 +472,7 @@ PINNED_WITNESSES = [
      ((4, 2, 1, 5, 3), (1, 2, 3, 6, 7), (3, 4, 6, 7, 8)),
      ((4, 2, 1, 5, 3), (1, 2, 3, 6, 7), (3, 4, 6, 7, 8))),
     ('5 2 6 4 1 3', '3 2 1 4', 'auto',
-     ((2, 1, 3), (1, 2, 3), (1, 2, 4)),
+     ((2, 1, 3), (1, 2, 3), (2, 3, 4)),
      ((2, 1, 3), (1, 2, 3), (2, 3, 4))),
     ('2 5 1 3 4', '3 1 2', 'auto',
      ((3, 1, 2), (2, 3, 4), (1, 2, 3)),
@@ -492,10 +490,10 @@ PINNED_WITNESSES = [
      ((1, 2), (1, 3), (3, 4)),
      ((1, 2), (1, 3), (3, 4))),
     ('5 4 2 1 3', '1 4 5 3 2', 'auto',
-     ((3, 2, 1), (1, 3, 4), (2, 4, 5)),
+     ((3, 2, 1), (2, 3, 4), (2, 4, 5)),
      ((3, 2, 1), (2, 3, 4), (2, 4, 5))),
     ('3 4 2 5 6 1', '7 4 6 1 5 2 3', 'auto',
-     ((1, 2, 3), (2, 4, 5), (4, 6, 7)),
+     ((1, 2, 3), (3, 4, 5), (4, 6, 7)),
      ((1, 2, 3), (3, 4, 5), (4, 6, 7))),
     ('3 4 7 1 2 8 5 6', '3 6 5 8 1 4 2 7', 'auto',
      ((3, 4, 6, 1, 2, 5), (1, 2, 3, 4, 5, 8), (1, 2, 4, 5, 7, 8)),
@@ -507,16 +505,16 @@ PINNED_WITNESSES = [
      ((2, 1), (2, 3), (1, 3)),
      ((1, 2), (3, 4), (1, 2))),
     ('4 2 1 3', '1 2 4 3', 'auto',
-     ((1, 2), (2, 4), (1, 2)),
+     ((1, 2), (3, 4), (1, 2)),
      ((1, 2), (3, 4), (1, 2))),
     ('7 1 5 4 3 6 2', '5 6 1 2 3 4', 'auto',
-     ((4, 1, 2, 3), (1, 2, 3, 6), (1, 3, 4, 5)),
+     ((4, 1, 2, 3), (1, 2, 5, 6), (1, 3, 4, 5)),
      ((4, 1, 2, 3), (1, 2, 5, 6), (1, 3, 4, 5))),
     ('4 1 2 3', '3 4 2 6 1 5', 'auto',
      ((1, 2, 3), (2, 3, 4), (1, 2, 6)),
      ((1, 2, 3), (2, 3, 4), (1, 2, 6))),
     ('7 6 5 4 3 1 2 13 14 8 10 11 9 12', '6 12 8 3 9 1 2 10 13 14 7 5 11 4', 'separable',
-     ((3, 1, 2, 7, 8, 5, 4, 6), (1, 6, 7, 8, 9, 12, 13, 14), (4, 6, 7, 9, 10, 11, 12, 13)),
+     ((3, 1, 2, 7, 8, 5, 4, 6), (5, 6, 7, 8, 9, 12, 13, 14), (4, 6, 7, 9, 10, 11, 12, 13)),
      ((3, 1, 2, 7, 8, 5, 4, 6), (5, 6, 7, 8, 9, 12, 13, 14), (4, 6, 7, 9, 10, 11, 12, 13))),
     ('1 2 3 4 7 8 9 10 6 5 14 12 11 13', '12 11 2 13 3 7 14 5 9 4 1 6 10 8', 'separable',
      ((1, 2, 5, 4, 3, 7, 6), (3, 4, 8, 9, 10, 12, 13), (3, 5, 6, 8, 10, 13, 14)),
@@ -525,10 +523,10 @@ PINNED_WITNESSES = [
      ((5, 1, 3, 4, 2), (4, 5, 6, 8, 9), (1, 3, 4, 5, 6)),
      ((5, 1, 2, 3, 4), (1, 2, 5, 7, 9), (1, 3, 4, 5, 8))),
     ('6 4 9 8 7 5 1 2 3', '4 5 6 8 9 7 2 1 3', 'general',
-     ((3, 5, 4, 1, 2), (2, 3, 6, 8, 9), (1, 4, 6, 7, 9)),
+     ((3, 5, 4, 1, 2), (2, 4, 6, 8, 9), (1, 4, 6, 7, 9)),
      ((3, 5, 4, 1, 2), (2, 5, 6, 8, 9), (1, 4, 6, 7, 9))),
     ('3 1 4 2', '4 5 7 6 2 3 1 8', 'auto',
-     ((2, 1, 3), (1, 2, 3), (3, 6, 8)),
+     ((2, 1, 3), (1, 2, 3), (6, 7, 8)),
      ((1, 3, 2), (2, 3, 4), (2, 3, 4))),
     ('4 3 6 2 5 1', '1 7 8 2 3 4 5 6', 'auto',
      ((2, 3, 1), (1, 3, 6), (2, 3, 8)),
@@ -1248,8 +1246,9 @@ class TestSmallBoxes:
     """A box of one or two points is answered from its point count and two flags per node.
 
     A linear scan reads such a child from the flags, so the table stores no
-    entry for it, and the plain walk places its points where the first split
-    in scan order would (rules 3 and 5).
+    entry for it.  Without a stored split, and on the canonical walk always,
+    it takes its split of smallest cuts by a closed form, and no walk runs a
+    scan on it (rules 3, 4 and 5).
     """
 
     @staticmethod
@@ -1297,8 +1296,8 @@ class TestSmallBoxes:
             assert ("linear", sign, 2, 2) in seen
         assert {("prime", None, 1, 1), ("prime", None, 2, 2)} <= set(seen)
 
-    def test_walk_places_as_the_first_tie(self):
-        """The walk places a box with no stored split as the first split a tie-mode scan lists."""
+    def test_walk_places_as_the_smallest_tie(self):
+        """The walk places a box with no stored split as the smallest split a tie-mode scan lists."""
         arities, checked = set(), 0
         for sigma, table, node, box, _ in self._small_boxes():
             length = table.cell(node, *box)
@@ -1306,7 +1305,7 @@ class TestSmallBoxes:
             ties = []
             table._run(scan(node, *box, length - 1, ties))
             where = (str(sigma), str(table.tau), node.span, box)
-            assert table._small_split(node, *box) == ties[0], where
+            assert table._small_split(node, *box) == min(ties), where
             arities.add(node.arity)
             checked += 1
         assert arities >= {2, 4, 5} and checked > 1000
@@ -1324,6 +1323,39 @@ class TestSmallBoxes:
                         box = table._tight(i, j, a, b)
                         held = sum(1 for v in tau.values[box[0] - 1 : box[1]] if box[2] <= v <= box[3])
                         assert held > 2, (str(sigma), str(tau), canonical, node.span, box)
+
+    def test_canonical_walk_scans_no_small_box(self, monkeypatch):
+        """The canonical walk runs no tie scan on a box of at most two points, and its answers hold.
+
+        The guides are separable, or simple of arity 4-5 joined to a
+        separable block by + or -, so prime nodes have boxes of few points.
+        """
+        rng = random.Random(65)
+        pairs = [(random_separable(rng, 10), random_permutation(rng, 10)) for _ in range(6)]
+        while len(pairs) < 18:
+            simple = random_permutation(rng, rng.randint(4, 5))
+            if lcp_plan(simple, simple).prime_arity in (4, 5):
+                blocks = [simple, random_separable(rng, rng.randint(2, 4))]
+                rng.shuffle(blocks)
+                join = rng.choice((concat_plus, concat_minus))
+                pairs.append((Permutation(join(*blocks).values), random_permutation(rng, 8)))
+        want = [lcp(sigma, tau, "general", canonical=True) for sigma, tau in pairs]
+        scanned = Counter()  # (node kind, points in the box, at most 3) of each tie scan
+
+        def recorder(scan):
+            def record(table, node, i, j, a, b, floor=0, ties=None):
+                if ties is not None:
+                    held = sum(1 for v in table._tauv[i - 1 : j] if a <= v <= b)
+                    scanned[node.kind, min(held, 3)] += 1
+                return scan(table, node, i, j, a, b, floor, ties)
+
+            return record
+
+        monkeypatch.setattr(DpTable, "_linear_cell", recorder(DpTable._linear_cell))
+        monkeypatch.setattr(DpTable, "_prime_cell", recorder(DpTable._prime_cell))
+        for (sigma, tau), result in zip(pairs, want):
+            assert lcp(sigma, tau, "general", canonical=True) == result, (str(sigma), str(tau))
+        assert set(scanned) == {("linear", 3), ("prime", 3)}, scanned
 
     def test_cell_reads_a_two_point_box_from_the_flags(self):
         """``cell`` answers a box of two points from the node's flags, and stores nothing."""
