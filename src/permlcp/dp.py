@@ -509,83 +509,78 @@ class DpTable:
 
         A generator like :meth:`_linear_cell`, with the same rows, columns and
         ``ties``: :func:`_position_cuts`, at the best so far, gives the position
-        cuts (i, h_1, ..., h_{d-1}, j + 1), and :meth:`_prime_values` the value
-        cuts, in value slice order (a, c_1, ..., c_{d-1}, b + 1).
+        cuts (i, h_1, ..., h_{d-1}, j + 1), and the nested walk ``values`` the
+        value cuts of each, in value slice order (a, c_1, ..., c_{d-1}, b + 1).
         """
+        tables, pos, S = self._tables, self._pos, self._S
         hs = [i] + [h for h in range(i + 1, j + 2) if a <= self._tauv[h - 2] <= b]
-        cols = [a] + [v + 1 for v in range(a, b + 1) if i <= self._pos[v - 1] <= j]
-        sizes = [c.span.width for c in node.children]
+        cols = [a] + [v + 1 for v in range(a, b + 1) if i <= pos[v - 1] <= j]
+        end = len(cols) - 1  # the last column
+        children = node.children
+        sizes = [c.span.width for c in children]
         d = len(sizes)
         order = sorted(range(d), key=node.label.values.__getitem__)
         path = [0] * d  # column 0, then the columns of c_1..c_{d-1} as they are made
         tie = 0 if ties is None else 1
         found = ties if tie else []  # every split that raised the best, or every tied one
+
+        def values(t, partial, best):
+            """Scan the value cuts from value slice t (1-based) on, and return the best.
+
+            ``path[:t]`` holds the columns of the cuts made so far, so slice t
+            starts at column z0 = ``path[t - 1]`` and goes to child ``order[t -
+            1]``; ``partial`` is the length of slices 1..t-1.  ``held``, a leaf
+            child's length, says whether the slice holds a point of the child's
+            position slice.  An internal child is read only when it holds and its
+            bound, min(width, z - z0), with the later slices' ``suffix_caps`` or
+            columns left can beat ``best``.  A cut whose total does not pass
+            ``last``, the largest so far (less one in tie mode), is not extended.
+            A split beating ``best`` goes to ``found`` and, outside tie mode,
+            raises it.
+            """
+            z0 = path[t - 1]
+            c_prev = cols[z0]
+            k = order[t - 1]
+            child = children[k]
+            width, rest = child.span.width, suffix_caps[t]  # rest: the later slices' position caps
+            p_lo, p_hi = cuts[k], cuts[k + 1] - 1
+            table = tables.get(child)  # None for a leaf
+            base = ((p_lo * S + p_hi) * S + c_prev) * S - 1  # + ct: values c_prev..ct-1
+            last = -1
+            held = t == d and any(p_lo <= p <= p_hi for p in pos[c_prev - 1 : b])
+            for z, ct in enumerate(cols[z0:], z0) if t < d else ((end, b + 1),):
+                if z > z0:  # column z adds the window value ct - 1
+                    held = held or p_lo <= pos[ct - 2] <= p_hi
+                if table is None or not held:
+                    total = partial + held
+                elif partial + (z - z0 if z - z0 < width else width) + min(rest, end - z) <= best:
+                    continue  # the child's bound and the later slices' cannot beat the best
+                else:
+                    got = table.get(base + ct)
+                    if got is None or got < 0:
+                        got = yield (child, p_lo, p_hi, c_prev, ct - 1, 0)
+                    total = partial + got
+                if t == d:
+                    if total > best:
+                        found.append((cuts, (*[cols[x] for x in path], b + 1)))
+                        if not tie:
+                            best = total
+                elif total > last:
+                    last = total - tie
+                    if total + (end - z if end - z < rest else rest) > best:
+                        path[t] = z
+                        best = yield from values(t + 1, total, best)
+            return best
+
         best = floor
         for cuts, pos_caps in _position_cuts(hs, j + 1, sizes, lambda: best):
             # suffix_caps[t]: the position caps of value slices t + 1..d.
             suffix_caps = [0] * (d + 1)
             for t in range(d - 1, -1, -1):
                 suffix_caps[t] = suffix_caps[t + 1] + pos_caps[order[t]]
-            best = yield from self._prime_values(
-                node, order, cuts, cols, suffix_caps, 1, path, 0, b, best, found, tie
-            )
+            best = yield from values(1, 0, best)
+        del values  # it refers to itself through its closure: unbinding it breaks that cycle
         return best, None if tie or not found else found[-1]
-
-    def _prime_values(
-        self, node, order, cuts, cols, suffix_caps, t, path, partial, b, best, found, tie
-    ):
-        """Scan the value cuts of a prime cell from value slice t (1-based) on, and return the best.
-
-        ``path[:t]`` holds the columns of the cuts made so far, so slice t starts
-        at column z0 = ``path[t - 1]`` and goes to child ``order[t - 1]``;
-        ``partial`` is the length of slices 1..t-1.  ``held``, a leaf child's
-        length, says whether the slice holds a point of the child's position slice.
-        An internal child is read only when it holds and its bound, min(width, z -
-        z0), with the later slices' ``suffix_caps`` or columns left can beat
-        ``best``.  A cut whose total does not pass ``last``, the largest so far
-        (less one in tie mode), is not extended.  A split beating ``best`` goes to
-        ``found`` and, outside tie mode, raises it.
-        """
-        d = len(order)
-        z0 = path[t - 1]
-        c_prev = cols[z0]
-        k = order[t - 1]
-        child = node.children[k]
-        # The child's width, the later slices' position caps and the last column.
-        width, rest, end = child.span.width, suffix_caps[t], len(cols) - 1
-        p_lo, p_hi = cuts[k], cuts[k + 1] - 1
-        table = self._tables.get(child)  # None for a leaf
-        S = self._S
-        base = ((p_lo * S + p_hi) * S + c_prev) * S - 1  # + ct: values c_prev..ct-1
-        last = -1
-        pos = self._pos
-        held = t == d and any(p_lo <= p <= p_hi for p in pos[c_prev - 1 : b])
-        for z, ct in enumerate(cols[z0:], z0) if t < d else ((end, b + 1),):
-            if z > z0:  # column z adds the window value ct - 1
-                held = held or p_lo <= pos[ct - 2] <= p_hi
-            if table is None or not held:
-                total = partial + held
-            elif partial + (z - z0 if z - z0 < width else width) + min(rest, end - z) <= best:
-                continue  # the child's bound and the later slices' cannot beat the best
-            else:
-                got = table.get(base + ct)
-                if got is None or got < 0:
-                    got = yield (child, p_lo, p_hi, c_prev, ct - 1, 0)
-                total = partial + got
-            if t == d:
-                if total > best:
-                    found.append((cuts, (*[cols[x] for x in path], b + 1)))
-                    if not tie:
-                        best = total
-            elif total > last:
-                last = total - tie
-                if total + (end - z if end - z < rest else rest) > best:
-                    path[t] = z
-                    best = yield from self._prime_values(
-                        node, order, cuts, cols, suffix_caps, t + 1, path, total, b, best, found,
-                        tie,
-                    )
-        return best
 
     def _boxes(self, node: DecompNode, cuts: tuple) -> list[tuple | None]:
         """The tight child boxes (child, i, j, a, b) of the split ``cuts``, None for an empty one.
@@ -637,18 +632,17 @@ class DpTable:
                 hits.append((box[0].span.lo, box[0].leaf_value, box[1]))
                 continue
             node, i, j, a, b = box
-            split = memo[box][1] if canonical and box in memo else None  # small boxes have none
-            if split is None:
-                cuts = None if canonical else self._splits[node].get(((i * S + j) * S + a) * S + b)
-                if cuts is None:  # a box of one or two points
-                    if i == j:  # one point: the last child takes the box
-                        stack.append((node.children[-1], i, j, a, b))
-                        continue
-                    cuts = self._small_split(*box)
-                elif node.kind == "linear":  # packed as h * S + c
-                    h, c = divmod(cuts, S)
-                    cuts = ((i, h, j + 1), (a, c, b + 1))
-                split = self._boxes(node, cuts)
+            if canonical:  # the memo holds no split of a small box, nor its children placed here
+                split = memo[box][1] if box in memo else None
+            else:
+                split = self._splits[node].get(((i * S + j) * S + a) * S + b)
+                if split is not None:
+                    if node.kind == "linear":  # packed as h * S + c
+                        h, c = divmod(split, S)
+                        split = ((i, h, j + 1), (a, c, b + 1))
+                    split = self._boxes(node, split)
+            if split is None:  # a box of one or two points
+                split = self._small_boxes(*box)
             stack.extend(c for c in split if c is not None)
         hits.sort()
         pattern = normalize(tuple(self._tauv[h - 1] for _, _, h in hits))
@@ -660,31 +654,33 @@ class DpTable:
             Occurrence(tuple(h for _, _, h in hits)),
         )
 
-    def _small_split(self, node: DecompNode, i: int, j: int, a: int, b: int) -> tuple:
-        """The smallest cuts of a split reaching the length of a small box, placed by rule 3.
+    def _small_boxes(self, node: DecompNode, i: int, j: int, a: int, b: int) -> list[tuple]:
+        """The child boxes of a small box's split of smallest cuts, placed by rule 3.
 
         The box is an internal node's tight box of one or two points, at
-        positions i and j and values a and b, so every cut is i, i + 1 or j +
-        1, and a, a + 1 or b + 1.  The later the first point's child, then the
-        second's, the smaller the position cuts, and the children fix the
-        value cuts.
+        positions i and j and values a and b.  At length 1 the last child takes
+        the whole box when its rank is d, else the point of value a.  At length
+        2 child k1 takes the first point and child k2 the second, or k1 = k2 the
+        whole box: the later the first point's child, then the second's, the
+        smaller the position cuts.
         """
         ranks, flags, children = _ranks(node), self._flags, node.children
         d = len(ranks)
-        rises = self._tauv[i - 1] < self._tauv[j - 1]  # False for one point
-        k1 = k2 = d - 1  # the children of the first and the second point
-        if i == j or not flags[node] >> rises & 1:  # length 1: the last child takes the lower point
-            lo, hi = ranks[k1], d
-        else:  # k2 falls to k1, then k1 falls by one and k2 starts again at the last child
-            while not (
-                flags[children[k1]] >> rises & 1 if k1 == k2 else (ranks[k1] < ranks[k2]) == rises
-            ):
-                k1, k2 = (k1 - 1, d - 1) if k1 == k2 else (k1, k2 - 1)
-            lo, hi = sorted((ranks[k1], ranks[k2]))
-        return (
-            (i,) * (k1 + 1) + (i + 1,) * (k2 - k1) + (j + 1,) * (d - k2),
-            (a,) * lo + (a + 1,) * (hi - lo) + (b + 1,) * (d + 1 - hi),
-        )
+        first, second = self._tauv[i - 1], self._tauv[j - 1]
+        rises = first < second  # False for one point
+        if i == j or not flags[node] >> rises & 1:  # length 1
+            if ranks[-1] == d:
+                return [(children[-1], i, j, a, b)]
+            p = self._pos[a - 1]
+            return [(children[-1], p, p, a, a)]
+        k1 = k2 = d - 1  # k2 falls to k1, then k1 falls by one and k2 restarts at d - 1
+        while not (
+            flags[children[k1]] >> rises & 1 if k1 == k2 else (ranks[k1] < ranks[k2]) == rises
+        ):
+            k1, k2 = (k1 - 1, d - 1) if k1 == k2 else (k1, k2 - 1)
+        if k1 == k2:
+            return [(children[k1], i, j, a, b)]
+        return [(children[k1], i, i, first, first), (children[k2], j, j, second, second)]
 
     def _resolve(self, box: tuple) -> dict[tuple, tuple]:
         """Map ``box``, and every box under its splits that reach its length, to (pattern, split).
@@ -807,20 +803,18 @@ def _monotone(values) -> tuple[int, int]:
     >>> _monotone((2, 4, 1, 3, 5))
     (3, 2)
     """
-    up: list[int] = []
-    down: list[int] = []
-    for v in values:
-        k = bisect_left(up, v)
-        if k < len(up):
-            up[k] = v
-        else:
-            up.append(v)
-        k = bisect_left(down, -v)
-        if k < len(down):
-            down[k] = -v
-        else:
-            down.append(-v)
-    return len(up), len(down)
+    lengths = []
+    for sign in (1, -1):  # the LDS is the LIS of the negated values
+        tops: list[int] = []  # tops[k]: the least last value of an increasing run of k + 1
+        for v in values:
+            v *= sign
+            k = bisect_left(tops, v)
+            if k < len(tops):
+                tops[k] = v
+            else:
+                tops.append(v)
+        lengths.append(len(tops))
+    return lengths[0], lengths[1]
 
 
 def _may_contain(small: Permutation, large: Permutation) -> bool:

@@ -219,10 +219,14 @@ def find_occurrence(host: PermLike, pi: PermLike) -> Occurrence | None:
     call stack, so a pattern of any length fits the recursion limit.  The
     empty pattern occurs everywhere with the empty position list.  Returned
     positions are the lexicographically least occurrence, which makes
-    results reproducible.
+    results reproducible.  Raises PermutationError when ``host`` or ``pi`` is
+    a raw sequence that is not a pattern; Permutation and Pattern values go
+    unchecked, as they already are patterns.
     """
-    hvals = _as_values(host)
-    pvals = _as_values(pi)
+    hvals, pvals = (
+        x.values if isinstance(x, (Permutation, Pattern)) else Pattern(x).values
+        for x in (host, pi)
+    )
     k, n = len(pvals), len(hvals)
     if k > n:
         return None

@@ -1305,7 +1305,8 @@ class TestSmallBoxes:
             ties = []
             table._run(scan(node, *box, length - 1, ties))
             where = (str(sigma), str(table.tau), node.span, box)
-            assert table._small_split(node, *box) == min(ties), where
+            placed = [c for c in table._boxes(node, min(ties)) if c]
+            assert table._small_boxes(node, *box) == placed, where
             arities.add(node.arity)
             checked += 1
         assert arities >= {2, 4, 5} and checked > 1000
@@ -1356,6 +1357,46 @@ class TestSmallBoxes:
         for (sigma, tau), result in zip(pairs, want):
             assert lcp(sigma, tau, "general", canonical=True) == result, (str(sigma), str(tau))
         assert set(scanned) == {("linear", 3), ("prime", 3)}, scanned
+
+    @pytest.mark.parametrize(
+        "sigma, tau, kind, box, pattern, plain, canonical",
+        [
+            (
+                "8 7 5 6 4 3 2 1", "7 3 4 2 6 1 8 5", "linear", (2, 3, 3, 4),
+                (5, 3, 4, 2, 1),
+                ((2, 3, 4, 5, 6), (1, 2, 3, 4, 6)),
+                ((2, 3, 4, 7, 8), (1, 2, 3, 4, 6)),
+            ),
+            (
+                "3 5 1 2 4 6 7", "6 3 2 4 7 1 5", "prime", (2, 3, 2, 3),
+                (2, 1, 3, 4),
+                ((2, 5, 6, 7), (2, 3, 4, 5)),
+                ((2, 5, 6, 7), (2, 3, 4, 5)),
+            ),
+        ],
+    )
+    def test_pinned_pairs_place_a_box_by_the_rule(
+        self, monkeypatch, sigma, tau, kind, box, pattern, plain, canonical
+    ):
+        """Both walks place an unstored two-point box by the small-box rule, to pinned witnesses.
+
+        The linear box 2 3 3 4 sits under the + node 3-4 of the first guide, and
+        the prime box 2 3 2 3 under the prime node 1-5 of the second.
+        """
+        placed = []
+        small_boxes = DpTable._small_boxes
+
+        def record(table, node, *small):
+            placed.append((node.kind, small))
+            return small_boxes(table, node, *small)
+
+        monkeypatch.setattr(DpTable, "_small_boxes", record)
+        for walk, occurrences in ((False, plain), (True, canonical)):
+            placed.clear()
+            result = lcp(parse_permutation(sigma), parse_permutation(tau), canonical=walk)
+            assert result.pattern.values == pattern, walk
+            assert (result.occ_sigma.positions, result.occ_tau.positions) == occurrences, walk
+            assert (kind, box) in placed, (walk, placed)
 
     def test_cell_reads_a_two_point_box_from_the_flags(self):
         """``cell`` answers a box of two points from the node's flags, and stores nothing."""

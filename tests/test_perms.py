@@ -116,6 +116,16 @@ class TestFindOccurrence:
         occ = find_occurrence(range(1, 3001), range(1, 1500))
         assert occ.positions == tuple(range(1, 1500))
 
+    def test_raw_sequence_must_be_a_pattern(self):
+        """A raw host or pi that is not a permutation of 1..k raises, for avoids too."""
+        for host, pi in [((5, 9), (1, 2)), ((1, 2, 3), (1, 1)), ((1, 1, 2), (1,)), ((2, 3), ())]:
+            with pytest.raises(PermutationError):
+                find_occurrence(host, pi)
+            with pytest.raises(PermutationError):
+                avoids(host, pi)
+        assert find_occurrence([2, 1, 3], [1, 2]).positions == (1, 3)
+        assert find_occurrence((), ()).positions == ()
+
     def test_pattern_longer_than_host(self):
         assert find_occurrence(Permutation((1,)), Pattern((1, 2))) is None
 
