@@ -31,12 +31,13 @@ docstring gives only its contract and the mechanics local to it.
    as h falling would first ask its high child, the comb holding most of the
    node, for every point.  Beside each exact length the table keeps the
    split that last raised the cell's best, the first in that order to reach
-   the length.  The plain witness walks these splits down from the root, so
-   it is reproducible and stores nothing.  A box of one or two points may
-   have no stored split (rule 5); it takes its split of smallest cuts, as
-   every such box on the canonical walk does (rule 4).  At length 1 the
-   last child takes the lower-valued point, and both when its value slice
-   is the top one.  At length 2 the first-position point goes to the last
+   the length, as its position and value cuts for every node kind.  The
+   plain witness walks these splits down from the root, so it is
+   reproducible and stores nothing.  A box of one or two points may have
+   no stored split (rule 5); it takes its split of smallest cuts, as every
+   such box on the canonical walk does (rule 4).  At length 1 the last
+   child takes the lower-valued point, and both when its value slice is
+   the top one.  At length 2 the first-position point goes to the last
    child k1, and the other to the last child k2 >= k1, that can take them:
    k1 = k2 if that child contains their pattern, else k1 < k2 if the two
    children's ranks order them as their values are ordered.  The order
@@ -144,55 +145,6 @@ def _ranks(node: DecompNode) -> tuple[int, ...]:
     return (1, 2) if node.sign == "+" else (2, 1)
 
 
-def _position_cuts(hs: list[int], end: int, sizes: list[int], floor):
-    """Yield (cuts, caps) for each position-cut tuple whose caps add up to more than ``floor()``.
-
-    ``hs`` is the window's rows (i, then one past each point's position) and
-    ``end`` is j + 1.  Rows x_1 <= ... <= x_{d-1} give ``cuts`` (i, hs[x_1],
-    ..., end), so slice k holds x_{k+1} - x_k points (x_0 = 0, x_d = P), and
-    ``caps[k]`` is the smaller of that and ``sizes[k]``.  Tuples come in
-    lexicographic order, built depth first.  A prefix is dropped when the caps
-    it closes, plus the smaller of the later slices' sizes and the points
-    left, cannot exceed the floor; when its last slice is full, later x_k only
-    lower that sum, so the level ends.  ``floor`` may only grow.
-    """
-    d = len(sizes)
-    total = len(hs) - 1
-    rest = list(accumulate(reversed(sizes), initial=0))[::-1]  # rest[k]: sizes of slices k..d-1
-    xs = [0] * d  # xs[k]: the row of cut h_k
-    cuts = [hs[0]] * d + [end]
-    held = [0] * d  # held[k]: the caps of slices 0..k-1
-    caps = [0] * d
-    k = 1
-    xs[1] = -1  # the first step moves x_1 to 0
-    while k:
-        x = xs[k] + 1
-        if x > total:
-            k -= 1
-            continue
-        xs[k] = x
-        cuts[k] = hs[x]
-        size = sizes[k - 1]
-        cap = x - xs[k - 1]
-        if cap > size:
-            cap = size
-        more = total - x
-        if more > rest[k]:
-            more = rest[k]
-        if held[k - 1] + cap + more <= floor():
-            if cap == size:
-                k -= 1
-            continue
-        caps[k - 1] = cap
-        if k < d - 1:
-            held[k] = held[k - 1] + cap
-            k += 1
-            xs[k] = x - 1
-        else:
-            caps[k] = more  # the last slice's cap, as rest[d - 1] is its size
-            yield tuple(cuts), caps.copy()
-
-
 class LcpResult(Record):
     """A longest common pattern with one occurrence in each input."""
 
@@ -234,7 +186,7 @@ class DpTable:
             pos[t - 1] = p
         self._tables: dict[DecompNode, dict[int, int]] = {}
         # The split that set each exact length, under the same keys (see _cell).
-        self._splits: dict[DecompNode, dict[int, int | tuple]] = {}
+        self._splits: dict[DecompNode, dict[int, tuple]] = {}
         # Per binary linear node, from its first scan on (see _linear_cell).
         self._linear: dict[DecompNode, tuple] = {}
         # Per node of the guide, leaves included: 2 if it contains 1 2, plus 1
@@ -256,9 +208,11 @@ class DpTable:
                 self._tables[node], self._splits[node] = {}, {}
 
     def cell(self, node: DecompNode, i: int, j: int, a: int, b: int) -> int:
-        """The exact length M(node, i, j, a, b), 1 <= i <= j <= n and 1 <= a <= b <= n."""
-        if not (1 <= i <= j <= self.n and 1 <= a <= b <= self.n):
-            raise ValueError(f"cell ranges out of bounds: i={i} j={j} a={a} b={b}")
+        """The exact length M(node, i, j, a, b), ints with 1 <= i <= j <= n and 1 <= a <= b <= n."""
+        if any(x.__class__ is not int for x in (i, j, a, b)) or not (
+            1 <= i <= j <= self.n and 1 <= a <= b <= self.n
+        ):
+            raise ValueError(f"cell ranges must be ints in bounds: i={i!r} j={j!r} a={a!r} b={b!r}")
         if node not in self._flags:
             raise ValueError("node does not belong to this table's guiding tree")
         return self._length(node, i, j, a, b)
@@ -366,9 +320,9 @@ class DpTable:
 
         A generator: it yields each missing child box and is sent what
         :meth:`_cell` returns for it.  It returns the best reached from ``floor``
-        and the split (h, c) that last raised it, as ``h * S + c``, or None; with a
-        ``ties`` list it appends the cuts ((i, h, j + 1), (a, c, b + 1)) of every
-        split beating ``floor`` and returns (floor, None).
+        and the cuts ((i, h, j + 1), (a, c, b + 1)) of the split (h, c) that last
+        raised it, or None; with a ``ties`` list it appends the cuts of every split
+        beating ``floor`` and returns (floor, None).
 
         Split (h, c) gives positions i..h-1 to the left child and values a..c-1 to
         the low child (left for +, right for -).  Row x is the cut h with x of the
@@ -499,7 +453,7 @@ class DpTable:
                     if tie:
                         ties.append(((i, h, j + 1), (a, c, b + 1)))
                         continue
-                    best, split = u + v, h * S + c
+                    best, split = u + v, ((i, h, j + 1), (a, c, b + 1))
         return best, split
 
     def _prime_cell(
@@ -507,22 +461,59 @@ class DpTable:
     ):
         """Scan a prime cell for (best, split), or with ``ties`` for the splits reaching a length.
 
-        A generator like :meth:`_linear_cell`, with the same rows, columns and
-        ``ties``: :func:`_position_cuts`, at the best so far, gives the position
-        cuts (i, h_1, ..., h_{d-1}, j + 1), and the nested walk ``values`` the
-        value cuts of each, in value slice order (a, c_1, ..., c_{d-1}, b + 1).
+        A generator like :meth:`_linear_cell`, with the same rows, columns,
+        split and ``ties``.  Two nested walks read the splits depth first in
+        lexicographic order: ``positions`` the position cuts (i, h_1, ...,
+        h_{d-1}, j + 1), and ``values``, for each, the value cuts in value slice
+        order (a, c_1, ..., c_{d-1}, b + 1).  Each returns the best it reached.
+        Together they nest up to 2d - 1 generators, so a scan needs that many
+        frames below the recursion limit.
         """
         tables, pos, S = self._tables, self._pos, self._S
         hs = [i] + [h for h in range(i + 1, j + 2) if a <= self._tauv[h - 2] <= b]
+        P = len(hs) - 1  # the window's points
         cols = [a] + [v + 1 for v in range(a, b + 1) if i <= pos[v - 1] <= j]
         end = len(cols) - 1  # the last column
         children = node.children
         sizes = [c.span.width for c in children]
         d = len(sizes)
+        rest = list(accumulate(reversed(sizes), initial=0))[::-1]  # rest[k]: sizes of slices k..d-1
         order = sorted(range(d), key=node.label.values.__getitem__)
+        cuts = [i] * d + [j + 1]  # the position cuts, h_k as level k of positions makes it
+        caps = [0] * d  # caps[k]: the smaller of position slice k's points and its child's width
+        suffix_caps = [0] * (d + 1)  # suffix_caps[t]: the caps of value slices t + 1..d
         path = [0] * d  # column 0, then the columns of c_1..c_{d-1} as they are made
         tie = 0 if ties is None else 1
         found = ties if tie else []  # every split that raised the best, or every tied one
+
+        def positions(k, x0, held, best):
+            """Scan the position cuts from h_k (1-based) on, and return the best.
+
+            Cut h_{k-1} sits at row x0, so h_k tries the rows x >= x0 in order,
+            and slice k - 1 holds x - x0 points; ``held`` is the caps of slices
+            0..k-2.  A cut is dropped when the cap it closes, with ``held`` and
+            the smaller of the later slices' sizes and the points left, cannot
+            beat ``best``; when its slice is full, a later row only lowers that
+            sum, so the level ends.  The last cut hands its tuple to ``values``.
+            """
+            size, room = sizes[k - 1], rest[k]
+            for x in range(x0, P + 1):
+                cap = x - x0 if x - x0 < size else size
+                more = P - x if P - x < room else room
+                if held + cap + more <= best:
+                    if cap == size:
+                        break
+                    continue
+                cuts[k] = hs[x]
+                caps[k - 1] = cap
+                if k < d - 1:
+                    best = yield from positions(k + 1, x, held + cap, best)
+                    continue
+                caps[k] = more  # the last slice's cap, as rest[d - 1] is its size
+                for t in range(d - 1, -1, -1):
+                    suffix_caps[t] = suffix_caps[t + 1] + caps[order[t]]
+                best = yield from values(1, 0, best)
+            return best
 
         def values(t, partial, best):
             """Scan the value cuts from value slice t (1-based) on, and return the best.
@@ -562,7 +553,7 @@ class DpTable:
                     total = partial + got
                 if t == d:
                     if total > best:
-                        found.append((cuts, (*[cols[x] for x in path], b + 1)))
+                        found.append((tuple(cuts), (*[cols[x] for x in path], b + 1)))
                         if not tie:
                             best = total
                 elif total > last:
@@ -572,14 +563,9 @@ class DpTable:
                         best = yield from values(t + 1, total, best)
             return best
 
-        best = floor
-        for cuts, pos_caps in _position_cuts(hs, j + 1, sizes, lambda: best):
-            # suffix_caps[t]: the position caps of value slices t + 1..d.
-            suffix_caps = [0] * (d + 1)
-            for t in range(d - 1, -1, -1):
-                suffix_caps[t] = suffix_caps[t + 1] + pos_caps[order[t]]
-            best = yield from values(1, 0, best)
-        del values  # it refers to itself through its closure: unbinding it breaks that cycle
+        best = yield from positions(1, 0, 0, floor)
+        # Each walk refers to itself through its closure: unbinding them breaks those cycles.
+        del positions, values
         return best, None if tie or not found else found[-1]
 
     def _boxes(self, node: DecompNode, cuts: tuple) -> list[tuple | None]:
@@ -608,11 +594,12 @@ class DpTable:
 
         Give all of the cell's node, i, j, a and b, or none of them for the root
         cell; anything else raises ValueError.  The walk takes each box's stored
-        split, or with ``canonical`` the split of smallest pattern (of smallest
-        cuts on ties); a box of one or two points without one, on the canonical
-        walk any such box, takes its split of smallest cuts.  Each leaf box adds
-        the point at its first position.  Raises RuntimeError when the lengths
-        do not rebuild to a common pattern.
+        split, whose cuts :meth:`_boxes` turns into child boxes, or with
+        ``canonical`` the split of smallest pattern (of smallest cuts on ties); a
+        box of one or two points without one, on the canonical walk any such
+        box, takes its split of smallest cuts.  Each leaf box adds the point at
+        its first position.  Raises RuntimeError when the lengths do not rebuild
+        to a common pattern.
         """
         box = (node, i, j, a, b)
         if box.count(None) == 5:
@@ -637,9 +624,6 @@ class DpTable:
             else:
                 split = self._splits[node].get(((i * S + j) * S + a) * S + b)
                 if split is not None:
-                    if node.kind == "linear":  # packed as h * S + c
-                        h, c = divmod(split, S)
-                        split = ((i, h, j + 1), (a, c, b + 1))
                     split = self._boxes(node, split)
             if split is None:  # a box of one or two points
                 split = self._small_boxes(*box)

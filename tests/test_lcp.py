@@ -45,7 +45,7 @@ from permlcp import (
     tree_to_dict,
     tree_to_permutation,
 )
-from permlcp.dp import _may_contain, _monotone, _position_cuts, _ranks
+from permlcp.dp import _may_contain, _monotone, _ranks
 from permlcp.oracle import oracle_lcp
 
 
@@ -299,6 +299,12 @@ class TestTableProperties:
             table.cell(table.tree.root, 2, 1, 1, 3)
         with pytest.raises(ValueError):
             table.cell(table.tree.root, 1, 4, 1, 3)
+        # Bounds are ints, as in IntervalSpan and Occurrence: not bools, floats or strings.
+        for bounds in ((True, 3, 1, 3), (1.5, 3, 1, 3), (1, 3, "1", 3), (1, 3, 1, 3.0)):
+            with pytest.raises(ValueError, match="must be ints"):
+                table.cell(table.tree.root, *bounds)
+        with pytest.raises(ValueError, match="must be ints"):
+            table.reconstruct(table.tree.root, 1.0, 3, 1, 3)
 
     def test_foreign_node_rejected(self):
         tree = expand_tree(decomposition_tree(parse_permutation("1 2")))
@@ -419,6 +425,23 @@ class TestTableProperties:
                     ref = weakref.ref(table)
                     del table
                     assert ref() is None, (sigma, canonical)
+        finally:
+            gc.enable()
+
+    def test_prime_scans_leave_no_garbage(self):
+        """Each of a prime scan's nested walks refers to itself, so the scan unbinds both.
+
+        Left bound, each scan would leave a reference cycle to the garbage
+        collector: an arity-7 guide scans many prime cells.
+        """
+        sigma = parse_permutation("9 7 4 8 3 5 2 1 6")
+        tau = parse_permutation("5 2 4 1 8 3 6 7 9")
+        gc.collect()
+        gc.disable()
+        try:
+            for canonical in (False, True):
+                lcp(sigma, tau, canonical=canonical)
+                assert gc.collect() == 0, canonical
         finally:
             gc.enable()
 
@@ -812,6 +835,20 @@ class TestCellCounts:
         assert occ_sigma.positions == (3, 4, 5, 6, 9)
         assert occ_tau.positions == (3, 5, 6, 7, 8)
 
+    def test_arity_ten_pair(self):
+        """An arity-10 guide of size 10 against a target of 12: the oracle's length and the plain witness."""
+        sigma = parse_permutation("9 4 2 5 8 1 10 7 3 6")
+        tau = parse_permutation("10 5 11 1 8 4 12 6 3 7 9 2")
+        plan = lcp_plan(sigma, tau)
+        assert (plan.guided_by, plan.prime_arity) == ("sigma", 10)
+        table = DpTable(plan.tree, tau)
+        pattern, occ_sigma, occ_tau = table.reconstruct()
+        assert len(pattern) == len(oracle_lcp(sigma, tau)) == 7
+        assert pattern.values == (6, 2, 5, 1, 7, 3, 4)
+        assert occ_sigma.positions == (1, 3, 5, 6, 7, 9, 10)
+        assert occ_tau.positions == (1, 2, 5, 6, 7, 8, 10)
+        assert sum(1 for _ in materialized_cells(table)) == 1
+
     def test_arity_seven_pair_entries(self):
         """The pair stores 66 entries plain and 118 canonical.
 
@@ -999,85 +1036,6 @@ class TestBoundEntries:
         assert kinds == {"linear", "prime"}
 
 
-class TestPositionCuts:
-    """The prime scans' depth-first walk over position cuts.
-
-    The walk is given the window's rows: i, then one past each point's
-    position.  It must yield exactly the tuples, in the same order, that the
-    full lexicographic enumeration over positions keeps under the same
-    check, once the enumeration drops each tuple that repeats the one before
-    it: a tuple with a cut h_k > h_{k-1} at which ``upto`` did not rise.
-    """
-
-    @staticmethod
-    def _draw(rng, d):
-        """Random (i, sizes, upto): upto[p] counts the points among the first p positions."""
-        i = rng.randint(1, 5)
-        upto = [0]
-        for _ in range(rng.randint(0, 9 if d <= 5 else 6)):
-            upto.append(upto[-1] + (rng.random() < 0.6))
-        return i, [rng.randint(1, 4) for _ in range(d)], upto
-
-    @staticmethod
-    def _enumerate(i, sizes, upto):
-        """Every position-cut tuple with its caps, in lexicographic order.
-
-        A cut that moves past a position without a point repeats the tuple
-        with that cut one lower, so only cuts equal to the cut before them,
-        or just after a point, are kept.
-        """
-        d = len(sizes)
-        for hs in combinations_with_replacement(range(i, i + len(upto)), d - 1):
-            cuts = (i, *hs, i + len(upto) - 1)
-            if any(
-                cuts[k] > cuts[k - 1] and upto[cuts[k] - i] == upto[cuts[k] - 1 - i]
-                for k in range(1, d)
-            ):
-                continue
-            caps = [min(sizes[k], upto[cuts[k + 1] - i] - upto[cuts[k] - i]) for k in range(d)]
-            yield cuts, caps
-
-    @staticmethod
-    def _rows(i, upto):
-        """The rows and the end cut the walk takes: i, then i + p wherever ``upto`` rises."""
-        hs = [i] + [i + p for p in range(1, len(upto)) if upto[p] > upto[p - 1]]
-        return hs, i + len(upto) - 1
-
-    def test_fixed_floor_matches_full_enumeration(self):
-        rng = random.Random(16)
-        kept = 0
-        for d in range(3, 8):
-            for _ in range(60):
-                i, sizes, upto = self._draw(rng, d)
-                floor = rng.randint(-1, sum(sizes))
-                want = [t for t in self._enumerate(i, sizes, upto) if sum(t[1]) > floor]
-                got = list(_position_cuts(*self._rows(i, upto), sizes, lambda: floor))
-                assert got == want, (sizes, upto, floor)
-                kept += len(want)
-        assert kept > 1000
-
-    def test_growing_floor_matches_full_enumeration(self):
-        """A floor raised after each tuple, as the fill's best is, is read at every check."""
-
-        def raise_floor(floor, cuts, caps):
-            return max(floor, sum(caps) - 1 - sum(cuts) % 2)
-
-        rng = random.Random(17)
-        for d in range(3, 8):
-            for _ in range(60):
-                i, sizes, upto = self._draw(rng, d)
-                want, floor = [], 0
-                for cuts, caps in self._enumerate(i, sizes, upto):
-                    if sum(caps) > floor:
-                        want.append((cuts, caps))
-                        floor = raise_floor(floor, cuts, caps)
-                got, floor = [], 0
-                for cuts, caps in _position_cuts(*self._rows(i, upto), sizes, lambda: floor):
-                    got.append((cuts, caps))
-                    floor = raise_floor(floor, cuts, caps)
-                assert got == want, (sizes, upto)
-
-
 class TestTightKeys:
     """An internal box with target points is evaluated under its tight box.
 
@@ -1227,9 +1185,6 @@ class TestTieMode:
                 assert ties == want, (str(sigma), str(tau), node.span, (i, j, a, b))
                 if table._tight(i, j, a, b) == (i, j, a, b):  # a tight key, not an alias
                     split = table._splits[node][((i * S + j) * S + a) * S + b]
-                    if node.kind == "linear":
-                        h, c = divmod(split, S)
-                        split = ((i, h, j + 1), (a, c, b + 1))
                     assert split == ties[0], (str(sigma), str(tau), node.span, (i, j, a, b))
                     stored += 1
                 # No reaching split is lost: each has the child point sets of a listed one.
@@ -1488,6 +1443,26 @@ class TestDeepGuides:
         for result in results:
             assert result.length == 5
             assert_valid_result(chain, tau, result)
+
+
+    def test_prime_guide_of_arity_600_under_a_low_recursion_limit(self):
+        """Against two points the root box is read from the flags, so no prime scan runs."""
+        n = 600
+        sigma = Permutation((*range(2, n + 1, 2), *range(1, n, 2)))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            results = [
+                (tau, lcp(sigma, tau, "general", canonical=canonical))
+                for tau in (parse_permutation("2 1"), parse_permutation("1 2"))
+                for canonical in (False, True)
+            ]
+        finally:
+            sys.setrecursionlimit(limit)
+        assert lcp_plan(sigma, sigma).prime_arity == n
+        for tau, result in results:
+            assert result.length == 2
+            assert_valid_result(sigma, tau, result)
 
 
 class TestCanonicalMode:
